@@ -6,9 +6,10 @@ error, never silently defaulted, because the maps under study only live
 on the subshift.  Equality of codes is decided at the word level on
 L_{2R*+1}(X), which is exact for maps on X.
 
-Certification is sound, not complete: a certificate carries an explicit
+Certification is not complete: a certificate carries an explicit
 two-sided inverse verified on the language, while a failed inverse
-search is merely inconclusive.
+search is merely inconclusive.  It is sound on SFTs, where the
+endomorphism check reaches the order of the SFT.
 """
 
 import itertools
@@ -194,19 +195,36 @@ def find_inverse(spec, code, r_max):
     return None
 
 
-def certify_automorphism(spec, code, r_max):
-    """Bounded endomorphism check, then inverse search.
+def _endomorphism_witness(spec, code, r_max):
+    """A language word whose image leaves the language, or None.
 
-    Success is a sound certificate; "unknown" is inconclusive; an image
-    word leaving the language is a definitive rejection.
+    Images are checked at every length up to 2*r_max+3 and, on an SFT, up
+    to its order: a point of the full shift lies in an SFT as soon as all
+    its windows of length `order` do, so there the check is exact.  For
+    sparse and product specs the 2*r_max+3 bound is not proven sufficient.
     """
-    for n in range(1, 2 * r_max + 4):
+    top = max(2 * r_max + 3, spec.order if spec.kind == "sft" else 0)
+    for n in range(1, top + 1):
         for w in spec.words(n + 2 * code.radius):
             image = apply_to_word(code, w)
             if not spec.contains(image):
-                return CertifyResult("not-endomorphism", witness=(w, image))
+                return w, image
+    return None
+
+
+def certify_automorphism(spec, code, r_max):
+    """Bounded endomorphism check, then inverse search.
+
+    Code and inverse must both pass the endomorphism check, so success is
+    a sound certificate on SFTs; on sparse and product specs it rests on
+    the unproven 2*r_max+3 image bound.  "unknown" is inconclusive; an
+    image word leaving the language is a definitive rejection.
+    """
+    witness = _endomorphism_witness(spec, code, r_max)
+    if witness is not None:
+        return CertifyResult("not-endomorphism", witness=witness)
     inverse = find_inverse(spec, code, r_max)
-    if inverse is None:
+    if inverse is None or _endomorphism_witness(spec, inverse, r_max) is not None:
         return CertifyResult("unknown")
     cert = AutomorphismCert(code, inverse, max(code.radius, inverse.radius))
     return CertifyResult("certified", cert=cert)

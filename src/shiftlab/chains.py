@@ -19,6 +19,7 @@ from .errors import (
     NoAperiodicPointError,
     NoUniqueExtenderError,
 )
+from .complexity import _centered_extensions
 from .subshifts import ProductSpec, SftSpec, SparseSpec, build_sft, build_sparse, empty_sft
 from .words import Configuration, occurrences
 
@@ -287,16 +288,7 @@ def unique_extension(spec, word, steps):
     """The unique `steps`-fold centered extension of word, or None."""
     current = {tuple(word)}
     for _ in range(steps):
-        nxt = set()
-        for w in current:
-            for a in spec.alphabet.letters:
-                for b in spec.alphabet.letters:
-                    u = (a,) + w + (b,)
-                    if spec.contains(u):
-                        nxt.add(u)
-            if len(nxt) > 1:
-                return None
-        current = nxt
+        current = _centered_extensions(spec, current)
         if len(current) != 1:
             return None
     (u,) = current
@@ -391,25 +383,13 @@ class ShadowingReport:
     counterexample: tuple | None  # word failing at D-1 (or at cap)
 
 
-def _all_centered_extensions(spec, word, steps):
-    current = {tuple(word)}
-    for _ in range(steps):
-        nxt = set()
-        for w in current:
-            for a in spec.alphabet.letters:
-                for b in spec.alphabet.letters:
-                    u = (a,) + w + (b,)
-                    if spec.contains(u):
-                        nxt.add(u)
-        current = nxt
-    return current
-
-
 def _shadowing_counterexample(spec, forbidden_words, u, v, t_steps, dist):
     """A word violating the shadowing condition at distance `dist`, or None."""
     n = len(u) + 2 * (dist + t_steps)
-    for w in sorted(_all_centered_extensions(spec, u, dist + t_steps),
-                    key=spec.alphabet.word_key):
+    extensions = {u}
+    for _ in range(dist + t_steps):
+        extensions = _centered_extensions(spec, extensions)
+    for w in sorted(extensions, key=spec.alphabet.word_key):
         clean = True
         for f in forbidden_words:
             for p in range(t_steps, 2 * dist + t_steps + 1):

@@ -24,7 +24,7 @@ from .errors import (
     ShiftlabError,
     SpecFormatError,
 )
-from .subshifts import load_spec, spec_digest
+from .subshifts import _parse_letters, _parse_word, load_spec, spec_digest
 from .systems import SYSTEM_NAMES, make_example
 from .words import Configuration
 
@@ -86,9 +86,14 @@ def _resolve_probe(ref, system, inputs):
     keys = {"left_period", "center", "right_period", "origin_offset"}
     if not isinstance(obj, dict) or set(obj) != keys:
         raise SpecFormatError(f"{ref}: probe must have exactly keys {sorted(keys)}")
+    offset = obj["origin_offset"]
+    if not isinstance(offset, int) or isinstance(offset, bool):
+        raise SpecFormatError(f"{ref}.origin_offset: expected an integer")
+    left = _parse_letters(obj["left_period"], f"{ref}.left_period")
+    center = _parse_word(obj["center"], f"{ref}.center")
+    right = _parse_letters(obj["right_period"], f"{ref}.right_period")
     inputs["probe"] = {"path": ref, "sha256": _hash_file(ref)}
-    return Configuration(tuple(obj["left_period"]), tuple(obj["center"]),
-                         tuple(obj["right_period"]), obj["origin_offset"])
+    return Configuration(left, center, right, offset)
 
 
 def _word_list(word):

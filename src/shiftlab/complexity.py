@@ -84,16 +84,16 @@ class ExtensionReport:
 
 
 def _centered_extensions(spec, wordset):
-    """One-step two-sided extensions within the language."""
+    """One-step two-sided extensions (a,)+w+(b,) within the language."""
     out = set()
     for w in wordset:
         for a in spec.alphabet.letters:
+            left = (a,) + w
+            if not spec.contains(left):
+                continue  # the language is factorial
             for b in spec.alphabet.letters:
-                u = (a,) + w + (b,)
-                if spec.contains(u):
-                    out.add(u)
-        if len(out) > 1:
-            return out
+                if spec.contains(left + (b,)):
+                    out.add(left + (b,))
     return out
 
 
@@ -144,7 +144,9 @@ def find_extension_window(spec, n, d, cap):
     The polynomial hypothesis P_X(j) <= j^d is checked on the scanned
     range j in [n, floor(n*ln n)] before searching; a violation there (or
     an exhausted search) raises, signalling that the growth hypothesis
-    fails for this subshift or that the cap is too small.
+    fails for this subshift or that the cap is too small.  An EXCEEDS_CAP
+    radius only proves k_m >= cap+1, so it counts as a hit only when
+    cap+1 >= C*n; otherwise the search raises, naming the cap.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -156,6 +158,10 @@ def find_extension_window(spec, n, d, cap):
             raise LemmaWindowNotFoundError(
                 f"hypothesis P(n) <= n^{d} fails at n={j}: {complexity(spec, j)} > {j ** d}")
     threshold = math.log(2) / (4 * d) * n
+    if cap + 1 < threshold:
+        # finite radii are <= cap and EXCEEDS_CAP only proves k_m >= cap+1
+        raise LemmaWindowNotFoundError(
+            f"cap {cap} too small: cap+1 < C*n = {threshold:.3f}")
     for m in range(1, horizon + 1):
         k_m = min_nonextendable_radius(spec, m, cap)
         if k_m == EXCEEDS_CAP or k_m >= threshold:

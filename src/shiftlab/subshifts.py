@@ -13,31 +13,66 @@ Three finite descriptions are supported:
 * Product: letterwise Cartesian product of two subshifts over the pair
   alphabet.
 
-All enumerations are returned in canonical order (alphabet index, then
-lexicographic), so outputs are reproducible byte for byte.
+Each backend presents its language by one deterministic automaton
+(Lind-Marcus, Symbolic Dynamics and Coding, 3.3-3.4): a word is in the
+language exactly when its run from the start state never falls off.
+The states are the prefixes of the essential vertices, then the vertices
+(SFT); the sorted marker multisets in the downset of the families
+(sparse); pairs of factor states (product).  Compiled once into integer
+rows in alphabet order, the automaton answers `words` by a level-by-level
+walk that emits canonical order (alphabet index, then lexicographic)
+without sorting, `count_words` by a dynamic program over the states, and
+`contains` by a run.
 """
 
 import hashlib
 import itertools
 import json
-from collections import Counter
 
 from .errors import EmptySubshiftError, SpecFormatError
-from .words import Alphabet, Configuration, subwords
+from .words import Alphabet, Configuration
 
 
 class SubshiftSpec:
-    """Common surface of all backends.  Instances are immutable."""
+    """Common surface of all backends.  Instances are immutable.
+
+    A backend supplies `_next(state, letter)`, None when the letter cannot
+    follow, and `_start()` if its start state is not the empty tuple.
+    """
 
     kind = None
 
     def __init__(self, alphabet):
         self.alphabet = alphabet
         self.is_empty = False
+        self._rows = None
         self._word_cache = {}
         self._count_cache = {}
 
     # -- language queries ------------------------------------------------
+
+    def _start(self):
+        return ()
+
+    def _transitions(self):
+        """Rows of the compiled automaton: state 0 is the start, and row s
+        maps each allowed letter, in alphabet order, to its target state."""
+        if self._rows is None:
+            states = [self._start()]
+            index = {states[0]: 0}
+            rows = []
+            for state in states:
+                row = {}
+                for a in self.alphabet.letters:
+                    nxt = self._next(state, a)
+                    if nxt is not None:
+                        if nxt not in index:
+                            index[nxt] = len(states)
+                            states.append(nxt)
+                        row[a] = index[nxt]
+                rows.append(row)
+            self._rows = rows
+        return self._rows
 
     def words(self, n):
         """All words of length n in the language, canonically sorted."""
@@ -46,7 +81,11 @@ class SubshiftSpec:
         if n < 1:
             raise ValueError("word length must be >= 1")
         if n not in self._word_cache:
-            self._word_cache[n] = tuple(self.alphabet.sort_words(self._enumerate(n)))
+            rows = self._transitions()
+            frontier = [((), 0)]
+            for _ in range(n):
+                frontier = [(w + (a,), t) for w, s in frontier for a, t in rows[s].items()]
+            self._word_cache[n] = tuple(w for w, _ in frontier)
         return self._word_cache[n]
 
     def count_words(self, n):
@@ -54,7 +93,17 @@ class SubshiftSpec:
         if self.is_empty:
             return 0
         if n not in self._count_cache:
-            self._count_cache[n] = self._count(n)
+            # the automaton is deterministic, so paths and words correspond
+            rows = self._transitions()
+            counts = [1] + [0] * (len(rows) - 1)
+            for _ in range(n):
+                nxt = [0] * len(rows)
+                for s, c in enumerate(counts):
+                    if c:
+                        for t in rows[s].values():
+                            nxt[t] += c
+                counts = nxt
+            self._count_cache[n] = sum(counts)
         return self._count_cache[n]
 
     def contains(self, word):
@@ -62,21 +111,16 @@ class SubshiftSpec:
         word = self.alphabet.check_word(word)
         if self.is_empty:
             return False
-        if not word:
-            return True
-        return self._contains(word)
+        rows = self._transitions()
+        state = 0
+        for a in word:
+            state = rows[state].get(a)
+            if state is None:
+                return False
+        return True
 
     def contains_config(self, config):
         """Whether the eventually periodic point lies in the subshift."""
-        raise NotImplementedError
-
-    def _enumerate(self, n):
-        raise NotImplementedError
-
-    def _count(self, n):
-        return len(self.words(n))
-
-    def _contains(self, word):
         raise NotImplementedError
 
     def descriptor(self):
@@ -170,48 +214,19 @@ class SftSpec(SubshiftSpec):
         self.out = {u: tuple(a for a in out[u] if (u + (a,))[1:] in alive)
                     for u in self.vertices}
         self.is_empty = not self.vertices
+        # every language word shorter than q starts some essential vertex
+        self._prefixes = {v[:i] for v in self.vertices for i in range(1, len(v) + 1)}
 
     @staticmethod
     def step(u, a):
         """Successor vertex along the edge labeled by appending `a`."""
         return (u + (a,))[1:]
 
-    def _enumerate(self, n):
-        q = self.window_len
-        if n < q:
-            found = set()
-            for v in self.vertices:
-                found.update(subwords(v, n))
-            return found
-        frontier = [(u, u) for u in self.vertices]
-        for _ in range(n - q):
-            frontier = [(w + (a,), self.step(u, a))
-                        for w, u in frontier for a in self.out[u]]
-        return [w for w, _ in frontier]
-
-    def _count(self, n):
-        q = self.window_len
-        if n < q:
-            return len(self.words(n))
-        # paths of n-q edges; distinct paths spell distinct words
-        counts = {u: 1 for u in self.vertices}
-        for _ in range(n - q):
-            counts = {u: sum(counts[self.step(u, a)] for a in self.out[u])
-                      for u in self.vertices}
-        return sum(counts.values())
-
-    def _contains(self, word):
-        q = self.window_len
-        if len(word) < q:
-            return any(word in subwords(v, len(word)) for v in self.vertices)
-        u = word[:q]
-        if u not in self.out:
-            return False
-        for a in word[q:]:
-            if a not in self.out[u]:
-                return False
-            u = self.step(u, a)
-        return True
+    def _next(self, state, a):
+        if len(state) < self.window_len:
+            grown = state + (a,)
+            return grown if grown in self._prefixes else None
+        return self.step(state, a) if a in self.out[state] else None
 
     def contains_config(self, config):
         q = self.window_len
@@ -261,40 +276,14 @@ class SparseSpec(SubshiftSpec):
             canon.add(tuple(sorted(fam, key=alphabet.index)))
         canon.discard(())
         self.families = tuple(sorted(canon, key=lambda f: (len(f), alphabet.word_key(f))))
-        self._family_counters = tuple(Counter(f) for f in self.families)
 
-    def _admits(self, marker_counter):
-        if not marker_counter:
-            return True
-        return any(all(fam[a] >= k for a, k in marker_counter.items())
-                   for fam in self._family_counters)
-
-    def _marker_counter(self, word):
-        return Counter(a for a in word if a != self.background)
-
-    def _enumerate(self, n):
-        bg = self.background
-        found = {(bg,) * n}
-        for fam in self.families:
-            fam_counter = Counter(fam)
-            distinct = sorted(fam_counter, key=self.alphabet.index)
-            ranges = [range(fam_counter[a] + 1) for a in distinct]
-            for picks in itertools.product(*ranges):
-                sub = []
-                for a, k in zip(distinct, picks):
-                    sub.extend([a] * k)
-                if not sub or len(sub) > n:
-                    continue
-                for positions in itertools.combinations(range(n), len(sub)):
-                    for assign in set(itertools.permutations(sub)):
-                        w = [bg] * n
-                        for p, a in zip(positions, assign):
-                            w[p] = a
-                        found.add(tuple(w))
-        return found
-
-    def _contains(self, word):
-        return self._admits(self._marker_counter(word))
+    def _next(self, state, a):
+        if a == self.background:
+            return state
+        grown = tuple(sorted(state + (a,), key=self.alphabet.index))
+        if any(all(grown.count(m) <= fam.count(m) for m in grown) for fam in self.families):
+            return grown
+        return None
 
     def contains_config(self, config):
         for a in config.left + config.right:
@@ -303,9 +292,7 @@ class SparseSpec(SubshiftSpec):
             if a != self.background:
                 # a marker in a periodic tail would repeat infinitely often
                 return False
-        center = config.window(-config.offset, len(config.center))
-        self.alphabet.check_word(center)
-        return self._admits(self._marker_counter(center))
+        return self.contains(config.center)
 
     def descriptor(self):
         return {"kind": "sparse",
@@ -336,18 +323,13 @@ class ProductSpec(SubshiftSpec):
         self.factor_left = left
         self.factor_right = right
 
-    def _enumerate(self, n):
-        return [tuple(zip(u, v))
-                for u in self.factor_left.words(n)
-                for v in self.factor_right.words(n)]
+    def _start(self):
+        return (self.factor_left._start(), self.factor_right._start())
 
-    def _count(self, n):
-        return self.factor_left.count_words(n) * self.factor_right.count_words(n)
-
-    def _contains(self, word):
-        u = tuple(a for a, _ in word)
-        v = tuple(b for _, b in word)
-        return self.factor_left.contains(u) and self.factor_right.contains(v)
+    def _next(self, state, a):
+        left = self.factor_left._next(state[0], a[0])
+        right = self.factor_right._next(state[1], a[1])
+        return None if left is None or right is None else (left, right)
 
     def _project(self, config, side):
         pick = (lambda a: a[0]) if side == 0 else (lambda a: a[1])

@@ -29,6 +29,10 @@ def sft_language_oracle(letters, forbidden, n):
     forbidden = tuple(tuple(f) for f in forbidden)
     order = max((len(f) for f in forbidden), default=1)
     q = order - 1
+    if n < q:
+        # left and right extensions of a word shorter than q interact, so
+        # take the prefixes of the length-q language instead
+        return sorted({w[:n] for w in sft_language_oracle(letters, forbidden, q)})
     m = order + n
 
     @lru_cache(maxsize=None)

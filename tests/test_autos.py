@@ -27,7 +27,8 @@ from shiftlab.errors import (
     SearchSpaceError,
     SpecFormatError,
 )
-from shiftlab.words import Configuration
+from shiftlab.subshifts import build_sft
+from shiftlab.words import Alphabet, Configuration
 
 
 def w(text):
@@ -202,6 +203,16 @@ def test_certify_flip_not_endomorphism_on_golden_mean(systems):
     word, image = result.witness
     assert not gm.contains(image)
     assert apply_to_word(flip, word) == image
+
+
+def test_certify_checks_images_up_to_the_sft_order():
+    # 00000 is in the language, its flip 11111 is not; length 5 > 2*0+3
+    spec = build_sft(Alphabet("01"), [tuple("11111")])
+    flip = BlockCode.letter_map(spec, {"0": "1", "1": "0"})
+    result = certify_automorphism(spec, flip, 0)
+    assert result.status == "not-endomorphism"
+    word, image = result.witness
+    assert apply_to_word(flip, word) == image and not spec.contains(image)
 
 
 def test_certify_identity(systems):

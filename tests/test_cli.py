@@ -123,6 +123,24 @@ def test_spacetime_probe_file(tmp_path, capsys):
     assert [1, -1] in report["results"]["period_vectors"]
 
 
+@pytest.mark.parametrize("field, value", [
+    ("origin_offset", "3"),
+    ("origin_offset", True),
+    ("center", [["1"]]),
+    ("left_period", []),
+    ("right_period", "0"),
+])
+def test_spacetime_bad_probe_is_input_error(tmp_path, capsys, field, value):
+    probe = {"left_period": ["0"], "center": ["1"], "right_period": ["0"],
+             "origin_offset": 0, field: value}
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(probe))
+    code = main(["spacetime", "--spec", "builtin:full2", "--code", "shift",
+                 "--probe", str(path), "--width", "5", "--height", "3", "--rmax", "1"])
+    assert code == 2
+    assert field in capsys.readouterr().err
+
+
 def test_verify_lemmas_trials_zero_is_usage_error(capsys):
     assert main(["verify-lemmas", "--suite", "removal", "--trials", "0",
                  "--seed", "1"]) == 2

@@ -135,6 +135,9 @@ def test_find_extension_window_examples(systems):
     assert k_m == EXCEEDS_CAP or k_m >= 1
     with pytest.raises(LemmaWindowNotFoundError):
         find_extension_window(systems["full2"].spec, 10, 2, 10)
+    # EXCEEDS_CAP at cap 1 proves only k_m >= 2, short of C*n = 40*ln2/8
+    with pytest.raises(LemmaWindowNotFoundError, match="cap 1"):
+        find_extension_window(systems["at_most_one_1"].spec, 40, 2, 1)
 
 
 def test_slow_growth_window_examples():
