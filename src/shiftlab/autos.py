@@ -10,6 +10,15 @@ Certification is not complete: a certificate carries an explicit
 two-sided inverse verified on the language, while a failed inverse
 search is merely inconclusive.  It is sound on SFTs, where the
 endomorphism check reaches the order of the SFT.
+
+The two checks that scan many words slide each block once.  The
+endomorphism check is one level-by-level walk over the spec's compiled
+automaton rows that keeps, per length, the canonically first source word
+of each key (automaton state, last 2R letters, automaton state of the
+image); words with equal keys have equal futures, so the witness is the
+one a scan of every word would find.  The free-semigroup check pushes
+the language windows through one generator at a time along the suffix
+trie of generator words, sliding each distinct image once per node.
 """
 
 import itertools
@@ -33,14 +42,13 @@ class BlockCode:
     def __init__(self, spec, radius, rule):
         if radius < 0:
             raise ValueError("range must be >= 0")
-        domain = set(spec.words(2 * radius + 1))
-        if set(rule) != domain:
-            missing = domain - set(rule)
-            extra = set(rule) - domain
+        domain = spec.words(2 * radius + 1)
+        if len(rule) != len(domain) or not all(w in rule for w in domain):
+            domain, keys = set(domain), set(rule)
             raise ValueError(
                 f"rule table must cover exactly the language windows; "
-                f"missing {len(missing)}, extra {len(extra)}")
-        for letter in rule.values():
+                f"missing {len(domain - keys)}, extra {len(keys - domain)}")
+        for letter in dict.fromkeys(rule.values()):
             if letter not in spec.alphabet:
                 raise ValueError(f"rule output {letter!r} not in alphabet")
         self.spec = spec
@@ -72,11 +80,15 @@ class BlockCode:
         try:
             return self.rule[window]
         except KeyError:
-            raise RuleIncompleteError(
-                f"window {window!r} missing from range-{self.radius} rule table") from None
+            raise _missing_window(self, window) from None
 
     def __repr__(self):
         return f"<BlockCode range={self.radius} on {type(self.spec).__name__}>"
+
+
+def _missing_window(code, window):
+    return RuleIncompleteError(
+        f"window {window!r} missing from range-{code.radius} rule table")
 
 
 def apply_to_word(code, word):
@@ -85,7 +97,11 @@ def apply_to_word(code, word):
     span = 2 * code.radius + 1
     if len(word) < span:
         raise ValueError(f"word of length {len(word)} shorter than window {span}")
-    return tuple(code.output(word[i:i + span]) for i in range(len(word) - span + 1))
+    rule = code.rule
+    try:
+        return tuple([rule[word[i:i + span]] for i in range(len(word) - span + 1)])
+    except KeyError as exc:
+        raise _missing_window(code, exc.args[0]) from None
 
 
 def apply_to_config(code, config):
@@ -202,13 +218,41 @@ def _endomorphism_witness(spec, code, r_max):
     to its order: a point of the full shift lies in an SFT as soon as all
     its windows of length `order` do, so there the check is exact.  For
     sparse and product specs the 2*r_max+3 bound is not proven sufficient.
+
+    One level-by-level walk over the compiled automaton rows checks every
+    length: a source word of length n+2R carries its automaton state, its
+    last 2R letters and the automaton state of its length-n image, and
+    each step appends one image letter, the rule's output on the last
+    2R+1 letters.  Words agreeing on that key have the same extensions
+    with the same verdicts, so each level keeps only the canonically
+    first word per key.  Extensions come in canonical order (parent
+    order, then letter order), so the first word of each key at every
+    length survives, and with it the first failing word: the witness is
+    the canonically first language word of the shortest failing length,
+    as if every word of every length were checked.
     """
     top = max(2 * r_max + 3, spec.order if spec.kind == "sft" else 0)
-    for n in range(1, top + 1):
-        for w in spec.words(n + 2 * code.radius):
-            image = apply_to_word(code, w)
-            if not spec.contains(image):
-                return w, image
+    rows = spec._transitions()
+    rule, tail = code.rule, 2 * code.radius
+    frontier = [((), 0)]
+    for _ in range(tail):
+        frontier = [(w + (a,), t) for w, s in frontier for a, t in rows[s].items()]
+    level = {(s, w, 0): w for w, s in frontier}
+    for _ in range(top):
+        nxt = {}
+        for (s, last, t), w in level.items():
+            for a, s2 in rows[s].items():
+                window = last + (a,)
+                try:
+                    t2 = rows[t].get(rule[window])
+                except KeyError:
+                    raise _missing_window(code, window) from None
+                if t2 is None:
+                    return w + (a,), apply_to_word(code, w + (a,))
+                key = (s2, window[1:], t2)
+                if key not in nxt:
+                    nxt[key] = w + (a,)
+        level = nxt
     return None
 
 
@@ -352,6 +396,13 @@ def product_code(gens, word):
     return code
 
 
+def _push(code, images, index):
+    """Slide the code once over each distinct image; windows follow by index."""
+    table = {}
+    remap = [table.setdefault(apply_to_word(code, u), len(table)) for u in images]
+    return list(table), [remap[i] for i in index]
+
+
 def certify_free_semigroup(spec, a_cert, b_cert, depth):
     """Pairwise-distinctness check of all generator words up to the depth.
 
@@ -359,29 +410,43 @@ def certify_free_semigroup(spec, a_cert, b_cert, depth):
     distinct maps on the subshift, verified via the word-level equality
     test at a common padded range.  The verdict is always relative to
     the depth, never an unconditional claim.
+
+    The words are the nodes of a suffix trie, g+w being the child of w
+    (the leftmost factor acts last).  The language windows of length
+    2*top+1, top the largest range of a product, are pushed down the
+    trie one generator at a time: a node holds its table of distinct
+    images and, per window, an index into that table, so each distinct
+    image is slid once per node.  A word's fingerprint, the centre letter
+    of every window's image, is its rule table padded to range top, so
+    two words are the same map on X exactly when their fingerprints
+    agree.  The collision reported is the first pair in the pairwise
+    scan order: u the canonically first word that has a later equal,
+    v the first such later word.
     """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     gens = {"a": a_cert.code, "b": b_cert.code}
     words = semigroup_words(depth)
-    codes = {}
-    for w in words:
-        codes[w] = gens[w[0]] if len(w) == 1 else compose(gens[w[0]], codes[w[1:]])
-    top = max(code.radius for code in codes.values())
-    window_order = spec.words(2 * top + 1)
-    prints = {}
-    for w in words:
-        padded = pad(codes[w], top)
-        prints[w] = tuple(padded.rule[u] for u in window_order)
+    top = depth * max(code.radius for code in gens.values())
+    windows = spec.words(2 * top + 1)
+    level = [(windows, range(len(windows)))]
+    prints = []
+    for _ in range(depth):
+        # the next length in canonical order: "a"+w for each w, then "b"+w
+        level = [_push(gens[g], images, index) for g in "ab" for images, index in level]
+        for images, index in level:
+            centres = [u[len(u) // 2] for u in images]
+            prints.append(tuple([centres[k] for k in index]))
+    first = {}
     collision = None
-    for i in range(len(words)):
-        for j in range(i + 1, len(words)):
-            if prints[words[i]] == prints[words[j]]:
-                collision = (words[i], words[j])
-                break
-        if collision:
-            break
+    for j, fingerprint in enumerate(prints):
+        i = first.setdefault(fingerprint, j)
+        if i != j and (collision is None or i < collision[0]):
+            collision = (i, j)
     if collision:
-        return FreeSemigroupReport("collision", depth, words, None, collision)
-    matrix = tuple(tuple(prints[u] != prints[v] for v in words) for u in words)
+        pair = (words[collision[0]], words[collision[1]])
+        return FreeSemigroupReport("collision", depth, words, None, pair)
+    matrix = tuple(tuple(u != v for v in words) for u in words)
     return FreeSemigroupReport("free-to-depth", depth, words, matrix, None)
 
 

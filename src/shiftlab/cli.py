@@ -4,16 +4,19 @@ Every run emits one report object with fixed key order: command, inputs
 (sha256 of each input), seed, results, violations, elapsed_ms.  With
 identical inputs and seed the report is byte-identical except for the
 elapsed_ms field.  Exit codes: 0 all checks pass, 1 a verified violation
-(the report names the lemma and witness), 2 usage or input error.
+(the report names the lemma and witness), 2 usage or input error, 3 an
+internal error (an unexpected exception in a command).
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
 import sys
 import tempfile
 import time
+import traceback
 
 from . import autos, chains, spacetime, suites
 from .complexity import complexity_table
@@ -209,7 +212,9 @@ def cmd_verify_lemmas(args):
     return {}, {"suite": args.suite, "detail": results}, violations
 
 
+@functools.cache
 def _parser():
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="shiftlab",
         description="Exact computations on subshifts and their automorphisms.")
@@ -309,6 +314,11 @@ def main(argv=None):
     except (CapExceededError, ShiftlabError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except Exception as exc:
+        # exit 1 would claim a verified violation; report the bug instead
+        traceback.print_exc()
+        sys.stderr.write(f"error: internal: {type(exc).__name__}: {exc}\n")
+        return 3
     report = {
         "command": args.command,
         "inputs": inputs,

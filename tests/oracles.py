@@ -4,7 +4,13 @@ Each oracle deliberately avoids the code paths it checks: the SFT oracle
 works on raw forbidden-word avoidance with bounded two-sided
 extendability (no graph pruning), the sparse oracle enumerates actual
 marker placements of whole points, and the automorphism oracle searches
-letter maps with explicit word-level bijectivity checks.
+letter maps with explicit word-level bijectivity checks.  The
+endomorphism-witness oracle slides the code over every language word of
+every length and tests each image with `contains`, and the
+free-semigroup oracle composes and pads a full rule table per generator
+word and scans all pairs; the library replaces both with single walks.
+Those two import shiftlab when called, so importing this module loads
+no shiftlab code (the benchmark imports it before its own cold imports).
 """
 
 import itertools
@@ -112,3 +118,49 @@ def range0_automorphism_oracle(letters, language, max_n=6):
         if preserves(table) and preserves(inverse):
             tables.append(table)
     return tables
+
+
+def endomorphism_witness_oracle(spec, code, r_max):
+    """First language word, shortest length first, whose image leaves X.
+
+    Image lengths run up to 2*r_max+3 and, on an SFT, up to its order,
+    the bound `autos._endomorphism_witness` uses.
+    """
+    from shiftlab.autos import apply_to_word
+
+    top = max(2 * r_max + 3, spec.order if spec.kind == "sft" else 0)
+    for n in range(1, top + 1):
+        for w in spec.words(n + 2 * code.radius):
+            image = apply_to_word(code, w)
+            if not spec.contains(image):
+                return w, image
+    return None
+
+
+def free_semigroup_oracle(spec, a_cert, b_cert, depth):
+    """Composed, padded rule tables of every generator word, pairwise scan."""
+    from shiftlab.autos import FreeSemigroupReport, compose, pad, semigroup_words
+
+    gens = {"a": a_cert.code, "b": b_cert.code}
+    words = semigroup_words(depth)
+    codes = {}
+    for w in words:
+        codes[w] = gens[w[0]] if len(w) == 1 else compose(gens[w[0]], codes[w[1:]])
+    top = max(code.radius for code in codes.values())
+    window_order = spec.words(2 * top + 1)
+    prints = {}
+    for w in words:
+        padded = pad(codes[w], top)
+        prints[w] = tuple(padded.output(u) for u in window_order)
+    collision = None
+    for i in range(len(words)):
+        for j in range(i + 1, len(words)):
+            if prints[words[i]] == prints[words[j]]:
+                collision = (words[i], words[j])
+                break
+        if collision:
+            break
+    if collision:
+        return FreeSemigroupReport("collision", depth, words, None, collision)
+    matrix = tuple(tuple(prints[u] != prints[v] for v in words) for u in words)
+    return FreeSemigroupReport("free-to-depth", depth, words, matrix, None)

@@ -214,3 +214,35 @@ def test_complexity_product_spec_file(tmp_path, capsys, systems):
     assert code == 0
     assert report["results"]["table"] == {
         "1": 4, "2": 9, "3": 16, "4": 25, "5": 36, "6": 49}
+
+
+def test_back_to_back_commands_share_one_parser(capsys):
+    commands = [
+        ("complexity", "--spec", "builtin:golden_mean", "--max-n", "4"),
+        ("autos", "certify", "--spec", "builtin:hallway", "--code", "phi_a", "--rmax", "1"),
+        ("certify-free", "--spec", "builtin:hallway", "--gen-a", "phi_a",
+         "--gen-b", "phi_b", "--depth", "2", "--rmax", "1"),
+        ("autos", "enumerate", "--spec", "builtin:full2", "--range", "0"),
+        ("verify-lemmas", "--suite", "subexp", "--trials", "2", "--seed", "3"),
+    ]
+    first = {}
+    for _ in range(2):
+        for argv in commands:
+            code, report = run_cli(capsys, *argv)
+            report.pop("elapsed_ms")
+            assert first.setdefault(argv, (code, report)) == (code, report)
+        assert main(["complexity", "--max-n", "3"]) == 2
+        assert main(["--help"]) == 0
+        capsys.readouterr()
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("boom")
+
+    # the complexity handler calls this; exit 1 would claim a violation
+    monkeypatch.setattr("shiftlab.cli.complexity_table", broken)
+    assert main(["complexity", "--spec", "builtin:full2", "--max-n", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: internal: RuntimeError: boom\n")
