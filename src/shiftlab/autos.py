@@ -126,9 +126,18 @@ def compose(outer, inner):
         raise ValueError("composed codes must live on the same subshift")
     spec = outer.spec
     radius = outer.radius + inner.radius
+    outer_rule, inner_rule = outer.rule, inner.rule
+    span, width = 2 * inner.radius + 1, 2 * outer.radius + 1
     rule = {}
     for w in spec.words(2 * radius + 1):
-        rule[w] = outer.output(apply_to_word(inner, w))
+        try:
+            image = tuple([inner_rule[w[i:i + span]] for i in range(width)])
+        except KeyError as exc:
+            raise _missing_window(inner, exc.args[0]) from None
+        letter = outer_rule.get(image)
+        if letter is None:
+            raise _missing_window(outer, image)
+        rule[w] = letter
     return BlockCode(spec, radius, rule)
 
 
@@ -182,32 +191,32 @@ class CertifyResult:
 def find_inverse(spec, code, r_max):
     """Search ranges 0..r_max for a two-sided inverse; None is inconclusive.
 
-    At each candidate range the inverse table is forced: the center of a
-    preimage word must be a function of the image window.  Conflicting
-    or missing constraints rule the range out.
+    At each candidate range r the inverse table is forced: the centre of
+    a preimage word of length 2(r+R)+1 must be a function of its image
+    window.  Conflicting constraints rule the range out, and so does a
+    key set other than L_{2r+1}: an image outside the language has no
+    window in an inverse's table, and a language window that is no image
+    leaves the table incomplete.  A consistent forced table is a left
+    inverse by construction (its value on each image is the centre of
+    every preimage), so only code after candidate is checked: on every
+    word of L_{2(r+R)+1}, the code applied to the candidate's image must
+    give back the centre letter, an image outside the code's table
+    failing the range.
     """
-    ident = BlockCode.identity(spec, 0)
     for r in range(r_max + 1):
+        centre = r + code.radius
+        words = spec.words(2 * centre + 1)
         forced = {}
-        consistent = True
-        for w in spec.words(2 * (r + code.radius) + 1):
-            image = apply_to_word(code, w)
-            center = w[r + code.radius]
-            if forced.setdefault(image, center) != center:
-                consistent = False
+        for w in words:
+            if forced.setdefault(apply_to_word(code, w), w[centre]) != w[centre]:
                 break
-        if not consistent:
-            continue
-        domain = spec.words(2 * r + 1)
-        if any(u not in forced for u in domain):
-            continue
-        candidate = BlockCode(spec, r, {u: forced[u] for u in domain})
-        try:
-            if (equal_on_shift(spec, compose(candidate, code), ident)
-                    and equal_on_shift(spec, compose(code, candidate), ident)):
+        else:
+            domain = spec.words(2 * r + 1)
+            if len(forced) != len(domain) or not all(u in forced for u in domain):
+                continue
+            candidate = BlockCode(spec, r, {u: forced[u] for u in domain})
+            if all(code.rule.get(apply_to_word(candidate, w)) == w[centre] for w in words):
                 return candidate
-        except RuleIncompleteError:
-            continue
     return None
 
 
@@ -342,14 +351,29 @@ class ClosureResult:
 
 
 def subgroup_closure(spec, gens, cap):
-    """Close gens and their inverses under composition modulo equality on X."""
+    """Close gens and their inverses under composition modulo equality on X.
+
+    Each element is kept at its reduced range.  A `reduce_range` step
+    succeeds exactly when the map has a table one range lower, so the
+    descent stops at the map's minimal range, where its table is unique:
+    two reduced codes are the same map on X exactly when they share the
+    range and the outputs in canonical window order, and that pair is
+    the key of a set of known maps.  Rounds are semi-naive: a round
+    composes, in the order of a full pairwise round, only the pairs with
+    an element added since the previous round; the other pairs were
+    composed then and could only give known maps back, so elements are
+    inserted, and the cap is hit, as a full rescan of all pairs would.
+    """
     elements = []
+    keys = set()
 
     def add(code):
         code = reduce_range(code)
-        for known in elements:
-            if equal_on_shift(spec, known, code):
-                return False
+        key = (code.radius,
+               tuple([code.rule[w] for w in spec.words(2 * code.radius + 1)]))
+        if key in keys:
+            return False
+        keys.add(key)
         elements.append(code)
         return True
 
@@ -359,16 +383,14 @@ def subgroup_closure(spec, gens, cap):
         add(cert.inverse)
     if len(elements) > cap:
         return ClosureResult("cap-exceeded", None)
-    changed = True
-    while changed:
-        changed = False
-        snapshot = list(elements)
-        for a in snapshot:
-            for b in snapshot:
-                if add(compose(a, b)):
-                    changed = True
-                    if len(elements) > cap:
-                        return ClosureResult("cap-exceeded", None)
+    done = 0  # elements[:done] were all composed pairwise in earlier rounds
+    while done < len(elements):
+        snapshot, old = list(elements), done
+        done = len(snapshot)
+        for i, a in enumerate(snapshot):
+            for b in (snapshot if i >= old else snapshot[old:]):
+                if add(compose(a, b)) and len(elements) > cap:
+                    return ClosureResult("cap-exceeded", None)
     return ClosureResult("ok", tuple(elements))
 
 

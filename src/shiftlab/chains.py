@@ -8,6 +8,7 @@ forbidden words a surviving word behaves as if the forbidding never
 happened, and how often some chain word must recur in every point.
 """
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -21,7 +22,7 @@ from .errors import (
 )
 from .complexity import _centered_extensions
 from .subshifts import ProductSpec, SftSpec, SparseSpec, build_sft, build_sparse, empty_sft
-from .words import Configuration, occurrences
+from .words import Configuration
 
 
 # -- forbidding a word -----------------------------------------------------
@@ -442,41 +443,59 @@ class SyndeticReport:
     counterexample: tuple | None  # word with no qualifying occurrence at G-1
 
 
-def _has_qualifying_occurrence(word, anchors, dist):
+def _anchor_index(anchors):
+    """Anchor length -> {anchor: its indices in chain order}."""
+    index = {}
+    for i, anchor in enumerate(anchors):
+        index.setdefault(len(anchor), {}).setdefault(anchor, []).append(i)
+    return tuple(index.items())
+
+
+def _has_qualifying_occurrence(word, index, dist):
     """An anchor occurrence counting towards S_x inside this word.
 
-    The first anchor always qualifies; a later anchor w~_i qualifies at j
-    when no earlier anchor starts within [j-D, j+D+|w~_i|-1] (visible
-    inside the word).
+    An occurrence of the first anchor always qualifies; an occurrence of
+    w~_i at j qualifies when no earlier anchor starts within
+    [j-D, j+D+|w~_i|-1] (visible inside the word).  Of the indices an
+    anchor carries only the smallest can qualify, since the others are
+    blocked by it at j itself; so one pass over the start positions
+    records, per position, the smallest index starting there.
     """
-    if occurrences(word, anchors[0]):
-        return True
-    for i in range(1, len(anchors)):
-        anchor = anchors[i]
-        for j in occurrences(word, anchor):
-            lo = j - dist
-            hi = j + dist + len(anchor) - 1
-            blocked = False
-            for earlier in anchors[:i]:
-                starts = [s for s in occurrences(word, earlier) if lo <= s <= hi]
-                if starts:
-                    blocked = True
-                    break
-            if not blocked:
-                return True
+    first = [math.inf] * len(word)  # smallest anchor index starting at each position
+    hits = []
+    for j in range(len(word)):
+        for length, table in index:
+            indices = table.get(word[j:j + length])  # a cut-off slice matches nothing
+            if indices:
+                i = indices[0]
+                if i == 0:
+                    return True
+                hits.append((i, j, length))
+                if i < first[j]:
+                    first[j] = i
+    for i, j, length in hits:
+        if min(first[max(j - dist, 0):j + dist + length]) >= i:
+            return True
     return False
 
 
 def syndetic_gap(spec, chain, dist, cap):
-    """Minimal G <= cap with a qualifying anchor occurrence in every length-G word."""
+    """Minimal G <= cap with a qualifying anchor occurrence in every length-G word.
+
+    Every word of L_G is scanned for G = 1, 2, ... up to the cap.  The
+    anchors are indexed once per call by length and word, so each word
+    costs one pass over its start positions, one dict lookup per anchor
+    length, and then one window minimum per occurrence found.
+    """
     anchors = chain.anchors()
     if not anchors:
         raise InvalidChainError("chain has no levels")
+    index = _anchor_index(anchors)
     prev_cex = None
     for gap in range(1, cap + 1):
         cex = None
         for w in spec.words(gap):
-            if not _has_qualifying_occurrence(w, anchors, dist):
+            if not _has_qualifying_occurrence(w, index, dist):
                 cex = w
                 break
         if cex is None:

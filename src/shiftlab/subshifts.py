@@ -276,14 +276,18 @@ class SparseSpec(SubshiftSpec):
             canon.add(tuple(sorted(fam, key=alphabet.index)))
         canon.discard(())
         self.families = tuple(sorted(canon, key=lambda f: (len(f), alphabet.word_key(f))))
+        # the downset: dropping one marker from a sorted multiset keeps it sorted
+        downset, frontier = set(self.families), set(self.families)
+        while frontier:
+            frontier = {f[:i] + f[i + 1:] for f in frontier for i in range(len(f))} - downset
+            downset |= frontier
+        self._downset = downset
 
     def _next(self, state, a):
         if a == self.background:
             return state
         grown = tuple(sorted(state + (a,), key=self.alphabet.index))
-        if any(all(grown.count(m) <= fam.count(m) for m in grown) for fam in self.families):
-            return grown
-        return None
+        return grown if grown in self._downset else None
 
     def contains_config(self, config):
         for a in config.left + config.right:

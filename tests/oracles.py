@@ -9,8 +9,16 @@ endomorphism-witness oracle slides the code over every language word of
 every length and tests each image with `contains`, and the
 free-semigroup oracle composes and pads a full rule table per generator
 word and scans all pairs; the library replaces both with single walks.
-Those two import shiftlab when called, so importing this module loads
-no shiftlab code (the benchmark imports it before its own cold imports).
+The syndetic oracle rescans each word once per anchor and per earlier
+anchor, where the library makes one pass over an anchor index; the
+closure oracle compares every new element with every known one through
+padded tables and recomposes every pair each round, where the library
+keys reduced tables and composes only new pairs; the inverse oracle
+checks both compositions against the identity, where the library checks
+one direction without composing.  These oracles compose through
+`compose_oracle`, the word-by-word composition, not `autos.compose`.
+They import shiftlab when called, so importing this module loads no
+shiftlab code (the benchmark imports it before its own cold imports).
 """
 
 import itertools
@@ -164,3 +172,124 @@ def free_semigroup_oracle(spec, a_cert, b_cert, depth):
         return FreeSemigroupReport("collision", depth, words, None, collision)
     matrix = tuple(tuple(prints[u] != prints[v] for v in words) for u in words)
     return FreeSemigroupReport("free-to-depth", depth, words, matrix, None)
+
+
+def has_qualifying_occurrence(word, anchors, dist):
+    """An anchor occurrence counting towards S_x inside this word.
+
+    The first anchor always qualifies; a later anchor w~_i qualifies at j
+    when no earlier anchor starts within [j-D, j+D+|w~_i|-1] (visible
+    inside the word).
+    """
+    from shiftlab.words import occurrences
+
+    if occurrences(word, anchors[0]):
+        return True
+    for i in range(1, len(anchors)):
+        anchor = anchors[i]
+        for j in occurrences(word, anchor):
+            lo = j - dist
+            hi = j + dist + len(anchor) - 1
+            blocked = False
+            for earlier in anchors[:i]:
+                starts = [s for s in occurrences(word, earlier) if lo <= s <= hi]
+                if starts:
+                    blocked = True
+                    break
+            if not blocked:
+                return True
+    return False
+
+
+def syndetic_gap_oracle(spec, chain, dist, cap):
+    """Minimal G <= cap with a qualifying occurrence in every length-G word."""
+    from shiftlab.chains import SyndeticReport
+    from shiftlab.errors import InvalidChainError
+
+    anchors = chain.anchors()
+    if not anchors:
+        raise InvalidChainError("chain has no levels")
+    prev_cex = None
+    for gap in range(1, cap + 1):
+        cex = None
+        for w in spec.words(gap):
+            if not has_qualifying_occurrence(w, anchors, dist):
+                cex = w
+                break
+        if cex is None:
+            return SyndeticReport("ok", gap, dist, cap, prev_cex)
+        prev_cex = cex
+    return SyndeticReport("cap-exceeded", None, dist, cap, prev_cex)
+
+
+def compose_oracle(outer, inner):
+    """outer after inner, sliding `inner` over each window through `apply_to_word`."""
+    from shiftlab.autos import BlockCode, apply_to_word
+
+    spec = outer.spec
+    radius = outer.radius + inner.radius
+    return BlockCode(spec, radius, {w: outer.output(apply_to_word(inner, w))
+                                    for w in spec.words(2 * radius + 1)})
+
+
+def find_inverse_oracle(spec, code, r_max):
+    """Forced inverse tables, accepted when both compositions equal the identity."""
+    from shiftlab.autos import BlockCode, apply_to_word, equal_on_shift
+    from shiftlab.errors import RuleIncompleteError
+
+    ident = BlockCode.identity(spec, 0)
+    for r in range(r_max + 1):
+        forced = {}
+        consistent = True
+        for w in spec.words(2 * (r + code.radius) + 1):
+            image = apply_to_word(code, w)
+            center = w[r + code.radius]
+            if forced.setdefault(image, center) != center:
+                consistent = False
+                break
+        if not consistent:
+            continue
+        domain = spec.words(2 * r + 1)
+        if any(u not in forced for u in domain):
+            continue
+        candidate = BlockCode(spec, r, {u: forced[u] for u in domain})
+        try:
+            if (equal_on_shift(spec, compose_oracle(candidate, code), ident)
+                    and equal_on_shift(spec, compose_oracle(code, candidate), ident)):
+                return candidate
+        except RuleIncompleteError:
+            continue
+    return None
+
+
+def subgroup_closure_oracle(spec, gens, cap):
+    """Pairwise closure: every new element against every known one, all pairs each round."""
+    from shiftlab.autos import BlockCode, ClosureResult, equal_on_shift, reduce_range
+
+    elements = []
+
+    def add(code):
+        code = reduce_range(code)
+        for known in elements:
+            if equal_on_shift(spec, known, code):
+                return False
+        elements.append(code)
+        return True
+
+    add(BlockCode.identity(spec, 0))
+    for cert in gens:
+        add(cert.code)
+        add(cert.inverse)
+    if len(elements) > cap:
+        return ClosureResult("cap-exceeded", None)
+    changed = True
+    while changed:
+        changed = False
+        snapshot = list(elements)
+        for a in snapshot:
+            for b in snapshot:
+                if add(compose_oracle(a, b)):
+                    changed = True
+                    if len(elements) > cap:
+                        return ClosureResult("cap-exceeded", None)
+    return ClosureResult("ok", tuple(elements))

@@ -1,23 +1,44 @@
-"""Differential tests of the code-algebra walks on generated specs and codes.
+"""Differential tests of the code algebra on generated specs and codes.
 
-`autos._endomorphism_witness` and `certify_free_semigroup` are checked
-against the enumerate-everything oracles in `oracles.py`: the same
-witness (or None), the same report including the first collision pair,
-and the same exception type when a rule table misses a window.  Inputs
-are the spec strategies of `test_language_properties.py` and codes of
-range 0-2: permutations of the centre letter, shifted permutations and
-random tables.
+`autos._endomorphism_witness`, `certify_free_semigroup`, `find_inverse`
+and `subgroup_closure` are checked against the oracles in `oracles.py`:
+the same witness (or None), the same report including the first
+collision pair, the same inverse table (or None), the same closure
+elements in the same order, and the same exception type when a rule
+table misses a window.  Inputs are the spec strategies of
+`test_language_properties.py` and codes of range 0-2: permutations of
+the centre letter, shifted permutations and random tables; closures run
+on letter maps of the full 3-shift and on the shift, its inverse and
+the flip of the full 2-shift.  A certified result must also compose
+with its inverse to the identity both ways.
 """
 
+import itertools
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import endomorphism_witness_oracle, free_semigroup_oracle
-from shiftlab.autos import BlockCode, _endomorphism_witness, certify_free_semigroup
+from oracles import (
+    endomorphism_witness_oracle,
+    find_inverse_oracle,
+    free_semigroup_oracle,
+    subgroup_closure_oracle,
+)
+from shiftlab.autos import (
+    BlockCode,
+    _endomorphism_witness,
+    certify_automorphism,
+    certify_free_semigroup,
+    compose,
+    equal_on_shift,
+    find_inverse,
+    subgroup_closure,
+)
 from shiftlab.errors import RuleIncompleteError
+from shiftlab.subshifts import build_sft
+from shiftlab.words import Alphabet
 from test_language_properties import SETTINGS, product_specs, sft_specs, sparse_specs
 
 # words materialized per oracle call, so that each example stays fast
@@ -111,3 +132,59 @@ def test_missing_window_raises_in_walk_and_oracle(systems):
                      (free_semigroup_oracle, (full2.spec, *gens, 2))):
         with pytest.raises(RuleIncompleteError):
             fn(*args)
+
+
+def _table(code):
+    return None if code is None else (code.radius, code.rule)
+
+
+def _inverse_budget(spec, code):
+    return lambda r_max: spec.count_words(2 * (r_max + code.radius) + 1) <= BUDGET // 4
+
+
+@SETTINGS
+@given(st.data())
+def test_find_inverse_matches_oracle(data):
+    spec = data.draw(specs)
+    code = data.draw(codes(spec))
+    r_max = _largest(data.draw(st.integers(0, 2)), _inverse_budget(spec, code))
+    assert (_table(find_inverse(spec, code, r_max))
+            == _table(find_inverse_oracle(spec, code, r_max)))
+
+
+@SETTINGS
+@given(st.data())
+def test_certified_inverse_composes_to_identity(data):
+    spec = data.draw(specs)
+    code = data.draw(codes(spec))
+    r_max = _largest(data.draw(st.integers(0, 2)), _inverse_budget(spec, code))
+    result = certify_automorphism(spec, code, r_max)
+    if result.status == "certified":
+        inverse = result.cert.inverse
+        ident = BlockCode.identity(spec, result.cert.r_certified + 1)
+        assert equal_on_shift(spec, compose(inverse, code), ident)
+        assert equal_on_shift(spec, compose(code, inverse), ident)
+
+
+FULL2 = build_sft(Alphabet("01"), [])
+FULL3 = build_sft(Alphabet("012"), [])
+LETTER_MAPS = [BlockCode.letter_map(FULL3, dict(zip("012", perm)))
+               for perm in itertools.permutations("012")]
+# ranges add up over the rounds: the closure of the square of the shift
+# composes range-10 codes over 2^21 windows before it reaches a cap of 10
+SHIFTS = [BlockCode.shift(FULL2, power) for power in (-1, 1)]
+SHIFTS.append(BlockCode.letter_map(FULL2, {"0": "1", "1": "0"}))
+
+
+@SETTINGS
+@given(st.data())
+def test_subgroup_closure_matches_oracle(data):
+    spec, pool = data.draw(st.sampled_from(((FULL3, LETTER_MAPS), (FULL2, SHIFTS))))
+    gens = data.draw(st.lists(st.sampled_from(pool), max_size=2))
+    certs = [certify_automorphism(spec, code, code.radius).cert for code in gens]
+    cap = data.draw(st.integers(1, 10))
+    got = subgroup_closure(spec, certs, cap)
+    expected = subgroup_closure_oracle(spec, certs, cap)
+    assert got.status == expected.status
+    assert ([_table(e) for e in got.elements or ()]
+            == [_table(e) for e in expected.elements or ()])

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracles import has_qualifying_occurrence
 from shiftlab import (
     build_chain,
     build_sft,
@@ -277,10 +278,9 @@ def test_syndetic_at_most_one_1(systems):
     assert report.status == "ok"
     assert report.gap == 7
     # minimality: the recorded word of length G-1 has no qualifying occurrence
-    from shiftlab.chains import _has_qualifying_occurrence
     assert len(report.counterexample) == 6
-    assert not _has_qualifying_occurrence(report.counterexample, chain.anchors(),
-                                          shadow.distance)
+    assert not has_qualifying_occurrence(report.counterexample, chain.anchors(),
+                                         shadow.distance)
 
 
 def test_syndetic_invalid_chain(systems):
