@@ -84,15 +84,26 @@ class ExtensionReport:
 
 
 def _centered_extensions(spec, wordset):
-    """One-step two-sided extensions (a,)+w+(b,) within the language."""
-    out = set()
+    """One-step two-sided extensions (a,)+w+(b,) within the language.
+
+    Each left word (a,)+w is run once through the compiled automaton; the
+    right letters b are then the keys of its end state's row.
+    """
     for w in wordset:
-        for a in spec.alphabet.letters:
-            left = (a,) + w
-            if not spec.contains(left):
-                continue  # the language is factorial
-            for b in spec.alphabet.letters:
-                if spec.contains(left + (b,)):
+        spec.alphabet.check_word(w)
+    out = set()
+    if spec.is_empty:
+        return out
+    rows = spec._transitions()
+    for w in wordset:
+        for a, state in rows[0].items():
+            for c in w:
+                state = rows[state].get(c)
+                if state is None:
+                    break  # the language is factorial
+            else:
+                left = (a,) + w
+                for b in rows[state]:
                     out.add(left + (b,))
     return out
 

@@ -19,9 +19,10 @@ language exactly when its run from the start state never falls off.
 The states are the prefixes of the essential vertices, then the vertices
 (SFT); the sorted marker multisets in the downset of the families
 (sparse); pairs of factor states (product).  Compiled once into integer
-rows in alphabet order, the automaton answers `words` by a level-by-level
-walk that emits canonical order (alphabet index, then lexicographic)
-without sorting, `count_words` by a dynamic program over the states, and
+rows in alphabet order, the automaton answers `words` by joining runs of
+half the length, which emits canonical order (alphabet index, then
+lexicographic) without sorting; `count_words` by one dynamic program over
+the states, advanced from the longest length counted so far; and
 `contains` by a run.
 """
 
@@ -48,6 +49,7 @@ class SubshiftSpec:
         self._rows = None
         self._word_cache = {}
         self._count_cache = {}
+        self._count_front = None  # (length, path counts per state) of the longest count
 
     # -- language queries ------------------------------------------------
 
@@ -75,35 +77,49 @@ class SubshiftSpec:
         return self._rows
 
     def words(self, n):
-        """All words of length n in the language, canonically sorted."""
+        """All words of length n in the language, canonically sorted.
+
+        L_n is joined from runs of half the length (see `_runs`).  The
+        halves come in canonical order and all have equal length, so the
+        order of the pairs (u, v) is the canonical order of the words u+v,
+        and no sort is needed.
+        """
         if self.is_empty:
             raise EmptySubshiftError("empty subshift has no language")
         if n < 1:
             raise ValueError("word length must be >= 1")
         if n not in self._word_cache:
             rows = self._transitions()
-            frontier = [((), 0)]
-            for _ in range(n):
-                frontier = [(w + (a,), t) for w, s in frontier for a, t in rows[s].items()]
-            self._word_cache[n] = tuple(w for w, _ in frontier)
+            if n == 1:
+                words = [(a,) for a in rows[0]]
+            else:
+                memo, half = {}, n // 2
+                words = [u + v for u, s in _runs(rows, memo, 0, n - half)
+                         for v, _ in _runs(rows, memo, s, half)]
+            self._word_cache[n] = tuple(words)
         return self._word_cache[n]
 
     def count_words(self, n):
-        """|L_n|; 0 for the empty subshift."""
+        """|L_n|; 1 for n <= 0 (the empty word); 0 for the empty subshift."""
         if self.is_empty:
             return 0
+        if n <= 0:
+            return 1
         if n not in self._count_cache:
-            # the automaton is deterministic, so paths and words correspond
+            # the automaton is deterministic, so paths and words correspond;
+            # every length up to the front is cached, so n lies beyond it
             rows = self._transitions()
-            counts = [1] + [0] * (len(rows) - 1)
-            for _ in range(n):
+            length, counts = self._count_front or (0, [1] + [0] * (len(rows) - 1))
+            while length < n:
                 nxt = [0] * len(rows)
                 for s, c in enumerate(counts):
                     if c:
                         for t in rows[s].values():
                             nxt[t] += c
                 counts = nxt
-            self._count_cache[n] = sum(counts)
+                length += 1
+                self._count_cache[length] = sum(counts)
+            self._count_front = (length, counts)
         return self._count_cache[n]
 
     def contains(self, word):
@@ -129,6 +145,26 @@ class SubshiftSpec:
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.descriptor()!r}>"
+
+
+def _runs(rows, memo, state, k):
+    """Runs of length k >= 1 from `state`, as (word, end state) in canonical order.
+
+    A run of length k is a run of length k - k//2 joined to a run of length
+    k//2 from that half's end state; runs of length 1 are the row itself.
+    `memo` maps (state, k) to the runs and lives for one `words` call.
+    """
+    key = (state, k)
+    runs = memo.get(key)
+    if runs is None:
+        if k == 1:
+            runs = [((a,), t) for a, t in rows[state].items()]
+        else:
+            half = k // 2
+            runs = [(u + v, t) for u, s in _runs(rows, memo, state, k - half)
+                    for v, t in _runs(rows, memo, s, half)]
+        memo[key] = runs
+    return runs
 
 
 class CylinderHandle:

@@ -2,8 +2,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# CI passes --hypothesis-profile=ci, so a CI failure replays locally with the same flag
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 from shiftlab import make_example
 

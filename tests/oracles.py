@@ -17,6 +17,10 @@ keys reduced tables and composes only new pairs; the inverse oracle
 checks both compositions against the identity, where the library checks
 one direction without composing.  These oracles compose through
 `compose_oracle`, the word-by-word composition, not `autos.compose`.
+The language-engine oracles walk the compiled rows level by level, rerun
+the count DP from length 0 on every call, and test each two-sided
+extension with `contains`, where the library joins half-length runs,
+advances one count DP and reads the end state's row.
 They import shiftlab when called, so importing this module loads no
 shiftlab code (the benchmark imports it before its own cold imports).
 """
@@ -293,3 +297,42 @@ def subgroup_closure_oracle(spec, gens, cap):
                     if len(elements) > cap:
                         return ClosureResult("cap-exceeded", None)
     return ClosureResult("ok", tuple(elements))
+
+
+def words_oracle(spec, n):
+    """L_n by a level-by-level walk of the rows, every prefix materialized."""
+    rows = spec._transitions()
+    frontier = [((), 0)]
+    for _ in range(n):
+        frontier = [(w + (a,), t) for w, s in frontier for a, t in rows[s].items()]
+    return tuple(w for w, _ in frontier)
+
+
+def count_words_oracle(spec, n):
+    """|L_n| by the state DP rerun from length 0; 1 for n <= 0, 0 when empty."""
+    if spec.is_empty:
+        return 0
+    rows = spec._transitions()
+    counts = [1] + [0] * (len(rows) - 1)
+    for _ in range(n):
+        nxt = [0] * len(rows)
+        for s, c in enumerate(counts):
+            if c:
+                for t in rows[s].values():
+                    nxt[t] += c
+        counts = nxt
+    return sum(counts)
+
+
+def centered_extensions_oracle(spec, wordset):
+    """One-step two-sided extensions (a,)+w+(b,), each tested with `contains`."""
+    out = set()
+    for w in wordset:
+        for a in spec.alphabet.letters:
+            left = (a,) + w
+            if not spec.contains(left):
+                continue
+            for b in spec.alphabet.letters:
+                if spec.contains(left + (b,)):
+                    out.add(left + (b,))
+    return out

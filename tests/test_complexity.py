@@ -12,6 +12,7 @@ from shiftlab import (
     morse_hedlund_classify,
     slow_growth_window,
 )
+from shiftlab.chains import unique_extension
 from shiftlab.complexity import AT_LEAST_CAP, EXCEEDS_CAP
 from shiftlab.errors import EmptySubshiftError, LemmaWindowNotFoundError
 from shiftlab.subshifts import empty_sft
@@ -94,6 +95,14 @@ def test_extension_radius_requires_language_word():
     gm = build_sft(BIN, [w("11")])
     with pytest.raises(ValueError):
         extension_radius(gm, w("11"), 3)
+
+
+def test_extension_step_rejects_foreign_letters(systems):
+    gm = systems["golden_mean"].spec
+    with pytest.raises(ValueError, match="letter 'x' not in alphabet"):
+        extension_radius(gm, w("x"), 3)
+    with pytest.raises(ValueError, match="letter 'x' not in alphabet"):
+        unique_extension(gm, w("x"), 1)
 
 
 def test_extension_radius_antitone_under_extension():

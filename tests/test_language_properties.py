@@ -2,7 +2,11 @@
 
 `words`, `count_words` and `contains` are checked against the
 independent oracles in `oracles.py` (zipped factor oracles for products),
-with canonical order taken from `Alphabet.sort_words`.
+with canonical order taken from `Alphabet.sort_words`.  The engine is
+also checked against its former self: `words` (joined half-length runs)
+against the level-by-level walk, `count_words` (one DP advanced across
+calls) against the DP rerun from length 0, in any call order, and the
+extension step (the end state's row) against per-extension `contains`.
 """
 
 import itertools
@@ -10,12 +14,22 @@ import itertools
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import sft_language_oracle, sparse_language_oracle
+from oracles import (
+    centered_extensions_oracle,
+    count_words_oracle,
+    sft_language_oracle,
+    sparse_language_oracle,
+    words_oracle,
+)
+from shiftlab.complexity import _centered_extensions
 from shiftlab.subshifts import build_sft, build_sparse, product
 from shiftlab.words import Alphabet
 
 SETTINGS = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
+
+# words per enumerated length, so that each example stays fast
+BUDGET = 5_000
 
 
 @st.composite
@@ -77,3 +91,44 @@ def test_sparse_language_matches_oracle(case):
 @given(product_specs())
 def test_product_language_matches_zipped_oracles(case):
     _check_language(*case, max_n=3)
+
+
+any_specs = st.one_of(sft_specs(), sparse_specs(), product_specs()).map(lambda case: case[0])
+
+
+@SETTINGS
+@given(any_specs)
+def test_words_match_level_by_level_walk(spec):
+    # n = 1..12 covers n = 1, odd and even n and the powers of two
+    for n in range(1, 13):
+        if spec.is_empty or count_words_oracle(spec, n) > BUDGET:
+            break
+        assert spec.words(n) == words_oracle(spec, n)
+
+
+@SETTINGS
+@given(any_specs, st.data())
+def test_count_words_in_any_call_order(spec, data):
+    lengths = data.draw(st.lists(st.integers(-2, 14), max_size=12))
+    order = data.draw(st.sampled_from(("drawn", "descending", "repeated")))
+    if order == "descending":
+        lengths = sorted(lengths, reverse=True)
+    elif order == "repeated":
+        lengths = lengths + lengths[::-1]
+    for n in lengths:
+        expected = count_words_oracle(spec, n)
+        assert spec.count_words(n) == expected
+        if n >= 1 and not spec.is_empty and expected <= BUDGET and data.draw(st.booleans()):
+            assert len(spec.words(n)) == expected
+
+
+@SETTINGS
+@given(any_specs, st.data())
+def test_extension_step_matches_contains_oracle(spec, data):
+    letters = spec.alphabet.letters
+    word = st.lists(st.sampled_from(letters), max_size=5).map(tuple)
+    wordset = set(data.draw(st.lists(word, max_size=6)))
+    if not spec.is_empty:
+        n = data.draw(st.integers(1, 4))
+        wordset |= set(itertools.islice(spec.words(n), data.draw(st.integers(0, 8))))
+    assert _centered_extensions(spec, wordset) == centered_extensions_oracle(spec, wordset)

@@ -43,6 +43,15 @@ def test_build_sft_full_shift():
     assert list(spec.words(1)) == [("0",), ("1",)]
 
 
+def test_count_words_of_nonpositive_length_is_the_empty_word(systems):
+    for system in systems.values():
+        spec = system.spec
+        assert spec.count_words(0) == spec.count_words(-2) == 1
+        spec.count_words(5)
+        assert spec.count_words(0) == spec.count_words(-2) == 1
+    assert empty_sft(BIN).count_words(0) == empty_sft(BIN).count_words(-2) == 0
+
+
 def test_build_sft_rejects_empty_word_and_foreign_letters():
     with pytest.raises(ValueError):
         build_sft(BIN, [()])
