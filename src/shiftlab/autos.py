@@ -8,17 +8,17 @@ L_{2R*+1}(X), which is exact for maps on X.
 
 Certification is not complete: a certificate carries an explicit
 two-sided inverse verified on the language, while a failed inverse
-search is merely inconclusive.  It is sound on SFTs, where the
-endomorphism check reaches the order of the SFT.
+search is merely inconclusive.  It is sound on every backend: the
+endomorphism check is decided, not bounded.
 
 The two checks that scan many words slide each block once.  The
-endomorphism check is one level-by-level walk over the spec's compiled
-automaton rows that keeps, per length, the canonically first source word
-of each key (automaton state, last 2R letters, automaton state of the
-image); words with equal keys have equal futures, so the witness is the
-one a scan of every word would find.  The free-semigroup check pushes
-the language windows through one generator at a time along the suffix
-trie of generator words, sliding each distinct image once per node.
+endomorphism check walks the spec's compiled automaton rows to a
+fixpoint, expanding each key (automaton state, last 2R letters,
+automaton state of the image) once; words with equal keys have equal
+futures, so the witness is the one a scan of every word of every length
+would find.  The free-semigroup check pushes the language windows
+through one generator at a time along the suffix trie of generator
+words, sliding each distinct image once per node.
 """
 
 import itertools
@@ -220,34 +220,32 @@ def find_inverse(spec, code, r_max):
     return None
 
 
-def _endomorphism_witness(spec, code, r_max):
+def _endomorphism_witness(spec, code):
     """A language word whose image leaves the language, or None.
 
-    Images are checked at every length up to 2*r_max+3 and, on an SFT, up
-    to its order: a point of the full shift lies in an SFT as soon as all
-    its windows of length `order` do, so there the check is exact.  For
-    sparse and product specs the 2*r_max+3 bound is not proven sufficient.
+    A walk over the compiled automaton rows decides it on every backend.
+    A source word of length n+2R carries a key: its automaton state, its
+    last 2R letters and the automaton state of its length-n image.  Each
+    step appends one image letter, the rule's output on the last 2R+1
+    letters.  Words with equal keys have the same extensions with the same
+    verdicts, so each key is expanded once, by the canonically first word
+    reaching it on the first level it appears, and the walk stops when a
+    level brings no new key; there are finitely many keys.
 
-    One level-by-level walk over the compiled automaton rows checks every
-    length: a source word of length n+2R carries its automaton state, its
-    last 2R letters and the automaton state of its length-n image, and
-    each step appends one image letter, the rule's output on the last
-    2R+1 letters.  Words agreeing on that key have the same extensions
-    with the same verdicts, so each level keeps only the canonically
-    first word per key.  Extensions come in canonical order (parent
-    order, then letter order), so the first word of each key at every
-    length survives, and with it the first failing word: the witness is
-    the canonically first language word of the shortest failing length,
-    as if every word of every length were checked.
+    The witness is the canonically first word of the shortest failing
+    length, the one a scan of every word would find.  Every prefix of that
+    word holds a key new at its level: otherwise a shorter failing word,
+    or a canonically earlier one, would exist.  So every prefix is
+    expanded, and extensions come in canonical order (parent, then letter).
     """
-    top = max(2 * r_max + 3, spec.order if spec.kind == "sft" else 0)
     rows = spec._transitions()
     rule, tail = code.rule, 2 * code.radius
     frontier = [((), 0)]
     for _ in range(tail):
         frontier = [(w + (a,), t) for w, s in frontier for a, t in rows[s].items()]
     level = {(s, w, 0): w for w, s in frontier}
-    for _ in range(top):
+    seen = set(level)
+    while level:
         nxt = {}
         for (s, last, t), w in level.items():
             for a, s2 in rows[s].items():
@@ -259,25 +257,26 @@ def _endomorphism_witness(spec, code, r_max):
                 if t2 is None:
                     return w + (a,), apply_to_word(code, w + (a,))
                 key = (s2, window[1:], t2)
-                if key not in nxt:
+                if key not in seen:
+                    seen.add(key)
                     nxt[key] = w + (a,)
         level = nxt
     return None
 
 
 def certify_automorphism(spec, code, r_max):
-    """Bounded endomorphism check, then inverse search.
+    """Decided endomorphism check, then inverse search up to range r_max.
 
-    Code and inverse must both pass the endomorphism check, so success is
-    a sound certificate on SFTs; on sparse and product specs it rests on
-    the unproven 2*r_max+3 image bound.  "unknown" is inconclusive; an
-    image word leaving the language is a definitive rejection.
+    Code and inverse must both pass the endomorphism check, which is
+    exact, so success is a sound certificate on every backend.
+    "unknown" is inconclusive; an image word leaving the language is a
+    definitive rejection.
     """
-    witness = _endomorphism_witness(spec, code, r_max)
+    witness = _endomorphism_witness(spec, code)
     if witness is not None:
         return CertifyResult("not-endomorphism", witness=witness)
     inverse = find_inverse(spec, code, r_max)
-    if inverse is None or _endomorphism_witness(spec, inverse, r_max) is not None:
+    if inverse is None or _endomorphism_witness(spec, inverse) is not None:
         return CertifyResult("unknown")
     cert = AutomorphismCert(code, inverse, max(code.radius, inverse.radius))
     return CertifyResult("certified", cert=cert)

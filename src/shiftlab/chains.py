@@ -22,7 +22,6 @@ from .errors import (
 )
 from .complexity import _centered_extensions
 from .subshifts import ProductSpec, SftSpec, SparseSpec, build_sft, build_sparse, empty_sft
-from .words import Configuration
 
 
 # -- forbidding a word -----------------------------------------------------
@@ -50,149 +49,41 @@ def forbid(spec, word):
 
 # -- aperiodic points in cylinders ------------------------------------------
 
-def _forward_adj(spec):
-    return {u: tuple(spec.step(u, a) for a in spec.out[u]) for u in spec.vertices}
-
-def _backward_adj(spec):
-    rev = {u: [] for u in spec.vertices}
-    for u in spec.vertices:
-        for a in spec.out[u]:
-            rev[spec.step(u, a)].append(u)
-    return {u: tuple(vs) for u, vs in rev.items()}
-
-def _reach(adj, start):
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return seen
-
-
-def _cycle_structure(adj, verts):
-    """Cycle census of the induced subgraph on `verts`.
-
-    Returns (at_least_two_cycles, cycles) where cycles lists every
-    cycle-SCC as a vertex list in successor order; the list is only
-    meaningful when the first component is False (then each cycle-SCC is
-    a simple cycle).
-    """
-    sub = {u: tuple(v for v in adj[u] if v in verts) for u in verts}
-    reach = {u: _reach(sub, u) for u in verts}
-    seen = set()
-    sccs = []
-    for u in sorted(verts):
-        if u in seen:
-            continue
-        comp = {v for v in reach[u] if u in reach[v]}
-        comp.add(u)
-        seen |= comp
-        sccs.append(comp)
-    cycles = []
-    for comp in sccs:
-        within = {u: [v for v in sub[u] if v in comp] for u in comp}
-        edge_count = sum(len(vs) for vs in within.values())
-        if edge_count == 0:
-            continue  # transient singleton, no cycle here
-        if edge_count > len(comp) or any(len(vs) != 1 for vs in within.values()):
-            return True, []  # an SCC holding two distinct cycles
-        start = min(comp)
-        cyc = [start]
-        v = within[start][0]
-        while v != start:
-            cyc.append(v)
-            v = within[v][0]
-        cycles.append(cyc)
-    return len(cycles) >= 2, cycles
-
-
-def _paths_to_cycle(adj, start, cycle_set):
-    """Simple paths from `start` up to the first contact with the cycle."""
-    paths = []
-    stack = [([start], {start})]
-    while stack:
-        path, seen = stack.pop()
-        u = path[-1]
-        if u in cycle_set:
-            paths.append(path)
-            continue
-        for v in adj[u]:
-            if v not in seen:
-                stack.append((path + [v], seen | {v}))
-    return paths
-
-
-def _rotate_to(cycle, vertex):
-    i = cycle.index(vertex)
-    return cycle[i:] + cycle[:i]
-
-
-def _through_configuration(wpath, alpha, beta, cb_cycle, cf_cycle):
-    """The eventually periodic point following alpha, w's path, beta.
-
-    Time t carries a graph vertex; the point's letter at t is the first
-    letter of that vertex's window.
-    """
-    t_end = len(wpath) - 1
-    back = len(alpha) - 1
-    fwd = len(beta) - 1
-    pb, pf = len(cb_cycle), len(cf_cycle)
-
-    def vertex_at(t):
-        if t >= t_end + fwd:
-            return cf_cycle[(t - t_end - fwd) % pf]
-        if t >= t_end:
-            return beta[t - t_end]
-        if t >= 0:
-            return wpath[t]
-        if t >= -back:
-            return alpha[-t]
-        return cb_cycle[(t + back) % pb]
-
-    left = tuple(vertex_at(t)[0] for t in range(-back - pb, -back))
-    center = tuple(vertex_at(t)[0] for t in range(-back, t_end + fwd))
-    right = tuple(vertex_at(t)[0] for t in range(t_end + fwd, t_end + fwd + pf))
-    return Configuration(left, center, right, offset=back)
-
-
 def _sft_cylinder_aperiodic(spec, word):
+    """Decide the SFT case from the strongly connected components around w.
+
+    The SCCs around w are those that reach the first vertex of w's path
+    or are reached from its last.  A point through the path has its left
+    tail in a cycle-bearing SCC of the first kind and its right tail in
+    one of the second; each kind exists.  The cylinder holds an aperiodic
+    point exactly when the SCCs around w include a component with more
+    edges than vertices, or two distinct cycle components:
+    * a component with two distinct cycles gives a tail that is not
+      eventually periodic, while a periodic point's tails are;
+    * with two simple cycles, the two tails can run on different ones,
+      while a periodic point's two tails run on the same cycle;
+    * with one simple cycle C around w, every vertex of a through-point
+      is reachable from C and reaches C, so lies on C: the point runs
+      around C and is periodic.
+    The last case holds exactly when the first vertex lies on a simple
+    cycle C that no other edge enters or leaves.  There, a vertex on no
+    cycle around w would lie between two cycles around w, both C, so
+    every vertex around w is on C, and so is every edge touching C.  So
+    follow the first vertex's single out-edges until it returns, each
+    vertex on the way having one edge out and one in; with one edge in
+    each, the walk can only close up at its start.
+    """
     q = spec.window_len
-    if q == 0:
-        # order-1 SFT: cycles are the allowed self-loops
-        allowed = spec.out[()]
-        return len(allowed) >= 2
     if len(word) < q:
         return any(_sft_cylinder_aperiodic(spec, u)
                    for u in spec.words(q) if u[:len(word)] == word)
-    wpath = [word[i:i + q] for i in range(len(word) - q + 1)]
-    fwd, bwd = _forward_adj(spec), _backward_adj(spec)
-    r_fwd = _reach(fwd, wpath[-1])
-    many, f_cycles = _cycle_structure(fwd, r_fwd)
-    if many:
-        return True
-    r_bwd = _reach(bwd, wpath[0])
-    many, b_cycles = _cycle_structure(fwd, r_bwd)
-    if many:
-        return True
-    (cf,) = f_cycles
-    (cb,) = b_cycles
-    # single cycle on each side: finitely many through-points, test each
-    betas = _paths_to_cycle(fwd, wpath[-1], set(cf))
-    alphas = _paths_to_cycle(bwd, wpath[0], set(cb))
-    for alpha in alphas:
-        cb_rot = _rotate_to(cb, alpha[-1])
-        for beta in betas:
-            cf_rot = _rotate_to(cf, beta[-1])
-            x = _through_configuration(wpath, alpha, beta, cb_rot, cf_rot)
-            assert x.window(0, len(word)) == word
-            if not x.is_periodic():
-                return True
-    return False
+    in_degree = spec._in_degrees()
+    start = u = word[:q]
+    while len(spec.out[u]) == 1 and in_degree[u] == 1:
+        u = spec.step(u, spec.out[u][0])
+        if u == start:
+            return False
+    return True
 
 
 def cylinder_has_aperiodic(spec, word):

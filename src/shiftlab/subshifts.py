@@ -29,6 +29,7 @@ the states, advanced from the longest length counted so far; and
 import hashlib
 import itertools
 import json
+from collections import Counter
 
 from .errors import EmptySubshiftError, SpecFormatError
 from .words import Alphabet, Configuration
@@ -217,6 +218,7 @@ class SftSpec(SubshiftSpec):
         self.forbidden = tuple(canon)
         self.order = max((len(f) for f in self.forbidden), default=1)
         self.window_len = self.order - 1  # vertex word length q
+        self._indegree = None
         self._build_graph()
 
     def _build_graph(self):
@@ -257,6 +259,13 @@ class SftSpec(SubshiftSpec):
     def step(u, a):
         """Successor vertex along the edge labeled by appending `a`."""
         return (u + (a,))[1:]
+
+    def _in_degrees(self):
+        """Edges entering each vertex, once per edge letter, counted once per spec."""
+        if self._indegree is None:
+            self._indegree = Counter(self.step(u, a)
+                                     for u in self.vertices for a in self.out[u])
+        return self._indegree
 
     def _next(self, state, a):
         if len(state) < self.window_len:

@@ -6,8 +6,8 @@ extendability (no graph pruning), the sparse oracle enumerates actual
 marker placements of whole points, and the automorphism oracle searches
 letter maps with explicit word-level bijectivity checks.  The
 endomorphism-witness oracle slides the code over every language word of
-every length and tests each image with `contains`, and the
-free-semigroup oracle composes and pads a full rule table per generator
+every length up to a proven bound and tests each image with `contains`,
+and the free-semigroup oracle composes and pads a full rule table per generator
 word and scans all pairs; the library replaces both with single walks.
 The syndetic oracle rescans each word once per anchor and per earlier
 anchor, where the library makes one pass over an anchor index; the
@@ -20,7 +20,10 @@ one direction without composing.  These oracles compose through
 The language-engine oracles walk the compiled rows level by level, rerun
 the count DP from length 0 on every call, and test each two-sided
 extension with `contains`, where the library joins half-length runs,
-advances one count DP and reads the end state's row.
+advances one count DP and reads the end state's row.  The
+aperiodic-cylinder oracle censuses cycles on each side of an SFT word
+and builds every eventually periodic through-point, where the library
+walks once around the word's first vertex checking degrees.
 They import shiftlab when called, so importing this module loads no
 shiftlab code (the benchmark imports it before its own cold imports).
 """
@@ -132,16 +135,43 @@ def range0_automorphism_oracle(letters, language, max_n=6):
     return tables
 
 
-def endomorphism_witness_oracle(spec, code, r_max):
+def image_length_bound(spec, code):
+    """An image length by which some image leaves X, if any does.
+
+    A failing source word whose image is shortest passes through keys
+    (automaton state, last 2R letters, image state) without repeating
+    one, or cutting out the loop would leave a shorter failing word; so
+    its image is no longer than K, the number of keys reachable from the
+    words of length 2R.  On an SFT the order is also enough: an image
+    point outside X shows a forbidden word inside one window of length
+    `order`.
+    """
+    rows = spec._transitions()
+    keys = set()
+    frontier = [((), 0)]
+    for _ in range(2 * code.radius):
+        frontier = [(w + (a,), t) for w, s in frontier for a, t in rows[s].items()]
+    todo = [(s, w, 0) for w, s in frontier]
+    keys.update(todo)
+    for s, last, t in todo:
+        for a, s2 in rows[s].items():
+            t2 = rows[t].get(code.rule.get(last + (a,)))
+            key = (s2, (last + (a,))[1:], t2)
+            if t2 is not None and key not in keys:
+                keys.add(key)
+                todo.append(key)
+    return min(len(keys), spec.order) if spec.kind == "sft" else len(keys)
+
+
+def endomorphism_witness_oracle(spec, code):
     """First language word, shortest length first, whose image leaves X.
 
-    Image lengths run up to 2*r_max+3 and, on an SFT, up to its order,
-    the bound `autos._endomorphism_witness` uses.
+    Every language word of every image length up to `image_length_bound`
+    is slid through `apply_to_word` and its image tested with `contains`.
     """
     from shiftlab.autos import apply_to_word
 
-    top = max(2 * r_max + 3, spec.order if spec.kind == "sft" else 0)
-    for n in range(1, top + 1):
+    for n in range(1, image_length_bound(spec, code) + 1):
         for w in spec.words(n + 2 * code.radius):
             image = apply_to_word(code, w)
             if not spec.contains(image):
@@ -336,3 +366,158 @@ def centered_extensions_oracle(spec, wordset):
                 if spec.contains(left + (b,)):
                     out.add(left + (b,))
     return out
+
+
+def _forward_adj(spec):
+    return {u: tuple(spec.step(u, a) for a in spec.out[u]) for u in spec.vertices}
+
+
+def _backward_adj(spec):
+    rev = {u: [] for u in spec.vertices}
+    for u in spec.vertices:
+        for a in spec.out[u]:
+            rev[spec.step(u, a)].append(u)
+    return {u: tuple(vs) for u, vs in rev.items()}
+
+
+def _reach(adj, start):
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return seen
+
+
+def _cycle_structure(adj, verts):
+    """Cycle census of the induced subgraph on `verts`.
+
+    Returns (at_least_two_cycles, cycles) where cycles lists every
+    cycle-SCC as a vertex list in successor order; the list is only
+    meaningful when the first component is False (then each cycle-SCC is
+    a simple cycle).
+    """
+    sub = {u: tuple(v for v in adj[u] if v in verts) for u in verts}
+    reach = {u: _reach(sub, u) for u in verts}
+    seen = set()
+    sccs = []
+    for u in sorted(verts):
+        if u in seen:
+            continue
+        comp = {v for v in reach[u] if u in reach[v]}
+        comp.add(u)
+        seen |= comp
+        sccs.append(comp)
+    cycles = []
+    for comp in sccs:
+        within = {u: [v for v in sub[u] if v in comp] for u in comp}
+        edge_count = sum(len(vs) for vs in within.values())
+        if edge_count == 0:
+            continue  # transient singleton, no cycle here
+        if edge_count > len(comp) or any(len(vs) != 1 for vs in within.values()):
+            return True, []  # an SCC holding two distinct cycles
+        start = min(comp)
+        cyc = [start]
+        v = within[start][0]
+        while v != start:
+            cyc.append(v)
+            v = within[v][0]
+        cycles.append(cyc)
+    return len(cycles) >= 2, cycles
+
+
+def _paths_to_cycle(adj, start, cycle_set):
+    """Simple paths from `start` up to the first contact with the cycle."""
+    paths = []
+    stack = [([start], {start})]
+    while stack:
+        path, seen = stack.pop()
+        u = path[-1]
+        if u in cycle_set:
+            paths.append(path)
+            continue
+        for v in adj[u]:
+            if v not in seen:
+                stack.append((path + [v], seen | {v}))
+    return paths
+
+
+def _rotate_to(cycle, vertex):
+    i = cycle.index(vertex)
+    return cycle[i:] + cycle[:i]
+
+
+def _through_configuration(wpath, alpha, beta, cb_cycle, cf_cycle):
+    """The eventually periodic point following alpha, w's path, beta.
+
+    Time t carries a graph vertex; the point's letter at t is the first
+    letter of that vertex's window.
+    """
+    from shiftlab.words import Configuration
+
+    t_end = len(wpath) - 1
+    back = len(alpha) - 1
+    fwd = len(beta) - 1
+    pb, pf = len(cb_cycle), len(cf_cycle)
+
+    def vertex_at(t):
+        if t >= t_end + fwd:
+            return cf_cycle[(t - t_end - fwd) % pf]
+        if t >= t_end:
+            return beta[t - t_end]
+        if t >= 0:
+            return wpath[t]
+        if t >= -back:
+            return alpha[-t]
+        return cb_cycle[(t + back) % pb]
+
+    left = tuple(vertex_at(t)[0] for t in range(-back - pb, -back))
+    center = tuple(vertex_at(t)[0] for t in range(-back, t_end + fwd))
+    right = tuple(vertex_at(t)[0] for t in range(t_end + fwd, t_end + fwd + pf))
+    return Configuration(left, center, right, offset=back)
+
+
+def cylinder_has_aperiodic_oracle(spec, word):
+    """SFT only: search the explicit through-points of the word's vertex path.
+
+    Each side's reachable part gets its own cycle census; two cycles on
+    one side decide at once, and otherwise every eventually periodic point
+    made of a simple path to each side's single cycle is built and tested
+    with `Configuration.is_periodic`.  The word must be in the language.
+    """
+    word = tuple(word)
+    q = spec.window_len
+    if q == 0:
+        # order-1 SFT: cycles are the allowed self-loops
+        return len(spec.out[()]) >= 2
+    if len(word) < q:
+        return any(cylinder_has_aperiodic_oracle(spec, u)
+                   for u in spec.words(q) if u[:len(word)] == word)
+    wpath = [word[i:i + q] for i in range(len(word) - q + 1)]
+    fwd, bwd = _forward_adj(spec), _backward_adj(spec)
+    many, f_cycles = _cycle_structure(fwd, _reach(fwd, wpath[-1]))
+    if many:
+        return True
+    many, b_cycles = _cycle_structure(fwd, _reach(bwd, wpath[0]))
+    if many:
+        return True
+    (cf,) = f_cycles
+    (cb,) = b_cycles
+    # single cycle on each side: finitely many through-points, test each
+    betas = _paths_to_cycle(fwd, wpath[-1], set(cf))
+    alphas = _paths_to_cycle(bwd, wpath[0], set(cb))
+    for alpha in alphas:
+        cb_rot = _rotate_to(cb, alpha[-1])
+        for beta in betas:
+            cf_rot = _rotate_to(cf, beta[-1])
+            x = _through_configuration(wpath, alpha, beta, cb_rot, cf_rot)
+            if x.window(0, len(word)) != word:
+                raise AssertionError(f"through-point misses {word!r}")
+            if not x.is_periodic():
+                return True
+    return False

@@ -27,7 +27,7 @@ from shiftlab.errors import (
     SearchSpaceError,
     SpecFormatError,
 )
-from shiftlab.subshifts import build_sft
+from shiftlab.subshifts import build_sft, build_sparse, product
 from shiftlab.words import Alphabet, Configuration
 
 
@@ -215,6 +215,28 @@ def test_certify_checks_images_up_to_the_sft_order():
     assert apply_to_word(flip, word) == image and not spec.contains(image)
 
 
+SPARSE_111 = build_sparse(Alphabet("01"), "0", [w("111")])
+FLIP = {"0": "1", "1": "0"}
+
+
+@pytest.mark.parametrize("r_max", [0, 1])
+def test_certify_sparse_flip_rejected_at_every_rmax(r_max):
+    # 0000 is in the language and its flip 1111 is not, at any r_max
+    flip = BlockCode.letter_map(SPARSE_111, FLIP)
+    result = certify_automorphism(SPARSE_111, flip, r_max)
+    assert result.status == "not-endomorphism"
+    assert result.witness == (w("0000"), w("1111"))
+
+
+def test_certify_product_flip_rejected(systems):
+    spec = product(SPARSE_111, systems["golden_mean"].spec)
+    flip = BlockCode.from_function(spec, 0, lambda u: (FLIP[u[0][0]], u[0][1]))
+    result = certify_automorphism(spec, flip, 0)
+    assert result.status == "not-endomorphism"
+    word, image = result.witness
+    assert len(word) == 4 and not spec.contains(image)
+
+
 def test_certify_identity(systems):
     for system in systems.values():
         result = certify_automorphism(system.spec, system.codes["identity"], 0)
@@ -237,6 +259,14 @@ def test_enumerate_golden_mean_range0_matches_oracle(systems):
     gm = systems["golden_mean"]
     certs = enumerate_automorphisms(gm.spec, 0)
     language = {n: set(gm.spec.words(n)) for n in range(1, 7)}
+    oracle = range0_automorphism_oracle(("0", "1"), language)
+    assert len(certs) == len(oracle) == 1
+    assert certs[0].code.rule == {("0",): "0", ("1",): "1"}
+
+
+def test_enumerate_sparse_range0_matches_oracle():
+    certs = enumerate_automorphisms(SPARSE_111, 0)
+    language = {n: set(SPARSE_111.words(n)) for n in range(1, 7)}
     oracle = range0_automorphism_oracle(("0", "1"), language)
     assert len(certs) == len(oracle) == 1
     assert certs[0].code.rule == {("0",): "0", ("1",): "1"}

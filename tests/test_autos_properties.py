@@ -9,26 +9,31 @@ table misses a window.  Inputs are the spec strategies of
 `test_language_properties.py` and codes of range 0-2: permutations of
 the centre letter, shifted permutations and random tables; closures run
 on letter maps of the full 3-shift and on the shift, its inverse and
-the flip of the full 2-shift.  A certified result must also compose
-with its inverse to the identity both ways.
+the flip of the full 2-shift.  The endomorphism oracle scans every
+image length up to its proven bound, so a drawn code's range is lowered
+until that scan fits the budget.  A certified result must also compose
+with its inverse to the identity both ways, and both must map random
+long language words into the language.
 """
 
 import itertools
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from oracles import (
     endomorphism_witness_oracle,
     find_inverse_oracle,
     free_semigroup_oracle,
+    image_length_bound,
     subgroup_closure_oracle,
 )
 from shiftlab.autos import (
     BlockCode,
     _endomorphism_witness,
+    apply_to_word,
     certify_automorphism,
     certify_free_semigroup,
     compose,
@@ -49,9 +54,9 @@ specs = st.one_of(sft_specs(), sparse_specs(), product_specs()).map(
 
 
 @st.composite
-def codes(draw, spec):
+def codes(draw, spec, max_radius=2):
     letters = spec.alphabet.letters
-    radius = draw(st.integers(0, 2))
+    radius = draw(st.integers(0, max_radius))
     rng = draw(st.randoms(use_true_random=False))
     kind = draw(st.sampled_from(("permutation", "shifted", "random")))
     if kind == "random":
@@ -84,17 +89,18 @@ def _largest(value, fits):
 @given(st.data())
 def test_endomorphism_witness_matches_oracle(data):
     spec = data.draw(specs)
-    code = data.draw(codes(spec))
-    _drop_window(data, code)
-    order = spec.order if spec.kind == "sft" else 0
 
-    def fits(r_max):
-        top = max(2 * r_max + 3, order)
+    def fits(code):
+        top = image_length_bound(spec, code)
         return sum(spec.count_words(n + 2 * code.radius) for n in range(1, top + 1)) <= BUDGET
 
-    r_max = _largest(data.draw(st.integers(0, 2)), fits)
-    assert (_outcome(_endomorphism_witness, spec, code, r_max)
-            == _outcome(endomorphism_witness_oracle, spec, code, r_max))
+    code = data.draw(codes(spec))
+    while code.radius > 0 and not fits(code):
+        code = data.draw(codes(spec, code.radius - 1))
+    assume(fits(code))
+    _drop_window(data, code)
+    assert (_outcome(_endomorphism_witness, spec, code)
+            == _outcome(endomorphism_witness_oracle, spec, code))
 
 
 @SETTINGS
@@ -126,8 +132,8 @@ def test_missing_window_raises_in_walk_and_oracle(systems):
     code = BlockCode.identity(full2.spec, 1)
     del code.rule[("1", "0", "1")]
     gens = SimpleNamespace(code=code), SimpleNamespace(code=code)
-    for fn, args in ((_endomorphism_witness, (full2.spec, code, 1)),
-                     (endomorphism_witness_oracle, (full2.spec, code, 1)),
+    for fn, args in ((_endomorphism_witness, (full2.spec, code)),
+                     (endomorphism_witness_oracle, (full2.spec, code)),
                      (certify_free_semigroup, (full2.spec, *gens, 2)),
                      (free_semigroup_oracle, (full2.spec, *gens, 2))):
         with pytest.raises(RuleIncompleteError):
@@ -164,6 +170,34 @@ def test_certified_inverse_composes_to_identity(data):
         ident = BlockCode.identity(spec, result.cert.r_certified + 1)
         assert equal_on_shift(spec, compose(inverse, code), ident)
         assert equal_on_shift(spec, compose(code, inverse), ident)
+
+
+def _long_words(spec, rng, length, count):
+    """Random language words: walks of the compiled rows, every state extends."""
+    rows = spec._transitions()
+    out = []
+    for _ in range(count):
+        word, state = [], 0
+        for _ in range(length):
+            a, state = rng.choice(list(rows[state].items()))
+            word.append(a)
+        out.append(tuple(word))
+    return out
+
+
+@SETTINGS
+@given(st.data())
+def test_certified_maps_long_words_into_language(data):
+    # 60 letters is far beyond the old image bound max(2*r_max+3, order) <= 7
+    spec = data.draw(specs)
+    code = data.draw(codes(spec))
+    r_max = _largest(data.draw(st.integers(0, 2)), _inverse_budget(spec, code))
+    result = certify_automorphism(spec, code, r_max)
+    if result.status == "certified":
+        rng = data.draw(st.randoms(use_true_random=False))
+        for word in _long_words(spec, rng, 60, 20):
+            assert spec.contains(apply_to_word(code, word))
+            assert spec.contains(apply_to_word(result.cert.inverse, word))
 
 
 FULL2 = build_sft(Alphabet("01"), [])

@@ -75,6 +75,8 @@ def test_cylinder_examples(systems):
     assert cylinder_has_aperiodic(systems["full2"].spec, w("0"))
     assert not cylinder_has_aperiodic(systems["cycle2"].spec, w("01"))
     assert cylinder_has_aperiodic(systems["at_most_one_1"].spec, w("00"))
+    # 0^inf 1^inf: the cycles {0} and {1} lie on the two sides of 01
+    assert cylinder_has_aperiodic(build_sft(BIN, [w("10")]), w("01"))
 
 
 def test_cylinder_requires_language_word(systems):
@@ -102,7 +104,8 @@ def test_cylinder_product(systems):
 
 
 def test_cylinder_skew_phase_point_is_caught():
-    # single cycle on both sides, but the through-point can break the phase
+    # the SCC {00, 01, 10} has 4 edges (10 -> 00 and 10 -> 01), so it holds
+    # two distinct cycles and a tail that is not eventually periodic
     spec = build_sft(BIN, [w("11"), w("000")])
     assert cylinder_has_aperiodic(spec, w("00"))
 

@@ -10,6 +10,10 @@ extension step (the end state's row) against per-extension `contains`.
 """
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -132,3 +136,15 @@ def test_extension_step_matches_contains_oracle(spec, data):
         n = data.draw(st.integers(1, 4))
         wordset |= set(itertools.islice(spec.words(n), data.draw(st.integers(0, 8))))
     assert _centered_extensions(spec, wordset) == centered_extensions_oracle(spec, wordset)
+
+
+def test_importing_oracles_loads_no_shiftlab_module():
+    # the benchmark imports oracles.py before it times its cold shiftlab imports;
+    # shiftlab must be findable there, or the check would pass vacuously
+    probe = ("import importlib.util, sys, oracles\n"
+             "assert importlib.util.find_spec('shiftlab') is not None\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'shiftlab'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    done = subprocess.run([sys.executable, "-c", probe], cwd=Path(__file__).parent, env=env,
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout.strip() == "[]"
