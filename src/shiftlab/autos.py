@@ -346,7 +346,7 @@ def coset_count(spec, radius_n, chain):
 @dataclass(frozen=True)
 class ClosureResult:
     status: str  # "ok" | "cap-exceeded"
-    elements: tuple | None  # BlockCodes, canonical insertion order
+    elements: tuple | None  # BlockCodes: identity, the steps, then each sphere
 
 
 def subgroup_closure(spec, gens, cap):
@@ -357,11 +357,16 @@ def subgroup_closure(spec, gens, cap):
     descent stops at the map's minimal range, where its table is unique:
     two reduced codes are the same map on X exactly when they share the
     range and the outputs in canonical window order, and that pair is
-    the key of a set of known maps.  Rounds are semi-naive: a round
-    composes, in the order of a full pairwise round, only the pairs with
-    an element added since the previous round; the other pairs were
-    composed then and could only give known maps back, so elements are
-    inserted, and the cap is hit, as a full rescan of all pairs would.
+    the key of a set of known maps.
+
+    The steps are the distinct generators and inverses.  The search is
+    breadth first: every step is applied after each element of the
+    newest sphere, and the search stops when a sphere brings nothing new.
+    Since the steps are closed under inverses, this reaches exactly the
+    subgroup they generate.  Elements come in the order identity, the
+    steps in the given order, then each sphere in discovery order.  The
+    step is the outer code because `compose` looks up 2R+1 inner outputs
+    per word for an outer code of range R, and steps have small ranges.
     """
     elements = []
     keys = set()
@@ -382,14 +387,14 @@ def subgroup_closure(spec, gens, cap):
         add(cert.inverse)
     if len(elements) > cap:
         return ClosureResult("cap-exceeded", None)
-    done = 0  # elements[:done] were all composed pairwise in earlier rounds
-    while done < len(elements):
-        snapshot, old = list(elements), done
-        done = len(snapshot)
-        for i, a in enumerate(snapshot):
-            for b in (snapshot if i >= old else snapshot[old:]):
-                if add(compose(a, b)) and len(elements) > cap:
+    steps = sphere = elements[1:]
+    while sphere:
+        known = len(elements)
+        for a in sphere:
+            for step in steps:
+                if add(compose(step, a)) and len(elements) > cap:
                     return ClosureResult("cap-exceeded", None)
+        sphere = elements[known:]
     return ClosureResult("ok", tuple(elements))
 
 

@@ -20,7 +20,7 @@ from .errors import (
     NoAperiodicPointError,
     NoUniqueExtenderError,
 )
-from .complexity import _centered_extensions
+from .complexity import _centered_extensions, _extend_while_unique
 from .subshifts import ProductSpec, SftSpec, SparseSpec, build_sft, build_sparse, empty_sft
 
 
@@ -126,7 +126,7 @@ def verify_removal_bound(spec, word, n_max):
     rows = []
     violations = []
     for n in range(len(word), n_max + 1):
-        lhs = 0 if removed.is_empty else removed.count_words(n)
+        lhs = removed.count_words(n)
         rhs = spec.count_words(n) - (n - len(word) + 1)
         row = (n, lhs, rhs, rhs - lhs)
         rows.append(row)
@@ -178,13 +178,8 @@ class Chain:
 
 def unique_extension(spec, word, steps):
     """The unique `steps`-fold centered extension of word, or None."""
-    current = {tuple(word)}
-    for _ in range(steps):
-        current = _centered_extensions(spec, current)
-        if len(current) != 1:
-            return None
-    (u,) = current
-    return u
+    unique_steps, u = _extend_while_unique(spec, tuple(word), steps)
+    return u if unique_steps == steps else None
 
 
 def _smallest_unique_extender(spec, radius, max_len):
@@ -275,33 +270,15 @@ class ShadowingReport:
     counterexample: tuple | None  # word failing at D-1 (or at cap)
 
 
-def _shadowing_counterexample(spec, forbidden_words, u, v, t_steps, dist):
-    """A word violating the shadowing condition at distance `dist`, or None."""
-    n = len(u) + 2 * (dist + t_steps)
-    extensions = {u}
-    for _ in range(dist + t_steps):
-        extensions = _centered_extensions(spec, extensions)
-    for w in sorted(extensions, key=spec.alphabet.word_key):
-        clean = True
-        for f in forbidden_words:
-            for p in range(t_steps, 2 * dist + t_steps + 1):
-                if p + len(f) <= n and w[p:p + len(f)] == f:
-                    clean = False
-                    break
-            if not clean:
-                break
-        if clean and w[dist:dist + len(v)] != v:
-            return w
-    return None
-
-
 def shadowing_distance(spec, forbidden_words, u, t_steps, cap):
     """Minimal D such that u far from the forbidden words forces v around it.
 
     Y is X minus the forbidden words; u must extend uniquely at least
     `t_steps` times in L(Y) to v.  Every word of X carrying u centered,
     with no forbidden word starting within D of u's start, must then
-    carry v centered.
+    carry v centered.  The words carrying u centered grow one extension
+    step per distance; the counterexample at each D is the canonically
+    least failing word.
     """
     u = tuple(u)
     forbidden_words = tuple(tuple(f) for f in forbidden_words)
@@ -314,12 +291,29 @@ def shadowing_distance(spec, forbidden_words, u, t_steps, cap):
     if v is None:
         raise HypothesisError(
             f"word {u!r} does not extend uniquely {t_steps} times after forbidding")
+    extensions = {u}
+    for _ in range(t_steps):
+        extensions = _centered_extensions(spec, extensions)
     prev_cex = None
     for dist in range(cap + 1):
-        cex = _shadowing_counterexample(spec, forbidden_words, u, v, t_steps, dist)
-        if cex is None:
+        if dist:
+            extensions = _centered_extensions(spec, extensions)
+        n = len(u) + 2 * (dist + t_steps)
+        failing = []
+        for w in extensions:
+            clean = True
+            for f in forbidden_words:
+                for p in range(t_steps, 2 * dist + t_steps + 1):
+                    if p + len(f) <= n and w[p:p + len(f)] == f:
+                        clean = False
+                        break
+                if not clean:
+                    break
+            if clean and w[dist:dist + len(v)] != v:
+                failing.append(w)
+        if not failing:
             return ShadowingReport("ok", dist, cap, v, prev_cex)
-        prev_cex = cex
+        prev_cex = min(failing, key=spec.alphabet.word_key)
     return ShadowingReport("cap-exceeded", None, cap, v, prev_cex)
 
 

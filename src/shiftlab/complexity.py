@@ -69,8 +69,7 @@ def morse_hedlund_classify(spec, max_n):
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     for n in range(1, max_n + 1):
-        count = 0 if spec.is_empty else spec.count_words(n)
-        if count <= n:
+        if spec.count_words(n) <= n:
             return MorseHedlundVerdict("all-periodic", witness=n)
     return MorseHedlundVerdict("consistent-with-aperiodic")
 
@@ -108,6 +107,21 @@ def _centered_extensions(spec, wordset):
     return out
 
 
+def _extend_while_unique(spec, word, steps):
+    """Extend word one step at a time, at most `steps` times, while it extends uniquely.
+
+    Returns (k, u): the first k steps each left exactly one word, and u is
+    that unique k-fold extension (the word itself when k is 0).
+    """
+    u = word
+    for k in range(steps):
+        nxt = _centered_extensions(spec, {u})
+        if len(nxt) != 1:
+            return k, u
+        (u,) = nxt
+    return steps, u
+
+
 def extension_radius(spec, word, cap):
     """Largest k <= cap such that exactly one u in L_{|w|+2k} has w centered.
 
@@ -119,17 +133,8 @@ def extension_radius(spec, word, cap):
         raise ValueError("cap must be >= 1")
     if not spec.contains(word):
         raise ValueError(f"word {word!r} not in the language")
-    current = {word}
-    radius = 0
-    unique_ext = word
-    while radius < cap:
-        nxt = _centered_extensions(spec, current)
-        if len(nxt) != 1:
-            return ExtensionReport(word, radius, cap, unique_ext)
-        radius += 1
-        current = nxt
-        (unique_ext,) = nxt
-    return ExtensionReport(word, AT_LEAST_CAP, cap, unique_ext)
+    radius, unique_ext = _extend_while_unique(spec, word, cap)
+    return ExtensionReport(word, AT_LEAST_CAP if radius == cap else radius, cap, unique_ext)
 
 
 def min_nonextendable_radius(spec, n, cap):

@@ -13,7 +13,8 @@ The syndetic oracle rescans each word once per anchor and per earlier
 anchor, where the library makes one pass over an anchor index; the
 closure oracle compares every new element with every known one through
 padded tables and recomposes every pair each round, where the library
-keys reduced tables and composes only new pairs; the inverse oracle
+keys reduced tables and applies the generators and inverses after the
+newest sphere only; the inverse oracle
 checks both compositions against the identity, where the library checks
 one direction without composing.  These oracles compose through
 `compose_oracle`, the word-by-word composition, not `autos.compose`.
@@ -24,6 +25,11 @@ advances one count DP and reads the end state's row.  The
 aperiodic-cylinder oracle censuses cycles on each side of an SFT word
 and builds every eventually periodic through-point, where the library
 walks once around the word's first vertex checking degrees.
+The shadowing oracle rebuilds the extensions of u from u for every
+distance and takes the first failing word in sorted order, where the
+library extends one set once more per distance and takes the least
+failing word; the unique-extension oracle iterates the `contains`-based
+extension step on a set, where the library reads the automaton's rows.
 They import shiftlab when called, so importing this module loads no
 shiftlab code (the benchmark imports it before its own cold imports).
 """
@@ -366,6 +372,61 @@ def centered_extensions_oracle(spec, wordset):
                 if spec.contains(left + (b,)):
                     out.add(left + (b,))
     return out
+
+
+def unique_extension_oracle(spec, word, steps):
+    """The unique `steps`-fold extension by iterated `centered_extensions_oracle`, or None."""
+    current = {tuple(word)}
+    for _ in range(steps):
+        current = centered_extensions_oracle(spec, current)
+        if len(current) != 1:
+            return None
+    (u,) = current
+    return u
+
+
+def shadowing_distance_oracle(spec, forbidden_words, u, t_steps, cap):
+    """Shadowing distance with the extensions of u rebuilt from u for every D."""
+    from shiftlab.chains import ShadowingReport, forbid
+    from shiftlab.errors import HypothesisError
+
+    u = tuple(u)
+    forbidden_words = tuple(tuple(f) for f in forbidden_words)
+    shrunk = spec
+    for f in forbidden_words:
+        shrunk = forbid(shrunk, f)
+    if shrunk.is_empty or not shrunk.contains(u):
+        raise HypothesisError(f"word {u!r} not in the language after forbidding")
+    v = unique_extension_oracle(shrunk, u, t_steps)
+    if v is None:
+        raise HypothesisError(
+            f"word {u!r} does not extend uniquely {t_steps} times after forbidding")
+
+    def counterexample(dist):
+        n = len(u) + 2 * (dist + t_steps)
+        extensions = {u}
+        for _ in range(dist + t_steps):
+            extensions = centered_extensions_oracle(spec, extensions)
+        for w in sorted(extensions, key=spec.alphabet.word_key):
+            clean = True
+            for f in forbidden_words:
+                for p in range(t_steps, 2 * dist + t_steps + 1):
+                    if p + len(f) <= n and w[p:p + len(f)] == f:
+                        clean = False
+                        break
+                if not clean:
+                    break
+            if clean and w[dist:dist + len(v)] != v:
+                return w
+        return None
+
+    prev_cex = None
+    for dist in range(cap + 1):
+        cex = counterexample(dist)
+        if cex is None:
+            return ShadowingReport("ok", dist, cap, v, prev_cex)
+        prev_cex = cex
+    return ShadowingReport("cap-exceeded", None, cap, v, prev_cex)
 
 
 def _forward_adj(spec):

@@ -398,6 +398,30 @@ def test_closure_shift_exceeds_cap(systems):
     assert result.elements is None
 
 
+def _letter_map_certs(letters, images):
+    """The full shift on `letters` and the certified letter maps with these images."""
+    spec = build_sft(Alphabet(letters), [])
+    return spec, [certify_automorphism(spec, BlockCode.letter_map(spec, dict(zip(letters, im))),
+                                       0).cert for im in images]
+
+
+def test_closure_order_is_identity_steps_then_spheres():
+    # S_3 on the letters: the swap t = (0 1) is its own inverse, so the steps
+    # are t, c = (0 1 2), c^-1; the last sphere holds c.t and c^-1.t
+    full3, gens = _letter_map_certs("012", ("102", "120"))
+    result = subgroup_closure(full3, gens, 6)
+    assert result.status == "ok"
+    assert ["".join(e.rule[(a,)] for a in "012") for e in result.elements] == [
+        "012", "102", "120", "201", "210", "021"]
+
+
+def test_closure_cap_is_the_group_order():
+    # S_4 from a swap and a 4-cycle: 24 maps in spheres of sizes 1, 3, 5, 6, 5, 3, 1
+    full4, gens = _letter_map_certs("0123", ("1023", "1230"))
+    assert len(subgroup_closure(full4, gens, 24).elements) == 24
+    assert subgroup_closure(full4, gens, 23).status == "cap-exceeded"
+
+
 def test_closure_empty_generators(systems):
     hallway = systems["hallway"]
     result = subgroup_closure(hallway.spec, [], 10)

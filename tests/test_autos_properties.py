@@ -4,7 +4,7 @@
 and `subgroup_closure` are checked against the oracles in `oracles.py`:
 the same witness (or None), the same report including the first
 collision pair, the same inverse table (or None), the same closure
-elements in the same order, and the same exception type when a rule
+status and set of maps, and the same exception type when a rule
 table misses a window.  Inputs are the spec strategies of
 `test_language_properties.py` and codes of range 0-2: permutations of
 the centre letter, shifted permutations and random tables; closures run
@@ -144,6 +144,12 @@ def _table(code):
     return None if code is None else (code.radius, code.rule)
 
 
+def _keys(spec, elements):
+    """The (range, outputs in canonical window order) pairs of reduced codes."""
+    return {(e.radius, tuple(e.rule[w] for w in spec.words(2 * e.radius + 1)))
+            for e in elements or ()}
+
+
 def _inverse_budget(spec, code):
     return lambda r_max: spec.count_words(2 * (r_max + code.radius) + 1) <= BUDGET // 4
 
@@ -220,5 +226,6 @@ def test_subgroup_closure_matches_oracle(data):
     got = subgroup_closure(spec, certs, cap)
     expected = subgroup_closure_oracle(spec, certs, cap)
     assert got.status == expected.status
-    assert ([_table(e) for e in got.elements or ()]
-            == [_table(e) for e in expected.elements or ()])
+    # the library's order (identity, steps, spheres) differs from the oracle's rounds
+    assert _keys(spec, got.elements) == _keys(spec, expected.elements)
+    assert len(got.elements or ()) == len(expected.elements or ())

@@ -123,6 +123,13 @@ def test_removal_bound_tight_at_n2(systems):
     assert report.rows[-1] == (2, 3, 3, 0)
 
 
+def test_removal_bound_emptying_the_shift(systems):
+    # forbidding 0 in the golden mean shift leaves no point: P_{X(w)}(n) = 0
+    report = verify_removal_bound(systems["golden_mean"].spec, w("0"), 4)
+    assert report.ok
+    assert report.rows == ((1, 0, 1, 1), (2, 0, 1, 1), (3, 0, 2, 2), (4, 0, 4, 4))
+
+
 def test_removal_bound_needs_aperiodic_point(systems):
     with pytest.raises(NoAperiodicPointError):
         verify_removal_bound(systems["cycle2"].spec, w("01"), 4)

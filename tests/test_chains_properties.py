@@ -13,15 +13,39 @@ the word's first vertex, checking degrees;
 through-points of each word.  Both must agree on every word up to a
 budgeted length of generated SFTs, including order-1 shifts and dense
 forbidden sets, whose cylinders are often periodic-only.
+
+`chains.shadowing_distance` extends the words carrying u once per
+distance; `oracles.shadowing_distance_oracle` rebuilds them from u for
+every distance with the `contains`-based extension step.  Both must give
+the same report, or raise the same error with the same message, for up
+to two forbidden words, T in 0-2 and caps 0-4.  `unique_extension` and
+`extension_radius` must agree with the iterated `contains`-based step
+on language words and on arbitrary words over the alphabet.
 """
 
 import itertools
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cylinder_has_aperiodic_oracle, syndetic_gap_oracle
-from shiftlab.chains import Chain, ChainLevel, cylinder_has_aperiodic, syndetic_gap
+import pytest
+from oracles import (
+    cylinder_has_aperiodic_oracle,
+    shadowing_distance_oracle,
+    syndetic_gap_oracle,
+    unique_extension_oracle,
+)
+from shiftlab.chains import (
+    Chain,
+    ChainLevel,
+    cylinder_has_aperiodic,
+    forbid,
+    shadowing_distance,
+    syndetic_gap,
+    unique_extension,
+)
+from shiftlab.complexity import AT_LEAST_CAP, extension_radius
+from shiftlab.errors import HypothesisError
 from shiftlab.subshifts import build_sft
 from shiftlab.words import Alphabet
 from test_autos_properties import specs
@@ -82,3 +106,76 @@ def test_cylinder_has_aperiodic_matches_oracle(spec):
             assert cylinder_has_aperiodic(spec, word) == expected
         checked += spec.count_words(n)
         n += 1
+
+
+@st.composite
+def words_over(draw, spec, max_len=3):
+    """A language word, or now and then any word over the alphabet."""
+    if draw(st.integers(0, 3)) == 0:
+        letter = st.sampled_from(spec.alphabet.letters)
+        return tuple(draw(st.lists(letter, min_size=1, max_size=max_len)))
+    return draw(st.sampled_from(spec.words(draw(st.integers(1, max_len)))))
+
+
+def _shadowing_outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except (HypothesisError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _shadowing_words(spec, forbidden, t_steps):
+    """Words of length <= 3 extending uniquely T times once `forbidden` is forbidden.
+
+    Those that do not extend uniquely in X itself come first choice: only
+    for them does the distance search have work to do.
+    """
+    shrunk = spec
+    try:
+        for f in forbidden:
+            shrunk = forbid(shrunk, f)
+    except ValueError:  # products support no forbidding
+        return []
+    if shrunk.is_empty:
+        return []
+    pool = [u for n in range(1, 4) for u in shrunk.words(n)
+            if unique_extension_oracle(shrunk, u, t_steps) is not None]
+    return [u for u in pool if unique_extension_oracle(spec, u, t_steps) is None] or pool
+
+
+@settings(SETTINGS, max_examples=150)  # few draws give a distance above 0
+@given(st.data())
+def test_shadowing_distance_matches_oracle(data):
+    spec = data.draw(specs)
+    # st.integers(0, 2) favours 0, and no forbidden word or T = 0 always gives D = 0
+    count = data.draw(st.sampled_from((1, 2, 0)))
+    forbidden = [data.draw(words_over(spec)) for _ in range(count)]
+    t_steps = data.draw(st.sampled_from((1, 2, 0)))
+    # mostly a u meeting the hypotheses, so that the distance search runs
+    pool = _shadowing_words(spec, forbidden, t_steps) if data.draw(st.integers(0, 3)) else []
+    u = data.draw(st.sampled_from(pool) if pool else words_over(spec))
+    cap = data.draw(st.integers(0, 4))
+    # the oracle tests every extension of every extended word with `contains`
+    while cap > 0 and spec.count_words(len(u) + 2 * (cap + t_steps)) > BUDGET // 4:
+        cap -= 1
+    got = _shadowing_outcome(shadowing_distance, spec, forbidden, u, t_steps, cap)
+    expected = _shadowing_outcome(shadowing_distance_oracle, spec, forbidden, u, t_steps, cap)
+    assert got == expected
+
+
+@SETTINGS
+@given(st.data())
+def test_unique_extension_and_radius_match_oracle(data):
+    spec = data.draw(specs)
+    word = data.draw(words_over(spec, max_len=4))
+    cap = data.draw(st.integers(1, 6))
+    expected = [unique_extension_oracle(spec, word, k) for k in range(cap + 1)]
+    assert [unique_extension(spec, word, k) for k in range(cap + 1)] == expected
+    if not spec.contains(word):
+        with pytest.raises(ValueError):
+            extension_radius(spec, word, cap)
+        return
+    radius = expected.index(None) - 1 if None in expected else cap
+    report = extension_radius(spec, word, cap)
+    assert report.radius == (AT_LEAST_CAP if radius == cap else radius)
+    assert report.extension == expected[radius]

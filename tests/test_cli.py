@@ -3,6 +3,7 @@ import json
 import pytest
 
 from shiftlab import code_to_json, spec_to_json
+from shiftlab import errors
 from shiftlab.cli import main
 
 
@@ -144,6 +145,9 @@ def test_spacetime_bad_probe_is_input_error(tmp_path, capsys, field, value):
 def test_verify_lemmas_trials_zero_is_usage_error(capsys):
     assert main(["verify-lemmas", "--suite", "removal", "--trials", "0",
                  "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: trials must be >= 1\n"
 
 
 def test_verify_lemmas_removal(capsys):
@@ -246,3 +250,33 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.endswith("error: internal: RuntimeError: boom\n")
+
+
+PACKAGE_ERRORS = [
+    errors.EmptySubshiftError("empty"),
+    errors.SpecFormatError("bad spec"),
+    errors.RuleIncompleteError("missing window"),
+    errors.SearchSpaceError(9, 4),
+    errors.NoUniqueExtenderError(2, ()),
+    errors.LemmaWindowNotFoundError("no window"),
+    errors.CapExceededError("over cap"),
+    errors.InvalidChainError("no levels"),
+    errors.NoAperiodicPointError("periodic only"),
+    errors.HypothesisError("hypothesis fails"),
+]
+
+
+def test_package_errors_cover_every_subclass():
+    assert {type(e) for e in PACKAGE_ERRORS} == set(errors.ShiftlabError.__subclasses__())
+
+
+@pytest.mark.parametrize("error", PACKAGE_ERRORS, ids=lambda e: type(e).__name__)
+def test_package_error_exits_2(capsys, monkeypatch, error):
+    def failing(*args):
+        raise error
+
+    monkeypatch.setattr("shiftlab.cli.complexity_table", failing)
+    assert main(["complexity", "--spec", "builtin:full2", "--max-n", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"

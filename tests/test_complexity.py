@@ -61,6 +61,8 @@ def test_morse_hedlund_examples(systems):
     assert verdict.kind == "consistent-with-aperiodic"
     single = build_sparse(Alphabet(("0",)), "0", [])
     assert morse_hedlund_classify(single, 1).witness == 1
+    verdict = morse_hedlund_classify(empty_sft(BIN), 3)
+    assert (verdict.kind, verdict.witness) == ("all-periodic", 1)
 
 
 def test_morse_hedlund_flat_growth_direction(systems):
