@@ -17,13 +17,16 @@ fixpoint, expanding each key (automaton state, last 2R letters,
 automaton state of the image) once; words with equal keys have equal
 futures, so the witness is the one a scan of every word of every length
 would find.  The free-semigroup check pushes the language windows
-through one generator at a time along the suffix trie of generator
-words, sliding each distinct image once per node.
+down the suffix trie of generator words as tuples of interned word ids;
+a step table per generator, id to image id, is filled by one slide the
+first time a node holds an id, so automorphisms take at most
+2 * sum_m |L_m| slides.
 """
 
 import itertools
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import (
     InvalidChainError,
@@ -65,10 +68,8 @@ class BlockCode:
 
     @classmethod
     def shift(cls, spec, power=1):
-        """sigma^power as a block code of range |power| (range 1 for power 0)."""
-        radius = max(abs(power), 0)
-        if radius == 0:
-            return cls.identity(spec, 0)
+        """sigma^power as a block code of range |power|; power 0 is the range-0 identity."""
+        radius = abs(power)
         return cls.from_function(spec, radius, lambda w: w[radius + power])
 
     @classmethod
@@ -403,8 +404,14 @@ class FreeSemigroupReport:
     status: str  # "free-to-depth" | "collision"
     depth: int
     words: tuple  # generator words over ("a", "b"), canonical order
-    distinct: tuple | None  # pairwise-distinctness matrix when free
-    collision: tuple | None  # the first equal pair otherwise
+    collision: tuple | None  # the first equal pair, when not free
+
+    @property
+    def distinct(self):
+        """Pairwise-distinctness matrix of the words when free, else None."""
+        if self.collision is not None:
+            return None
+        return tuple(tuple(u != v for v in self.words) for u in self.words)
 
 
 def semigroup_words(depth):
@@ -422,11 +429,10 @@ def product_code(gens, word):
     return code
 
 
-def _push(code, images, index):
-    """Slide the code once over each distinct image; windows follow by index."""
-    table = {}
-    remap = [table.setdefault(apply_to_word(code, u), len(table)) for u in images]
-    return list(table), [remap[i] for i in index]
+def _gather(table, index):
+    """The tuple of table[k] for k in a non-empty index, looked up at C speed."""
+    found = itemgetter(*index)(table)
+    return found if len(index) > 1 else (found,)  # a lone item comes back bare
 
 
 def certify_free_semigroup(spec, a_cert, b_cert, depth):
@@ -440,29 +446,52 @@ def certify_free_semigroup(spec, a_cert, b_cert, depth):
     The words are the nodes of a suffix trie, g+w being the child of w
     (the leftmost factor acts last).  The language windows of length
     2*top+1, top the largest range of a product, are pushed down the
-    trie one generator at a time: a node holds its table of distinct
-    images and, per window, an index into that table, so each distinct
-    image is slid once per node.  A word's fingerprint, the centre letter
-    of every window's image, is its rule table padded to range top, so
-    two words are the same map on X exactly when their fingerprints
-    agree.  The collision reported is the first pair in the pairwise
-    scan order: u the canonically first word that has a later equal,
-    v the first such later word.
+    trie one generator at a time.  Image words are interned: each gets
+    an id and its centre letter once.  A node is the tuple of its
+    windows' image ids, and a child is a gather from its generator's
+    step table, id to image id, whose entry for an id is filled by one
+    slide the first time a node holds that id.  So each (generator,
+    word) pair is slid once, however many nodes hold the word; for
+    automorphisms every image is a language word, so the slides number
+    at most 2 * sum_m |L_m| over the lengths m on the trie.  A word's
+    fingerprint, the centre letter of every window's image, is its rule
+    table padded to range top, so two words are the same map on X
+    exactly when their fingerprints agree.  The collision reported is
+    the first pair in the pairwise scan order: u the canonically first
+    word that has a later equal, v the first such later word.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    gens = {"a": a_cert.code, "b": b_cert.code}
+    gens = (a_cert.code, b_cert.code)
     words = semigroup_words(depth)
-    top = depth * max(code.radius for code in gens.values())
-    windows = spec.words(2 * top + 1)
-    level = [(windows, range(len(windows)))]
+    top = depth * max(code.radius for code in gens)
+    images = list(spec.words(2 * top + 1))  # id -> word
+    ids = {u: k for k, u in enumerate(images)}  # word -> id
+    centres = [u[top] for u in images]  # id -> centre letter
+    steps = ([], [])  # per generator: id -> image id, -1 until slid
+    level = [tuple(range(len(images)))]
     prints = []
     for _ in range(depth):
         # the next length in canonical order: "a"+w for each w, then "b"+w
-        level = [_push(gens[g], images, index) for g in "ab" for images, index in level]
-        for images, index in level:
-            centres = [u[len(u) // 2] for u in images]
-            prints.append(tuple([centres[k] for k in index]))
+        nxt = []
+        for code, step in zip(gens, steps):
+            step.extend([-1] * (len(images) - len(step)))  # room for every id the level holds
+            for node in level:
+                child = _gather(step, node)
+                if -1 in child:
+                    # first-appearance order: a missing window raises where a
+                    # scan of every node's distinct images would meet it first
+                    for k in dict.fromkeys(node):
+                        if step[k] < 0:
+                            u = apply_to_word(code, images[k])
+                            step[k] = ids.setdefault(u, len(images))
+                            if step[k] == len(images):
+                                images.append(u)
+                                centres.append(u[len(u) // 2])
+                    child = _gather(step, node)
+                nxt.append(child)
+                prints.append(_gather(centres, child))
+        level = nxt
     first = {}
     collision = None
     for j, fingerprint in enumerate(prints):
@@ -471,9 +500,8 @@ def certify_free_semigroup(spec, a_cert, b_cert, depth):
             collision = (i, j)
     if collision:
         pair = (words[collision[0]], words[collision[1]])
-        return FreeSemigroupReport("collision", depth, words, None, pair)
-    matrix = tuple(tuple(u != v for v in words) for u in words)
-    return FreeSemigroupReport("free-to-depth", depth, words, matrix, None)
+        return FreeSemigroupReport("collision", depth, words, pair)
+    return FreeSemigroupReport("free-to-depth", depth, words, None)
 
 
 def commutator(a, b, a_inv, b_inv):

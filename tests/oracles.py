@@ -208,10 +208,8 @@ def free_semigroup_oracle(spec, a_cert, b_cert, depth):
                 break
         if collision:
             break
-    if collision:
-        return FreeSemigroupReport("collision", depth, words, None, collision)
-    matrix = tuple(tuple(prints[u] != prints[v] for v in words) for u in words)
-    return FreeSemigroupReport("free-to-depth", depth, words, matrix, None)
+    status = "collision" if collision else "free-to-depth"
+    return FreeSemigroupReport(status, depth, words, collision)
 
 
 def has_qualifying_occurrence(word, anchors, dist):

@@ -134,6 +134,13 @@ def test_compose_shifts(systems):
     assert equal_on_shift(full2.spec, sigma2, BlockCode.shift(full2.spec, 2))
 
 
+def test_shift_power_zero_is_range0_identity(systems):
+    full2 = systems["full2"]
+    code = BlockCode.shift(full2.spec, 0)
+    assert code.radius == 0
+    assert equal_on_shift(full2.spec, code, BlockCode.identity(full2.spec))
+
+
 def test_compose_matches_pointwise_action(systems):
     hallway = systems["hallway"]
     ab = compose(hallway.codes["phi_a"], hallway.codes["phi_b"])

@@ -117,14 +117,31 @@ def test_free_semigroup_matches_oracle(data):
             == _outcome(free_semigroup_oracle, spec, *gens, depth))
 
 
-@pytest.mark.parametrize("gen_b", ["phi_b", "phi_a"])
-def test_hallway_walks_match_free_oracle(systems, gen_b):
+@pytest.mark.parametrize("gen_b, top, collision", [
+    pytest.param("phi_b", 7, None, id="phi_b"),
+    pytest.param("phi_a", 6, (("a",), ("b",)), id="phi_a"),
+    pytest.param("phi_a_inv", 6, (("a",), ("a", "a", "b")), id="phi_a_inv"),
+])
+def test_hallway_walks_match_free_oracle(systems, gen_b, top, collision):
+    """Up to the depths the benchmark's certify-free jobs use."""
     hallway = systems["hallway"]
     gens = (SimpleNamespace(code=hallway.codes["phi_a"]),
             SimpleNamespace(code=hallway.codes[gen_b]))
-    for depth in range(1, 5):
-        assert (certify_free_semigroup(hallway.spec, *gens, depth)
-                == free_semigroup_oracle(hallway.spec, *gens, depth))
+    for depth in range(1, top + 1):
+        report = certify_free_semigroup(hallway.spec, *gens, depth)
+        assert report == free_semigroup_oracle(hallway.spec, *gens, depth)
+    assert report.collision == collision
+
+
+@pytest.mark.parametrize("radius", [0, 1])
+def test_single_window_language_collides_at_first_pair(radius):
+    spec = build_sft(Alphabet(["0"]), [])
+    ident = SimpleNamespace(code=BlockCode.identity(spec, radius))
+    for depth in range(1, 4):
+        report = certify_free_semigroup(spec, ident, ident, depth)
+        assert report == free_semigroup_oracle(spec, ident, ident, depth)
+        assert report.collision == (("a",), ("b",))
+        assert report.distinct is None
 
 
 def test_missing_window_raises_in_walk_and_oracle(systems):
