@@ -11,22 +11,26 @@ two-sided inverse verified on the language, while a failed inverse
 search is merely inconclusive.  It is sound on every backend: the
 endomorphism check is decided, not bounded.
 
-The two checks that scan many words slide each block once.  The
-endomorphism check walks the spec's compiled automaton rows to a
-fixpoint, expanding each key (automaton state, last 2R letters,
-automaton state of the image) once; words with equal keys have equal
-futures, so the witness is the one a scan of every word of every length
-would find.  The free-semigroup check pushes the language windows
-down the suffix trie of generator words as tuples of interned word ids;
-a step table per generator, id to image id, is filled by one slide the
-first time a node holds an id, so automorphisms take at most
-2 * sum_m |L_m| slides.
+Every slide walks window ranks: a code keeps `outputs`, its letter on
+each window of L_{2R+1} by canonical rank, and the spec's window tables
+give each next window's rank from the last rank and the new letter, with
+no slice and no tuple hash.  The two checks that scan many words slide
+each block once.  The endomorphism check walks the spec's compiled
+automaton rows to a fixpoint, expanding each key (automaton state, rank
+of the last 2R letters, automaton state of the image) once; words with
+equal keys have equal futures, so the witness is the one a scan of
+every word of every length would find.  The free-semigroup check pushes
+the language windows down the suffix trie of generator words as tuples
+of interned word ids; a step table per generator, id to image id, is
+filled by one slide the first time a node holds an id, so automorphisms
+take at most 2 * sum_m |L_m| slides.
 """
 
 import itertools
 import json
 from dataclasses import dataclass
 from operator import itemgetter
+from types import MappingProxyType
 
 from .errors import (
     InvalidChainError,
@@ -38,15 +42,22 @@ from .words import Configuration, occurrences
 
 
 class BlockCode:
-    """Sliding block code of declared range with a total language table."""
+    """Sliding block code of declared range with a total language table.
 
-    __slots__ = ("spec", "radius", "rule")
+    `outputs[k]` is the letter on the window of rank k in L_{2R+1}; `rule`
+    is the same table by window, read-only."""
+
+    __slots__ = ("spec", "radius", "rule", "outputs")
 
     def __init__(self, spec, radius, rule):
         if radius < 0:
             raise ValueError("range must be >= 0")
         domain = spec.words(2 * radius + 1)
-        if len(rule) != len(domain) or not all(w in rule for w in domain):
+        try:
+            outputs = [rule[w] for w in domain]
+        except KeyError:
+            outputs = None
+        if outputs is None or len(rule) != len(domain):
             domain, keys = set(domain), set(rule)
             raise ValueError(
                 f"rule table must cover exactly the language windows; "
@@ -56,7 +67,8 @@ class BlockCode:
                 raise ValueError(f"rule output {letter!r} not in alphabet")
         self.spec = spec
         self.radius = radius
-        self.rule = dict(rule)
+        self.rule = MappingProxyType(dict(rule))
+        self.outputs = outputs
 
     @classmethod
     def from_function(cls, spec, radius, fn):
@@ -92,33 +104,45 @@ def _missing_window(code, window):
         f"window {window!r} missing from range-{code.radius} rule table")
 
 
+def _images(code, words):
+    """Each word's image: the first window's rank k is looked up, each next
+    one is ext[tail[k]][a] (`SubshiftSpec._windows`), and outputs[k] is
+    emitted.  The first window outside the language raises."""
+    span = 2 * code.radius + 1
+    rank, ext, tail = code.spec._windows(span)
+    outputs = code.outputs
+    for word in words:
+        out = []
+        try:
+            k = rank[word[:span]]
+            out.append(outputs[k])
+            for a in word[span:]:
+                k = ext[tail[k]][a]
+                out.append(outputs[k])
+        except KeyError:
+            raise _missing_window(code, word[len(out):len(out) + span]) from None
+        yield tuple(out)
+
+
 def apply_to_word(code, word):
     """Slide the code over the word: output length |w| - 2R."""
     word = tuple(word)
     span = 2 * code.radius + 1
     if len(word) < span:
         raise ValueError(f"word of length {len(word)} shorter than window {span}")
-    rule = code.rule
-    try:
-        return tuple([rule[word[i:i + span]] for i in range(len(word) - span + 1)])
-    except KeyError as exc:
-        raise _missing_window(code, exc.args[0]) from None
+    return next(_images(code, (word,)))
 
 
 def apply_to_config(code, config):
     """Image of an eventually periodic point; tail periods are preserved."""
     radius = code.radius
-
-    def out(t):
-        return code.output(config.window(t - radius, 2 * radius + 1))
-
     pure_l = -config.offset - radius - 1   # rightmost output drawn purely from the left tail
     pure_r = len(config.center) - config.offset + radius
-    lp, rp = len(config.left), len(config.right)
-    left = tuple(out(t) for t in range(pure_l - lp + 1, pure_l + 1))
-    center = tuple(out(t) for t in range(pure_l + 1, pure_r))
-    right = tuple(out(t) for t in range(pure_r, pure_r + rp))
-    return Configuration(left, center, right, offset=-(pure_l + 1))
+    lp, mid, rp = len(config.left), pure_r - pure_l - 1, len(config.right)
+    # one slide over the stretch whose outputs are a left period, the centre and a right period
+    stretch = config.window(pure_l - lp + 1 - radius, lp + mid + rp + 2 * radius)
+    image = next(_images(code, (stretch,)))
+    return Configuration(image[:lp], image[lp:lp + mid], image[lp + mid:], offset=-(pure_l + 1))
 
 
 def compose(outer, inner):
@@ -127,15 +151,10 @@ def compose(outer, inner):
         raise ValueError("composed codes must live on the same subshift")
     spec = outer.spec
     radius = outer.radius + inner.radius
-    outer_rule, inner_rule = outer.rule, inner.rule
-    span, width = 2 * inner.radius + 1, 2 * outer.radius + 1
+    words = spec.words(2 * radius + 1)
     rule = {}
-    for w in spec.words(2 * radius + 1):
-        try:
-            image = tuple([inner_rule[w[i:i + span]] for i in range(width)])
-        except KeyError as exc:
-            raise _missing_window(inner, exc.args[0]) from None
-        letter = outer_rule.get(image)
+    for w, image in zip(words, _images(inner, words)):
+        letter = outer.rule.get(image)
         if letter is None:
             raise _missing_window(outer, image)
         rule[w] = letter
@@ -157,14 +176,9 @@ def reduce_range(code):
     """Smallest-range code equal to this one on the subshift."""
     while code.radius > 0:
         groups = {}
-        ok = True
         for w, letter in code.rule.items():
-            mid = w[1:-1]
-            if groups.setdefault(mid, letter) != letter:
-                ok = False
-                break
-        if not ok:
-            return code
+            if groups.setdefault(w[1:-1], letter) != letter:
+                return code
         code = BlockCode(code.spec, code.radius - 1, groups)
     return code
 
@@ -172,7 +186,7 @@ def reduce_range(code):
 def equal_on_shift(spec, a, b):
     """Equality as maps on X, decided on the common-range window table."""
     radius = max(a.radius, b.radius)
-    return pad(a, radius).rule == pad(b, radius).rule
+    return pad(a, radius).outputs == pad(b, radius).outputs
 
 
 @dataclass(frozen=True)
@@ -203,20 +217,27 @@ def find_inverse(spec, code, r_max):
     word of L_{2(r+R)+1}, the code applied to the candidate's image must
     give back the centre letter, an image outside the code's table
     failing the range.
+
+    A key-set failure persists at every higher range, so the search stops
+    there: languages extend on both sides, and each image at range r+1
+    holds at its centre the image at range r of its source's centred
+    subword.  So an image outside L_{2r+1}, or a word of L_{2r+1} that is
+    no image, is the centre of such a word at range r+1.
     """
     for r in range(r_max + 1):
         centre = r + code.radius
         words = spec.words(2 * centre + 1)
         forced = {}
-        for w in words:
-            if forced.setdefault(apply_to_word(code, w), w[centre]) != w[centre]:
+        for w, image in zip(words, _images(code, words)):
+            if forced.setdefault(image, w[centre]) != w[centre]:
                 break
         else:
             domain = spec.words(2 * r + 1)
             if len(forced) != len(domain) or not all(u in forced for u in domain):
-                continue
+                return None
             candidate = BlockCode(spec, r, {u: forced[u] for u in domain})
-            if all(code.rule.get(apply_to_word(candidate, w)) == w[centre] for w in words):
+            if all(code.rule.get(image) == w[centre]
+                   for w, image in zip(words, _images(candidate, words))):
                 return candidate
     return None
 
@@ -225,10 +246,12 @@ def _endomorphism_witness(spec, code):
     """A language word whose image leaves the language, or None.
 
     A walk over the compiled automaton rows decides it on every backend.
-    A source word of length n+2R carries a key: its automaton state, its
-    last 2R letters and the automaton state of its length-n image.  Each
-    step appends one image letter, the rule's output on the last 2R+1
-    letters.  Words with equal keys have the same extensions with the same
+    A source word of length n+2R carries a key: its automaton state, the
+    rank in L_{2R} of its last 2R letters (a one-to-one relabelling of
+    the letters, so the witness is unchanged) and the automaton state of
+    its length-n image.  Each step appends one image letter, the output
+    on the last 2R+1 letters, whose rank the spec's window tables give.
+    Words with equal keys have the same extensions with the same
     verdicts, so each key is expanded once, by the canonically first word
     reaching it on the first level it appears, and the walk stops when a
     level brings no new key; there are finitely many keys.
@@ -240,24 +263,22 @@ def _endomorphism_witness(spec, code):
     expanded, and extensions come in canonical order (parent, then letter).
     """
     rows = spec._transitions()
-    rule, tail = code.rule, 2 * code.radius
+    _, ext, tail = code.spec._windows(2 * code.radius + 1)
     frontier = [((), 0)]
-    for _ in range(tail):
+    for _ in range(2 * code.radius):
         frontier = [(w + (a,), t) for w, s in frontier for a, t in rows[s].items()]
-    level = {(s, w, 0): w for w, s in frontier}
+    # the rows list letters in alphabet order, so the frontier is L_{2R} in canonical order
+    level = {(s, j, 0): w for j, (w, s) in enumerate(frontier)}
     seen = set(level)
     while level:
         nxt = {}
-        for (s, last, t), w in level.items():
+        for (s, j, t), w in level.items():
             for a, s2 in rows[s].items():
-                window = last + (a,)
-                try:
-                    t2 = rows[t].get(rule[window])
-                except KeyError:
-                    raise _missing_window(code, window) from None
+                k = ext[j][a]
+                t2 = rows[t].get(code.outputs[k])
                 if t2 is None:
                     return w + (a,), apply_to_word(code, w + (a,))
-                key = (s2, window[1:], t2)
+                key = (s2, tail[k], t2)
                 if key not in seen:
                     seen.add(key)
                     nxt[key] = w + (a,)
@@ -374,8 +395,7 @@ def subgroup_closure(spec, gens, cap):
 
     def add(code):
         code = reduce_range(code)
-        key = (code.radius,
-               tuple([code.rule[w] for w in spec.words(2 * code.radius + 1)]))
+        key = (code.radius, tuple(code.outputs))
         if key in keys:
             return False
         keys.add(key)
@@ -481,13 +501,12 @@ def certify_free_semigroup(spec, a_cert, b_cert, depth):
                 if -1 in child:
                     # first-appearance order: a missing window raises where a
                     # scan of every node's distinct images would meet it first
-                    for k in dict.fromkeys(node):
-                        if step[k] < 0:
-                            u = apply_to_word(code, images[k])
-                            step[k] = ids.setdefault(u, len(images))
-                            if step[k] == len(images):
-                                images.append(u)
-                                centres.append(u[len(u) // 2])
+                    todo = [k for k in dict.fromkeys(node) if step[k] < 0]
+                    for k, u in zip(todo, _images(code, [images[k] for k in todo])):
+                        step[k] = ids.setdefault(u, len(images))
+                        if step[k] == len(images):
+                            images.append(u)
+                            centres.append(u[len(u) // 2])
                     child = _gather(step, node)
                 nxt.append(child)
                 prints.append(_gather(centres, child))

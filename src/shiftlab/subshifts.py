@@ -49,6 +49,7 @@ class SubshiftSpec:
         self.is_empty = False
         self._rows = None
         self._word_cache = {}
+        self._window_cache = {}
         self._count_cache = {}
         self._count_front = None  # (length, path counts per state) of the longest count
 
@@ -99,6 +100,21 @@ class SubshiftSpec:
                          for v, _ in _runs(rows, memo, s, half)]
             self._word_cache[n] = tuple(words)
         return self._word_cache[n]
+
+    def _windows(self, span):
+        """(rank, ext, tail) of L_span: `rank[w]` is w's canonical index,
+        `ext[j][a]` the rank of u+(a,) for u of rank j in L_{span-1} (L_0 =
+        {()}; each u is a prefix, ranked by first appearance), `tail[k]`
+        the rank of w[1:] for w of rank k."""
+        if span not in self._window_cache:
+            words = self.words(span)
+            rank = {w: k for k, w in enumerate(words)}
+            heads = {u: j for j, u in enumerate(dict.fromkeys(w[:-1] for w in words))}
+            ext = [{} for _ in heads]
+            for w, k in rank.items():
+                ext[heads[w[:-1]]][w[-1]] = k
+            self._window_cache[span] = rank, ext, [heads[w[1:]] for w in words]
+        return self._window_cache[span]
 
     def count_words(self, n):
         """|L_n|; 1 for n <= 0 (the empty word); 0 for the empty subshift."""

@@ -17,7 +17,9 @@ keys reduced tables and applies the generators and inverses after the
 newest sphere only; the inverse oracle
 checks both compositions against the identity, where the library checks
 one direction without composing.  These oracles compose through
-`compose_oracle`, the word-by-word composition, not `autos.compose`.
+`compose_oracle`, the word-by-word composition, not `autos.compose`,
+and slide through `apply_to_word_oracle`, which slices each window and
+looks it up in the rule table, where the library walks window ranks.
 The language-engine oracles walk the compiled rows level by level, rerun
 the count DP from length 0 on every call, and test each two-sided
 extension with `contains`, where the library joins half-length runs,
@@ -173,13 +175,11 @@ def endomorphism_witness_oracle(spec, code):
     """First language word, shortest length first, whose image leaves X.
 
     Every language word of every image length up to `image_length_bound`
-    is slid through `apply_to_word` and its image tested with `contains`.
+    is slid through `apply_to_word_oracle` and its image tested with `contains`.
     """
-    from shiftlab.autos import apply_to_word
-
     for n in range(1, image_length_bound(spec, code) + 1):
         for w in spec.words(n + 2 * code.radius):
-            image = apply_to_word(code, w)
+            image = apply_to_word_oracle(code, w)
             if not spec.contains(image):
                 return w, image
     return None
@@ -187,13 +187,13 @@ def endomorphism_witness_oracle(spec, code):
 
 def free_semigroup_oracle(spec, a_cert, b_cert, depth):
     """Composed, padded rule tables of every generator word, pairwise scan."""
-    from shiftlab.autos import FreeSemigroupReport, compose, pad, semigroup_words
+    from shiftlab.autos import FreeSemigroupReport, pad, semigroup_words
 
     gens = {"a": a_cert.code, "b": b_cert.code}
     words = semigroup_words(depth)
     codes = {}
     for w in words:
-        codes[w] = gens[w[0]] if len(w) == 1 else compose(gens[w[0]], codes[w[1:]])
+        codes[w] = gens[w[0]] if len(w) == 1 else compose_oracle(gens[w[0]], codes[w[1:]])
     top = max(code.radius for code in codes.values())
     window_order = spec.words(2 * top + 1)
     prints = {}
@@ -260,19 +260,35 @@ def syndetic_gap_oracle(spec, chain, dist, cap):
     return SyndeticReport("cap-exceeded", None, dist, cap, prev_cex)
 
 
+def apply_to_word_oracle(code, word):
+    """Slide the code over the word by slicing each window and looking it up."""
+    from shiftlab.errors import RuleIncompleteError
+
+    word = tuple(word)
+    span = 2 * code.radius + 1
+    if len(word) < span:
+        raise ValueError(f"word of length {len(word)} shorter than window {span}")
+    rule = code.rule
+    try:
+        return tuple([rule[word[i:i + span]] for i in range(len(word) - span + 1)])
+    except KeyError as exc:
+        raise RuleIncompleteError(f"window {exc.args[0]!r} missing from "
+                                  f"range-{code.radius} rule table") from None
+
+
 def compose_oracle(outer, inner):
-    """outer after inner, sliding `inner` over each window through `apply_to_word`."""
-    from shiftlab.autos import BlockCode, apply_to_word
+    """outer after inner, sliding `inner` over each window through `apply_to_word_oracle`."""
+    from shiftlab.autos import BlockCode
 
     spec = outer.spec
     radius = outer.radius + inner.radius
-    return BlockCode(spec, radius, {w: outer.output(apply_to_word(inner, w))
+    return BlockCode(spec, radius, {w: outer.output(apply_to_word_oracle(inner, w))
                                     for w in spec.words(2 * radius + 1)})
 
 
 def find_inverse_oracle(spec, code, r_max):
     """Forced inverse tables, accepted when both compositions equal the identity."""
-    from shiftlab.autos import BlockCode, apply_to_word, equal_on_shift
+    from shiftlab.autos import BlockCode, equal_on_shift
     from shiftlab.errors import RuleIncompleteError
 
     ident = BlockCode.identity(spec, 0)
@@ -280,7 +296,7 @@ def find_inverse_oracle(spec, code, r_max):
         forced = {}
         consistent = True
         for w in spec.words(2 * (r + code.radius) + 1):
-            image = apply_to_word(code, w)
+            image = apply_to_word_oracle(code, w)
             center = w[r + code.radius]
             if forced.setdefault(image, center) != center:
                 consistent = False

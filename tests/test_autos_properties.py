@@ -1,11 +1,12 @@
 """Differential tests of the code algebra on generated specs and codes.
 
-`autos._endomorphism_witness`, `certify_free_semigroup`, `find_inverse`
-and `subgroup_closure` are checked against the oracles in `oracles.py`:
-the same witness (or None), the same report including the first
-collision pair, the same inverse table (or None), the same closure
-status and set of maps, and the same exception type when a rule
-table misses a window.  Inputs are the spec strategies of
+`autos._endomorphism_witness`, `certify_free_semigroup`, `find_inverse`,
+`subgroup_closure`, `apply_to_word` and `compose` are checked against
+the oracles in `oracles.py`: the same witness (or None), the same report
+including the first collision pair, the same inverse table (or None),
+the same closure status and set of maps, the same images and tables,
+and the same exception when a slide meets a window outside the
+language, which no rule table holds.  Inputs are the spec strategies of
 `test_language_properties.py` and codes of range 0-2: permutations of
 the centre letter, shifted permutations and random tables; closures run
 on letter maps of the full 3-shift and on the shift, its inverse and
@@ -24,6 +25,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from oracles import (
+    apply_to_word_oracle,
+    compose_oracle,
     endomorphism_witness_oracle,
     find_inverse_oracle,
     free_semigroup_oracle,
@@ -66,17 +69,19 @@ def codes(draw, spec, max_radius=2):
     return BlockCode.from_function(spec, radius, lambda w: perm[w[radius + t]])
 
 
-def _drop_window(data, code):
-    """Now and then delete one window from the rule table behind the code's back."""
-    if data.draw(st.integers(0, 3)) == 0:
-        del code.rule[data.draw(st.sampled_from(sorted(code.rule)))]
-
-
 def _outcome(fn, *args):
     try:
         return "value", fn(*args)
     except RuleIncompleteError:
         return "raised", RuleIncompleteError
+
+
+def _result(fn, *args):
+    """The value, or the type and message of the error raised."""
+    try:
+        return "value", fn(*args)
+    except (RuleIncompleteError, ValueError) as exc:
+        return type(exc), str(exc)
 
 
 def _largest(value, fits):
@@ -98,7 +103,6 @@ def test_endomorphism_witness_matches_oracle(data):
     while code.radius > 0 and not fits(code):
         code = data.draw(codes(spec, code.radius - 1))
     assume(fits(code))
-    _drop_window(data, code)
     assert (_outcome(_endomorphism_witness, spec, code)
             == _outcome(endomorphism_witness_oracle, spec, code))
 
@@ -107,8 +111,9 @@ def test_endomorphism_witness_matches_oracle(data):
 @given(st.data())
 def test_free_semigroup_matches_oracle(data):
     spec = data.draw(specs)
+    # random tables are mostly no endomorphisms: their images leave the
+    # language, and sliding over such an image raises in both
     a, b = data.draw(codes(spec)), data.draw(codes(spec))
-    _drop_window(data, a)
     radius = max(a.radius, b.radius)
     depth = _largest(data.draw(st.integers(1, 4)),
                      lambda d: spec.count_words(2 * d * radius + 1) <= BUDGET // 4)
@@ -144,17 +149,70 @@ def test_single_window_language_collides_at_first_pair(radius):
         assert report.distinct is None
 
 
-def test_missing_window_raises_in_walk_and_oracle(systems):
-    full2 = systems["full2"]
-    code = BlockCode.identity(full2.spec, 1)
-    del code.rule[("1", "0", "1")]
-    gens = SimpleNamespace(code=code), SimpleNamespace(code=code)
-    for fn, args in ((_endomorphism_witness, (full2.spec, code)),
-                     (endomorphism_witness_oracle, (full2.spec, code)),
-                     (certify_free_semigroup, (full2.spec, *gens, 2)),
-                     (free_semigroup_oracle, (full2.spec, *gens, 2))):
+def test_off_language_windows_raise_in_library_and_oracles(systems):
+    # "1 next to a 1" turns the one marker of at_most_one_1 into two
+    spec = systems["at_most_one_1"].spec
+    spread = BlockCode.from_function(spec, 1, lambda w: "1" if "1" in (w[0], w[2]) else "0")
+    gens = SimpleNamespace(code=spread), SimpleNamespace(code=spread)
+    for fn in (certify_free_semigroup, free_semigroup_oracle):
         with pytest.raises(RuleIncompleteError):
-            fn(*args)
+            fn(spec, *gens, 2)
+    got, expected = _result(compose, spread, spread), _result(compose_oracle, spread, spread)
+    assert got == expected and got[0] is RuleIncompleteError
+    word = tuple("0010100")
+    got, expected = _result(apply_to_word, spread, word), _result(apply_to_word_oracle, spread, word)
+    assert got == expected == (RuleIncompleteError,
+                               "window ('1', '0', '1') missing from range-1 rule table")
+
+
+def test_rule_is_read_only(systems):
+    code = BlockCode.identity(systems["full2"].spec, 1)
+    window = ("1", "0", "1")
+    with pytest.raises(TypeError):
+        del code.rule[window]
+    with pytest.raises(TypeError):
+        code.rule[window] = "1"
+    assert code.rule[window] == "0"
+    assert code.outputs == [w[1] for w in systems["full2"].spec.words(3)]
+
+
+def _budget_codes(data, spec, budget):
+    """Two drawn codes, ranges lowered until L_{2(R+R')+1} fits the budget."""
+    outer, inner = data.draw(codes(spec)), data.draw(codes(spec))
+    while (outer.radius or inner.radius) and spec.count_words(
+            2 * (outer.radius + inner.radius) + 1) > budget:
+        if outer.radius >= inner.radius:
+            outer = data.draw(codes(spec, outer.radius - 1))
+        else:
+            inner = data.draw(codes(spec, inner.radius - 1))
+    return outer, inner
+
+
+@SETTINGS
+@given(st.data())
+def test_apply_to_word_matches_oracle(data):
+    spec = data.draw(specs)
+    code = data.draw(codes(spec))
+    rng = data.draw(st.randoms(use_true_random=False))
+    length = data.draw(st.integers(0, 12))
+    words = _long_words(spec, rng, length, 5)
+    words += data.draw(st.lists(st.lists(st.sampled_from(spec.alphabet.letters),
+                                         max_size=12).map(tuple), max_size=5))
+    for word in words:
+        assert _result(apply_to_word, code, word) == _result(apply_to_word_oracle, code, word)
+
+
+def _code_result(fn, *args):
+    kind, value = _result(fn, *args)
+    return (kind, (value.radius, value.rule)) if kind == "value" else (kind, value)
+
+
+@SETTINGS
+@given(st.data())
+def test_compose_matches_oracle(data):
+    spec = data.draw(specs)
+    outer, inner = _budget_codes(data, spec, BUDGET // 4)
+    assert _code_result(compose, outer, inner) == _code_result(compose_oracle, outer, inner)
 
 
 def _table(code):
@@ -176,9 +234,23 @@ def _inverse_budget(spec, code):
 def test_find_inverse_matches_oracle(data):
     spec = data.draw(specs)
     code = data.draw(codes(spec))
-    r_max = _largest(data.draw(st.integers(0, 2)), _inverse_budget(spec, code))
+    r_max = _largest(data.draw(st.integers(0, 3)), _inverse_budget(spec, code))
     assert (_table(find_inverse(spec, code, r_max))
             == _table(find_inverse_oracle(spec, code, r_max)))
+
+
+@pytest.mark.parametrize("name, radius, fn", [
+    pytest.param("golden_mean", 0, lambda w: "0", id="merging-letter-map"),
+    # r = 0 conflicts, r = 1 fails the key set: the one marker becomes two
+    pytest.param("at_most_one_1", 1, lambda w: "1" if "1" in (w[0], w[2]) else "0",
+                 id="spreading-marker"),
+])
+def test_find_inverse_none_for_non_injective_codes(systems, name, radius, fn):
+    spec = systems[name].spec
+    code = BlockCode.from_function(spec, radius, fn)
+    for r_max in range(4):
+        assert find_inverse(spec, code, r_max) is None
+        assert find_inverse_oracle(spec, code, r_max) is None
 
 
 @SETTINGS

@@ -7,6 +7,8 @@ also checked against its former self: `words` (joined half-length runs)
 against the level-by-level walk, `count_words` (one DP advanced across
 calls) against the DP rerun from length 0, in any call order, and the
 extension step (the end state's row) against per-extension `contains`.
+The window tables block codes slide by (`SubshiftSpec._windows`) are
+checked against ranks and slices of the canonical word lists.
 """
 
 import itertools
@@ -15,6 +17,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -136,6 +139,39 @@ def test_extension_step_matches_contains_oracle(spec, data):
         n = data.draw(st.integers(1, 4))
         wordset |= set(itertools.islice(spec.words(n), data.draw(st.integers(0, 8))))
     assert _centered_extensions(spec, wordset) == centered_extensions_oracle(spec, wordset)
+
+
+def _check_windows(spec, span):
+    words = spec.words(span)
+    rank, ext, tail = spec._windows(span)
+    assert rank == {w: k for k, w in enumerate(words)}
+    shorter = spec.words(span - 1) if span > 1 else ((),)
+    assert len(ext) == len(shorter)
+    for j, u in enumerate(shorter):
+        assert ext[j] == {a: rank[u + (a,)] for a in spec.alphabet.letters if u + (a,) in rank}
+    assert tail == [shorter.index(w[1:]) for w in words]
+
+
+@SETTINGS
+@given(any_specs)
+def test_window_tables_match_ranks_and_slices(spec):
+    if not spec.is_empty:
+        for span in range(1, 5):
+            if spec.count_words(span) > BUDGET // 10:
+                break
+            _check_windows(spec, span)
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(build_sft(Alphabet("0"), []), id="one-letter"),
+    pytest.param(build_sft(Alphabet("01"), [("1", "1")]), id="golden-mean"),
+    pytest.param(build_sparse(Alphabet("0ab"), "0", [("a", "b")]), id="sparse"),
+    pytest.param(product(build_sft(Alphabet("01"), [("1", "1")]),
+                         build_sparse(Alphabet("0a"), "0", [("a",)])), id="product"),
+])
+@pytest.mark.parametrize("span", [1, 2, 3])
+def test_window_tables_on_fixed_specs(spec, span):
+    _check_windows(spec, span)
 
 
 def test_importing_oracles_loads_no_shiftlab_module():
