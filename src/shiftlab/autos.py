@@ -145,10 +145,17 @@ def apply_to_config(code, config):
     return Configuration(image[:lp], image[lp:lp + mid], image[lp + mid:], offset=-(pure_l + 1))
 
 
+def _check_inputs(spec, codes, r_max=0):
+    """Reject codes on another subshift (their window ranks are not spec's) and r_max < 0."""
+    if any(code.spec is not spec and code.spec != spec for code in codes):
+        raise ValueError("code lives on a different subshift")
+    if r_max < 0:
+        raise ValueError("r_max must be >= 0")
+
+
 def compose(outer, inner):
     """outer after inner; ranges add, table restricted to language windows."""
-    if outer.spec is not inner.spec and outer.spec != inner.spec:
-        raise ValueError("composed codes must live on the same subshift")
+    _check_inputs(outer.spec, (inner,))
     spec = outer.spec
     radius = outer.radius + inner.radius
     words = spec.words(2 * radius + 1)
@@ -224,6 +231,7 @@ def find_inverse(spec, code, r_max):
     subword.  So an image outside L_{2r+1}, or a word of L_{2r+1} that is
     no image, is the centre of such a word at range r+1.
     """
+    _check_inputs(spec, (code,), r_max)
     for r in range(r_max + 1):
         centre = r + code.radius
         words = spec.words(2 * centre + 1)
@@ -294,6 +302,7 @@ def certify_automorphism(spec, code, r_max):
     "unknown" is inconclusive; an image word leaving the language is a
     definitive rejection.
     """
+    _check_inputs(spec, (code,), r_max)
     witness = _endomorphism_witness(spec, code)
     if witness is not None:
         return CertifyResult("not-endomorphism", witness=witness)
@@ -483,6 +492,7 @@ def certify_free_semigroup(spec, a_cert, b_cert, depth):
     if depth < 1:
         raise ValueError("depth must be >= 1")
     gens = (a_cert.code, b_cert.code)
+    _check_inputs(spec, gens)
     words = semigroup_words(depth)
     top = depth * max(code.radius for code in gens)
     images = list(spec.words(2 * top + 1))  # id -> word
@@ -554,7 +564,7 @@ def parse_code(spec, obj, where="code"):
     if missing:
         raise SpecFormatError(f"{where}: missing keys {sorted(missing)}")
     radius = obj["range"]
-    if not isinstance(radius, int) or radius < 0:
+    if not isinstance(radius, int) or isinstance(radius, bool) or radius < 0:
         raise SpecFormatError(f"{where}.range: expected an integer >= 0")
     if tuple(obj["alphabet"]) != spec.alphabet.letters:
         raise SpecFormatError(f"{where}.alphabet: does not match the subshift alphabet")

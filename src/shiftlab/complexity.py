@@ -49,6 +49,8 @@ class ComplexityTable:
 
 
 def complexity_table(spec, max_n):
+    if max_n < 1:
+        raise ValueError("max_n must be >= 1")
     values = {n: complexity(spec, n) for n in range(1, max_n + 1)}
     return ComplexityTable(subshift_id=spec_digest(spec), values=values)
 

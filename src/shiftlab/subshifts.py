@@ -27,7 +27,6 @@ the states, advanced from the longest length counted so far; and
 """
 
 import hashlib
-import itertools
 import json
 from collections import Counter
 
@@ -202,14 +201,6 @@ class CylinderHandle:
         return f"CylinderHandle({self.word!r})"
 
 
-def _has_forbidden_factor(word, forbidden):
-    for f in forbidden:
-        k = len(f)
-        if k <= len(word) and any(word[i:i + k] == f for i in range(len(word) - k + 1)):
-            return True
-    return False
-
-
 class SftSpec(SubshiftSpec):
     """Shift of finite type, backed by its essential transition graph.
 
@@ -234,37 +225,34 @@ class SftSpec(SubshiftSpec):
         self.forbidden = tuple(canon)
         self.order = max((len(f) for f in self.forbidden), default=1)
         self.window_len = self.order - 1  # vertex word length q
-        self._indegree = None
         self._build_graph()
 
     def _build_graph(self):
-        q = self.window_len
-        verts = [u for u in itertools.product(self.alphabet.letters, repeat=q)
-                 if not _has_forbidden_factor(u, self.forbidden)]
-        vert_set = set(verts)
-        out = {}
-        for u in verts:
-            letters = []
-            for a in self.alphabet.letters:
-                win = u + (a,)
-                if win[1:] in vert_set and not _has_forbidden_factor(win, self.forbidden):
-                    letters.append(a)
-            out[u] = letters
-        # prune until every vertex has in-degree and out-degree >= 1
-        alive = set(verts)
+        letters, forbidden = self.alphabet.letters, set(self.forbidden)
+        # The clean words of length q, grown in alphabet order, so each level
+        # is canonical.  A factor of u+(a,) that is no suffix lies in u, so for
+        # a clean u only the suffixes u[i:]+(a,) can be forbidden.
+        verts = [()]
+        for _ in range(self.window_len):
+            verts = [u + (a,) for u in verts for a in letters
+                     if not any(u[i:] + (a,) in forbidden for i in range(len(u) + 1))]
+        alive = vert_set = set(verts)
+        # A proper factor of the window w = u+(a,) lies in u or in w[1:], both
+        # clean vertices, so only w itself can be forbidden.
+        out = {u: [a for a in letters if (w := u + (a,)) not in forbidden and w[1:] in vert_set]
+               for u in verts}
+        # prune until every vertex has in- and out-degree >= 1, counting edges
+        # from live vertices: the last count is the live in-degree table (it
+        # may hold pruned vertices too, but the walks only visit live ones)
         while True:
-            has_in = set()
-            for u in alive:
-                for a in out[u]:
-                    v = (u + (a,))[1:]
-                    if v in alive:
-                        has_in.add(v)
+            in_degree = Counter((u + (a,))[1:] for u in alive for a in out[u])
             keep = {u for u in alive
-                    if u in has_in and any((u + (a,))[1:] in alive for a in out[u])}
+                    if in_degree[u] and any((u + (a,))[1:] in alive for a in out[u])}
             if keep == alive:
                 break
             alive = keep
-        self.vertices = tuple(sorted(alive, key=self.alphabet.word_key))
+        self._indegree = in_degree
+        self.vertices = tuple(u for u in verts if u in alive)
         self.out = {u: tuple(a for a in out[u] if (u + (a,))[1:] in alive)
                     for u in self.vertices}
         self.is_empty = not self.vertices
@@ -277,10 +265,7 @@ class SftSpec(SubshiftSpec):
         return (u + (a,))[1:]
 
     def _in_degrees(self):
-        """Edges entering each vertex, once per edge letter, counted once per spec."""
-        if self._indegree is None:
-            self._indegree = Counter(self.step(u, a)
-                                     for u in self.vertices for a in self.out[u])
+        """Edges entering each live vertex, once per edge letter, counted by the pruning."""
         return self._indegree
 
     def _next(self, state, a):

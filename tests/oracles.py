@@ -20,6 +20,9 @@ one direction without composing.  These oracles compose through
 `compose_oracle`, the word-by-word composition, not `autos.compose`,
 and slide through `apply_to_word_oracle`, which slices each window and
 looks it up in the rule table, where the library walks window ranks.
+The SFT graph oracle lists every word of length q and scans vertices and
+edge windows for forbidden factors, then sorts the survivors, where the
+library grows clean words letter by letter and tests one suffix set.
 The language-engine oracles walk the compiled rows level by level, rerun
 the count DP from length 0 on every call, and test each two-sided
 extension with `contains`, where the library joins half-length runs,
@@ -93,6 +96,56 @@ def sft_language_oracle(letters, forbidden, n):
         if extend_right(w[-q:] if q else (), m) and extend_left(w[:q] if q else (), m):
             out.append(w)
     return sorted(out)
+
+
+def sft_graph_oracle(spec):
+    """The SFT spec again, its essential graph built by brute force.
+
+    Every word of length q is listed and scanned for forbidden factors,
+    every edge window is scanned again, pruning keeps the vertices with
+    an in-edge and an out-edge, and the survivors are sorted; in-degrees
+    are counted afterwards over the pruned graph.
+    """
+    from collections import Counter
+
+    from shiftlab.subshifts import SftSpec
+
+    class BruteForceSft(SftSpec):
+        def _build_graph(self):
+            q = self.window_len
+            verts = [u for u in itertools.product(self.alphabet.letters, repeat=q)
+                     if not _contains_factor(u, self.forbidden)]
+            vert_set = set(verts)
+            out = {}
+            for u in verts:
+                letters = []
+                for a in self.alphabet.letters:
+                    win = u + (a,)
+                    if win[1:] in vert_set and not _contains_factor(win, self.forbidden):
+                        letters.append(a)
+                out[u] = letters
+            alive = set(verts)
+            while True:
+                has_in = set()
+                for u in alive:
+                    for a in out[u]:
+                        v = (u + (a,))[1:]
+                        if v in alive:
+                            has_in.add(v)
+                keep = {u for u in alive
+                        if u in has_in and any((u + (a,))[1:] in alive for a in out[u])}
+                if keep == alive:
+                    break
+                alive = keep
+            self.vertices = tuple(sorted(alive, key=self.alphabet.word_key))
+            self.out = {u: tuple(a for a in out[u] if (u + (a,))[1:] in alive)
+                        for u in self.vertices}
+            self.is_empty = not self.vertices
+            self._prefixes = {v[:i] for v in self.vertices for i in range(1, len(v) + 1)}
+            self._indegree = Counter(self.step(u, a)
+                                     for u in self.vertices for a in self.out[u])
+
+    return BruteForceSft(spec.alphabet, spec.forbidden)
 
 
 def sparse_language_oracle(background, families, n):

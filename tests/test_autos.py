@@ -193,6 +193,34 @@ def test_find_inverse_xor_rule_fails(systems):
     assert find_inverse(full2.spec, xor, 2) is None
 
 
+def test_code_on_another_subshift_is_rejected(systems):
+    # the full2 table 00000111 read on the shift without 00: its windows
+    # would be ranked in full2 and walked on the other automaton
+    full2 = systems["full2"]
+    no00 = build_sft(Alphabet("01"), [w("00")])
+    code = BlockCode(full2.spec, 1, dict(zip(full2.spec.words(3), "00000111")))
+    flip = certify_automorphism(full2.spec, full2.codes["flip"], 0).cert
+    calls = (lambda: certify_automorphism(no00, code, 1),
+             lambda: find_inverse(no00, code, 1),
+             lambda: certify_free_semigroup(no00, flip, flip, 1),
+             lambda: compose(BlockCode.identity(no00), code))
+    for call in calls:
+        with pytest.raises(ValueError, match="code lives on a different subshift"):
+            call()
+    # the same table rebuilt on that spec certifies, and an equal spec is accepted
+    rebuilt = BlockCode(no00, 1, {u: code.rule[u] for u in no00.words(3)})
+    assert certify_automorphism(no00, rebuilt, 1).status == "certified"
+    twin = build_sft(Alphabet("01"), [w("00")])
+    assert certify_automorphism(twin, rebuilt, 1).status == "certified"
+
+
+def test_negative_inverse_range_is_rejected(systems):
+    hallway = systems["hallway"]
+    for call in (find_inverse, certify_automorphism):
+        with pytest.raises(ValueError, match="r_max must be >= 0"):
+            call(hallway.spec, hallway.codes["phi_a"], -1)
+
+
 def test_certify_hallway_b(systems):
     hallway = systems["hallway"]
     result = certify_automorphism(hallway.spec, hallway.codes["phi_b"], 1)
@@ -329,6 +357,25 @@ def test_preserves_relative_form_precondition(systems):
     sigma = one.codes["shift"]
     with pytest.raises(ValueError):
         preserves_occurrences(one.spec, sigma, w("1"), anchors=([w("1")], 2))
+
+
+def test_preserves_relative_form_by_hand(systems):
+    # sigma reads the right neighbour and its inverse the left one, so a
+    # centred 000 maps onto 000 exactly when the letter beyond it on that
+    # side is 0
+    full2 = systems["full2"]
+    for power in (1, -1):
+        sigma = BlockCode.shift(full2.spec, power)
+        assert not preserves_occurrences(full2.spec, sigma, w("000"))
+        # D = 1: the stretch avoiding 1 holds both neighbours, so both are 0
+        assert preserves_occurrences(full2.spec, sigma, w("000"), anchors=([w("1")], 1))
+        # D = 0: the stretch is the target itself, the neighbour stays free
+        assert not preserves_occurrences(full2.spec, sigma, w("000"), anchors=([w("1")], 0))
+        # an 11 in the stretch x_-1 000 x_3 would need a 1 inside the
+        # target, so it excludes nothing and the plain verdict stands
+        assert not preserves_occurrences(full2.spec, sigma, w("000"), anchors=([w("11")], 1))
+    flip = full2.codes["flip"]
+    assert not preserves_occurrences(full2.spec, flip, w("000"), anchors=([w("1")], 2))
 
 
 def test_lemma_replay_hallway(systems, hallway_certs):

@@ -158,6 +158,34 @@ def test_verify_lemmas_removal(capsys):
     assert report["results"]["detail"]["instances"] == 3
 
 
+@pytest.mark.parametrize("suite, detail", [
+    ("chain", {
+        "at_most_one_1": {"k": 1, "L": 1, "L_prime": 5, "P(2L'-1)": 10,
+                          "bound_holds": True, "sharpening_holds": True,
+                          "words": [["1"], ["0"]]},
+        "hallway": {"k": 10, "L": 2, "L_prime": 6, "P(2L'-1)": 408,
+                    "bound_holds": True, "sharpening_holds": True,
+                    "words": [["1p"], ["ap"], ["bp"], ["1", "p"], ["1"], ["a", "p"],
+                              ["a"], ["b", "p"], ["b"], ["p"], ["0"]]}}),
+    ("extend", {
+        "at_most_one_1": {n: {"m": 1, "k_m": "exceeds-cap"} for n in ("8", "12", "16")},
+        "hallway": {n: {"m": 1, "k_m": "exceeds-cap"} for n in ("8", "12", "16")},
+        "full2": "hypothesis violation detected"}),
+    ("shadow", {"full2_golden": {"D": 1, "counterexample": ["1", "1", "0"]},
+                "at_most_one_1_trivial": {"D": 0}}),
+    ("syndetic", {"cycle2": {"G": 2, "counterexample": ["0"]},
+                  "at_most_one_1": {"D": 4, "G": 7}}),
+    ("subgroup", {"full2_flip": {"status": "ok", "size": 2},
+                  "full2_shift": {"status": "cap-exceeded"},
+                  "hallway_empty": {"status": "ok", "size": 1}}),
+])
+def test_verify_lemmas_fixed_suites(capsys, suite, detail):
+    code, report = run_cli(capsys, "verify-lemmas", "--suite", suite, "--seed", "1")
+    assert code == 0
+    assert report["violations"] == []
+    assert report["results"] == {"suite": suite, "detail": detail}
+
+
 def test_verify_lemmas_determinism(capsys):
     _, report1 = run_cli(capsys, "verify-lemmas", "--suite", "subexp",
                          "--trials", "5", "--seed", "9")
@@ -166,6 +194,36 @@ def test_verify_lemmas_determinism(capsys):
     report1.pop("elapsed_ms")
     report2.pop("elapsed_ms")
     assert report1 == report2
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["autos", "certify", "--spec", "builtin:hallway", "--code", "phi_a",
+                  "--rmax", "-1"], id="autos-certify"),
+    pytest.param(["certify-free", "--spec", "builtin:hallway", "--gen-a", "phi_a",
+                  "--gen-b", "phi_b", "--depth", "2", "--rmax", "-1"], id="certify-free"),
+    pytest.param(["spacetime", "--spec", "builtin:hallway", "--code", "phi_a", "--probe", "x3",
+                  "--width", "5", "--height", "3", "--rmax", "-1"], id="spacetime"),
+    pytest.param(["complexity", "--spec", "builtin:golden_mean", "--max-n", "0"],
+                 id="complexity"),
+])
+def test_out_of_range_parameter_is_usage_error(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be >= " in captured.err
+
+
+def test_boolean_code_range_is_input_error(tmp_path, capsys, systems):
+    obj = code_to_json(systems["full2"].codes["shift"])
+    assert obj["range"] == 1
+    obj["range"] = True
+    path = tmp_path / "shift.json"
+    path.write_text(json.dumps(obj))
+    assert main(["autos", "certify", "--spec", "builtin:full2", "--code", str(path),
+                 "--rmax", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ".range: expected an integer >= 0" in captured.err
 
 
 def test_malformed_spec_file_exits_2(tmp_path, capsys):

@@ -45,6 +45,12 @@ def test_complexity_table_formats(systems):
     assert '"1": 2' in table.to_json()
 
 
+@pytest.mark.parametrize("max_n", [0, -1])
+def test_complexity_table_rejects_empty_range(systems, max_n):
+    with pytest.raises(ValueError, match="max_n must be >= 1"):
+        complexity_table(systems["golden_mean"].spec, max_n)
+
+
 def test_complexity_monotone_and_bounded(systems):
     for system in systems.values():
         spec = system.spec

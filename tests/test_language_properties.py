@@ -8,7 +8,8 @@ against the level-by-level walk, `count_words` (one DP advanced across
 calls) against the DP rerun from length 0, in any call order, and the
 extension step (the end state's row) against per-extension `contains`.
 The window tables block codes slide by (`SubshiftSpec._windows`) are
-checked against ranks and slices of the canonical word lists.
+checked against ranks and slices of the canonical word lists, and the SFT
+essential graph against a brute-force build (`sft_graph_oracle`).
 """
 
 import itertools
@@ -18,12 +19,13 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     centered_extensions_oracle,
     count_words_oracle,
+    sft_graph_oracle,
     sft_language_oracle,
     sparse_language_oracle,
     words_oracle,
@@ -86,6 +88,35 @@ def _check_language(spec, oracle, max_n):
 @given(sft_specs())
 def test_sft_language_matches_oracle(case):
     _check_language(*case, max_n=5)
+
+
+@st.composite
+def sft_graph_cases(draw):
+    letters = draw(st.permutations("012"))[:draw(st.integers(1, 3))]
+    word = st.lists(st.sampled_from(letters), min_size=1, max_size=5).map(tuple)
+    return build_sft(Alphabet(letters), draw(st.lists(word, max_size=5)))
+
+
+@settings(SETTINGS, max_examples=300)
+@given(sft_graph_cases())
+@example(build_sft(Alphabet("01"), [("0",), ("1",)]))  # empty
+@example(build_sft(Alphabet("012"), [("1",)]))  # order 1: one vertex ()
+# vertex 11 has neither an in-edge nor an out-edge
+@example(build_sft(Alphabet("01"), [("0", "1", "1"), ("1", "1", "0"), ("1", "1", "1")]))
+@example(build_sft(Alphabet("01"), [("0", "0"), ("1", "0")]))  # pruned 0 has an edge into 1
+def test_sft_graph_matches_brute_force_oracle(spec):
+    # the essential graph against a build that lists all |A|^q words,
+    # scans every vertex and edge window for forbidden factors and sorts
+    ref = sft_graph_oracle(spec)
+    assert spec.vertices == ref.vertices  # including their order
+    assert spec.out == ref.out
+    assert spec._prefixes == ref._prefixes
+    assert spec.is_empty == ref.is_empty
+    if not spec.is_empty:
+        assert spec._transitions() == ref._transitions()
+    in_degree, ref_in_degree = spec._in_degrees(), ref._in_degrees()
+    for v in spec.vertices:
+        assert in_degree[v] == ref_in_degree[v]
 
 
 @SETTINGS
