@@ -174,9 +174,7 @@ def pad(code, radius):
         raise ValueError("cannot pad to a smaller range")
     if radius == code.radius:
         return code
-    d = radius - code.radius
-    return BlockCode.from_function(
-        code.spec, radius, lambda w: code.output(w[d:len(w) - d]))
+    return compose(code, BlockCode.identity(code.spec, radius - code.radius))
 
 
 def reduce_range(code):
@@ -315,6 +313,8 @@ def certify_automorphism(spec, code, r_max):
 
 def enumerate_automorphisms(spec, radius, table_cap=1_000_000):
     """All of Aut_R(X) by brute force over rule tables, canonically ordered."""
+    if radius < 0:
+        raise ValueError("range must be >= 0")
     domain = spec.words(2 * radius + 1)
     size = len(spec.alphabet) ** len(domain)
     if size > table_cap:
@@ -333,29 +333,21 @@ def preserves_occurrences(spec, code, target, anchors=None):
 
     Plain form: every language word with `target` centered maps onto
     `target`.  Relative form (anchors = (words, D)): the same, restricted
-    to occurrences whose D-stretch around the target avoids every anchor.
+    to occurrences whose D-stretch around the target avoids every anchor;
+    the plain form is the relative one with no anchors and D = 0.
     """
     target = tuple(target)
     radius = code.radius
-    if anchors is None:
-        for u in spec.words(len(target) + 2 * radius):
-            if u[radius:radius + len(target)] == target:
-                if apply_to_word(code, u) != target:
-                    return False
-        return True
-    anchor_words, dist = anchors
-    anchor_words = [tuple(w) for w in anchor_words]
-    if len(target) <= 2 * radius:
+    if anchors is not None and len(target) <= 2 * radius:
         raise ValueError("relative form needs |target| > 2R")
+    anchor_words, dist = ((), 0) if anchors is None else anchors
+    anchor_words = [tuple(w) for w in anchor_words]
     off = radius + dist
     for u in spec.words(len(target) + 2 * off):
-        if u[off:off + len(target)] != target:
-            continue
-        stretch = u[radius:radius + 2 * dist + len(target)]
-        if any(occurrences(stretch, a) for a in anchor_words):
-            continue
-        image = apply_to_word(code, u)
-        if image[dist:dist + len(target)] != target:
+        # u[radius:len(u) - radius] is the D-stretch around the target
+        if (u[off:off + len(target)] == target
+                and not any(occurrences(u[radius:len(u) - radius], a) for a in anchor_words)
+                and apply_to_word(code, u)[dist:dist + len(target)] != target):
             return False
     return True
 

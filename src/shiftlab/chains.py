@@ -21,7 +21,7 @@ from .errors import (
     NoUniqueExtenderError,
 )
 from .complexity import _centered_extensions, _extend_while_unique
-from .subshifts import ProductSpec, SftSpec, SparseSpec, build_sft, build_sparse, empty_sft
+from .subshifts import SftSpec, SparseSpec, build_sft, build_sparse, empty_sft
 
 
 # -- forbidding a word -----------------------------------------------------
@@ -49,58 +49,51 @@ def forbid(spec, word):
 
 # -- aperiodic points in cylinders ------------------------------------------
 
-def _sft_cylinder_aperiodic(spec, word):
-    """Decide the SFT case from the strongly connected components around w.
-
-    The SCCs around w are those that reach the first vertex of w's path
-    or are reached from its last.  A point through the path has its left
-    tail in a cycle-bearing SCC of the first kind and its right tail in
-    one of the second; each kind exists.  The cylinder holds an aperiodic
-    point exactly when the SCCs around w include a component with more
-    edges than vertices, or two distinct cycle components:
-    * a component with two distinct cycles gives a tail that is not
-      eventually periodic, while a periodic point's tails are;
-    * with two simple cycles, the two tails can run on different ones,
-      while a periodic point's two tails run on the same cycle;
-    * with one simple cycle C around w, every vertex of a through-point
-      is reachable from C and reaches C, so lies on C: the point runs
-      around C and is periodic.
-    The last case holds exactly when the first vertex lies on a simple
-    cycle C that no other edge enters or leaves.  There, a vertex on no
-    cycle around w would lie between two cycles around w, both C, so
-    every vertex around w is on C, and so is every edge touching C.  So
-    follow the first vertex's single out-edges until it returns, each
-    vertex on the way having one edge out and one in; with one edge in
-    each, the walk can only close up at its start.
-    """
-    q = spec.window_len
-    if len(word) < q:
-        return any(_sft_cylinder_aperiodic(spec, u)
-                   for u in spec.words(q) if u[:len(word)] == word)
-    in_degree = spec._in_degrees()
-    start = u = word[:q]
-    while len(spec.out[u]) == 1 and in_degree[u] == 1:
-        u = spec.step(u, spec.out[u][0])
-        if u == start:
-            return False
-    return True
-
-
 def cylinder_has_aperiodic(spec, word):
-    """Whether some aperiodic point carries `word` at positions 0..|w|-1."""
+    """Whether some aperiodic point carries `word` at positions 0..|w|-1.
+
+    Decided on the live automaton (`_live`): exactly when, for some live
+    state s reading w along live edges, the walk from s along single
+    out-edges into states of in-degree 1 does not close up at s.
+
+    1. The points of X are the labels of the bi-infinite live paths: a
+       stretch of such a path starts at a state reached from the start, so
+       its label lies in L(X) by factoriality; for x in X each x[-n, n) is
+       read from the start, and by compactness (Koenig's lemma) these runs
+       hold one bi-infinite path reading x.
+    2. A path whose left tail circles a cycle C, of length c, and whose
+       label has period p circles C throughout: shifted by c*p it has the
+       same label and agrees with itself far left, and in a deterministic
+       automaton a state and the letters after it fix the rest.
+    3. If the walk closes up, s lies on a cycle C whose states have one
+       live edge in and one out, so every live path through s circles C.
+    4. If not, some path through s reading w has an aperiodic label.  If
+       none had, enter s from a cycle C, read w, go on: by 2 this circles C,
+       so w's path and every path after it follow C, and each state of C
+       has one edge out.  An edge e into C that is not C's gives such a
+       path with a left tail circling some cycle C' into e; by 2 it
+       circles C' throughout, and its right tail circles C, so e is C's.
+       So each state of C has one edge in, and the walk follows C to s.
+    """
     word = tuple(word)
     if not spec.contains(word):
         raise ValueError(f"word {word!r} not in the language")
-    if isinstance(spec, SparseSpec):
-        # every point with at least one marker is aperiodic
-        has_marker = any(a != spec.background for a in word)
-        return has_marker or bool(spec.families)
-    if isinstance(spec, ProductSpec):
-        u = tuple(a for a, _ in word)
-        v = tuple(b for _, b in word)
-        return (cylinder_has_aperiodic(spec.factor_left, u)
-                or cylinder_has_aperiodic(spec.factor_right, v))
-    return _sft_cylinder_aperiodic(spec, word)
+    rows, in_degree = spec._live()
+    for s in rows:
+        t = s
+        for a in word:
+            t = rows[t].get(a)
+            if t is None:
+                break
+        else:
+            u = s
+            while len(rows[u]) == 1 and in_degree[u] == 1:
+                (u,) = rows[u].values()
+                if u == s:
+                    break
+            else:
+                return True
+    return False
 
 
 # -- the removal bound -------------------------------------------------------
@@ -198,11 +191,11 @@ def build_chain(spec, radius, max_len, cap):
         raise EmptySubshiftError("cannot build a chain over the empty subshift")
     if radius < 1 or max_len < 1:
         raise ValueError("radius and max_len must be >= 1")
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
     levels = []
     current = spec
     while True:
-        if len(levels) >= cap:
-            raise CapExceededError(f"chain exceeded {cap} levels without terminating")
         found = _smallest_unique_extender(current, radius, max_len)
         if found is None:
             raise NoUniqueExtenderError(len(levels), tuple(levels))
@@ -213,6 +206,8 @@ def build_chain(spec, radius, max_len, cap):
         if nxt.is_empty:
             terminal = level
             break
+        if len(levels) == cap:  # this would be non-terminal level cap+1
+            raise CapExceededError(f"chain exceeded {cap} levels without terminating")
         levels.append(level)
         current = nxt
     k = len(levels)

@@ -23,7 +23,9 @@ rows in alphabet order, the automaton answers `words` by joining runs of
 half the length, which emits canonical order (alphabet index, then
 lexicographic) without sorting; `count_words` by one dynamic program over
 the states, advanced from the longest length counted so far; and
-`contains` by a run.
+`contains` by a run.  `_live` prunes the rows to the states on
+bi-infinite paths, whose labels are the points, by the `_prune` loop
+that also builds the SFT essential graph.
 """
 
 import hashlib
@@ -47,6 +49,7 @@ class SubshiftSpec:
         self.alphabet = alphabet
         self.is_empty = False
         self._rows = None
+        self._live_rows = None
         self._word_cache = {}
         self._window_cache = {}
         self._count_cache = {}
@@ -76,6 +79,12 @@ class SubshiftSpec:
                 rows.append(row)
             self._rows = rows
         return self._rows
+
+    def _live(self):
+        """`_prune` of the compiled rows: (rows, in_degree) of the live states."""
+        if self._live_rows is None:
+            self._live_rows = _prune(dict(enumerate(self._transitions())))
+        return self._live_rows
 
     def words(self, n):
         """All words of length n in the language, canonically sorted.
@@ -183,6 +192,24 @@ def _runs(rows, memo, state, k):
     return runs
 
 
+def _prune(graph):
+    """(rows, in_degree) of the part of a labelled graph on bi-infinite paths.
+
+    `graph` maps states to rows, letter -> target.  States with no edge in
+    or no edge out among those kept are dropped until none is; `rows`
+    keeps the graph's order and the kept targets, `in_degree` counts the
+    kept edges into each kept state.
+    """
+    alive = set(graph)
+    while True:
+        in_degree = Counter(t for s in alive for t in graph[s].values() if t in alive)
+        keep = {s for s in in_degree if not alive.isdisjoint(graph[s].values())}
+        if keep == alive:
+            return ({s: {a: t for a, t in row.items() if t in alive}
+                     for s, row in graph.items() if s in alive}, in_degree)
+        alive = keep
+
+
 class CylinderHandle:
     """The cylinder [w]_0^+ within a subshift: w pinned at coordinates 0..|w|-1."""
 
@@ -236,25 +263,14 @@ class SftSpec(SubshiftSpec):
         for _ in range(self.window_len):
             verts = [u + (a,) for u in verts for a in letters
                      if not any(u[i:] + (a,) in forbidden for i in range(len(u) + 1))]
-        alive = vert_set = set(verts)
+        vert_set = set(verts)
         # A proper factor of the window w = u+(a,) lies in u or in w[1:], both
         # clean vertices, so only w itself can be forbidden.
-        out = {u: [a for a in letters if (w := u + (a,)) not in forbidden and w[1:] in vert_set]
-               for u in verts}
-        # prune until every vertex has in- and out-degree >= 1, counting edges
-        # from live vertices: the last count is the live in-degree table (it
-        # may hold pruned vertices too, but the walks only visit live ones)
-        while True:
-            in_degree = Counter((u + (a,))[1:] for u in alive for a in out[u])
-            keep = {u for u in alive
-                    if in_degree[u] and any((u + (a,))[1:] in alive for a in out[u])}
-            if keep == alive:
-                break
-            alive = keep
-        self._indegree = in_degree
-        self.vertices = tuple(u for u in verts if u in alive)
-        self.out = {u: tuple(a for a in out[u] if (u + (a,))[1:] in alive)
-                    for u in self.vertices}
+        rows, _ = _prune({u: {a: w[1:] for a in letters
+                              if (w := u + (a,)) not in forbidden and w[1:] in vert_set}
+                          for u in verts})
+        self.vertices = tuple(rows)
+        self.out = {u: tuple(row) for u, row in rows.items()}
         self.is_empty = not self.vertices
         # every language word shorter than q starts some essential vertex
         self._prefixes = {v[:i] for v in self.vertices for i in range(1, len(v) + 1)}
@@ -263,10 +279,6 @@ class SftSpec(SubshiftSpec):
     def step(u, a):
         """Successor vertex along the edge labeled by appending `a`."""
         return (u + (a,))[1:]
-
-    def _in_degrees(self):
-        """Edges entering each live vertex, once per edge letter, counted by the pruning."""
-        return self._indegree
 
     def _next(self, state, a):
         if len(state) < self.window_len:

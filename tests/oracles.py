@@ -28,8 +28,10 @@ the count DP from length 0 on every call, and test each two-sided
 extension with `contains`, where the library joins half-length runs,
 advances one count DP and reads the end state's row.  The
 aperiodic-cylinder oracle censuses cycles on each side of an SFT word
-and builds every eventually periodic through-point, where the library
-walks once around the word's first vertex checking degrees.
+and builds every eventually periodic through-point, and the backend
+oracle adds the per-backend rules for sparse and product specs, where
+the library walks from each live automaton state reading the word,
+checking degrees, on every backend alike.
 The shadowing oracle rebuilds the extensions of u from u for every
 distance and takes the first failing word in sorted order, where the
 library extends one set once more per distance and takes the least
@@ -103,11 +105,8 @@ def sft_graph_oracle(spec):
 
     Every word of length q is listed and scanned for forbidden factors,
     every edge window is scanned again, pruning keeps the vertices with
-    an in-edge and an out-edge, and the survivors are sorted; in-degrees
-    are counted afterwards over the pruned graph.
+    an in-edge and an out-edge, and the survivors are sorted.
     """
-    from collections import Counter
-
     from shiftlab.subshifts import SftSpec
 
     class BruteForceSft(SftSpec):
@@ -142,8 +141,6 @@ def sft_graph_oracle(spec):
                         for u in self.vertices}
             self.is_empty = not self.vertices
             self._prefixes = {v[:i] for v in self.vertices for i in range(1, len(v) + 1)}
-            self._indegree = Counter(self.step(u, a)
-                                     for u in self.vertices for a in self.out[u])
 
     return BruteForceSft(spec.alphabet, spec.forbidden)
 
@@ -649,3 +646,21 @@ def cylinder_has_aperiodic_oracle(spec, word):
             if not x.is_periodic():
                 return True
     return False
+
+
+def backend_cylinder_aperiodic_oracle(spec, word):
+    """The per-backend rules: the through-point search on an SFT; on a
+    sparse spec every point with a marker is aperiodic, so the cylinder
+    holds one exactly when the word has a marker or some family is
+    nonempty; a product point is aperiodic exactly when a factor's is, so
+    the cylinder holds one when either projected cylinder does."""
+    from shiftlab.subshifts import ProductSpec, SparseSpec
+
+    word = tuple(word)
+    if isinstance(spec, SparseSpec):
+        return any(a != spec.background for a in word) or bool(spec.families)
+    if isinstance(spec, ProductSpec):
+        return (backend_cylinder_aperiodic_oracle(spec.factor_left, tuple(a for a, _ in word))
+                or backend_cylinder_aperiodic_oracle(spec.factor_right,
+                                                     tuple(b for _, b in word)))
+    return cylinder_has_aperiodic_oracle(spec, word)

@@ -325,6 +325,11 @@ def test_enumerate_search_space_cap(systems):
         enumerate_automorphisms(systems["hallway"].spec, 1, table_cap=1000)
 
 
+def test_enumerate_rejects_negative_range(systems):
+    with pytest.raises(ValueError, match="range must be >= 0"):
+        enumerate_automorphisms(systems["full2"].spec, -1)
+
+
 def test_enumeration_closure_under_composition(systems):
     one = systems["at_most_one_1"].spec
     small = enumerate_automorphisms(one, 1)

@@ -193,6 +193,17 @@ def test_chain_cap_guard(systems):
         build_chain(systems["hallway"].spec, 1, 2, cap=3)
 
 
+def test_chain_cap_bounds_the_levels_before_the_terminal_one(systems):
+    # hallway's chain has k = 10 levels before its terminal one
+    assert build_chain(systems["hallway"].spec, 1, 2, cap=10).k == 10
+    with pytest.raises(CapExceededError, match="exceeded 9 levels"):
+        build_chain(systems["hallway"].spec, 1, 2, cap=9)
+    # cycle2's first level is already terminal
+    assert build_chain(systems["cycle2"].spec, 1, 1, cap=0).k == 0
+    with pytest.raises(ValueError, match="cap must be >= 0"):
+        build_chain(systems["cycle2"].spec, 1, 1, cap=-1)
+
+
 def test_chain_sharpening_inequality(systems):
     for name, radius, max_len in (("at_most_one_1", 1, 1), ("hallway", 1, 2)):
         spec = systems[name].spec

@@ -7,12 +7,16 @@ spec strategies of `test_language_properties.py`, with hand-built chains
 whose anchors are language words drawn with repeats (an anchor equal to
 an earlier one) and overlaps (an anchor extending another).
 
-`chains.cylinder_has_aperiodic` decides the SFT case by one walk around
-the word's first vertex, checking degrees;
-`oracles.cylinder_has_aperiodic_oracle` builds and tests the
-through-points of each word.  Both must agree on every word up to a
-budgeted length of generated SFTs, including order-1 shifts and dense
-forbidden sets, whose cylinders are often periodic-only.
+`chains.cylinder_has_aperiodic` walks from every live automaton state
+that reads the word, checking degrees, with no backend rule;
+`oracles.backend_cylinder_aperiodic_oracle` builds and tests the
+through-points of each SFT word (`cylinder_has_aperiodic_oracle`) and
+applies the former sparse rule (a marker or a nonempty family) and
+product rule (either projected cylinder).  Both must agree on every word
+up to a budgeted length of generated SFT, sparse and product specs,
+SFT x sparse products among them, including order-1 shifts, dense
+forbidden sets and an empty family list, whose cylinders are often
+periodic-only.
 
 `chains.shadowing_distance` extends the words carrying u once per
 distance; `oracles.shadowing_distance_oracle` rebuilds them from u for
@@ -25,12 +29,12 @@ on language words and on arbitrary words over the alphabet.
 
 import itertools
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pytest
 from oracles import (
-    cylinder_has_aperiodic_oracle,
+    backend_cylinder_aperiodic_oracle,
     shadowing_distance_oracle,
     syndetic_gap_oracle,
     unique_extension_oracle,
@@ -46,7 +50,8 @@ from shiftlab.chains import (
 )
 from shiftlab.complexity import AT_LEAST_CAP, extension_radius
 from shiftlab.errors import HypothesisError
-from shiftlab.subshifts import build_sft
+from shiftlab.subshifts import build_sft, build_sparse, product
+from shiftlab.systems import make_example
 from shiftlab.words import Alphabet
 from test_autos_properties import specs
 from test_language_properties import SETTINGS
@@ -96,13 +101,22 @@ def dense_sfts(draw):
     return build_sft(Alphabet(letters), dense + draw(st.lists(word, max_size=2)))
 
 
-@SETTINGS
-@given(dense_sfts().filter(lambda spec: not spec.is_empty))
+@settings(SETTINGS, max_examples=80)  # about half the draws are SFTs from dense_sfts
+@given(st.one_of(dense_sfts(), specs).filter(lambda spec: not spec.is_empty))
+@example(build_sft(Alphabet("012"), [("1",)]))  # order 1: two loops at one vertex
+@example(build_sft(Alphabet("01"), [("1",)]))  # order 1: one loop, only 0^inf
+@example(build_sparse(Alphabet("01"), "0", []))  # no family: only 0^inf
+# 2 is a fixed point apart from the full shift on 0, 1: [2] holds only 2^inf
+@example(build_sft(Alphabet("012"), [("0", "2"), ("2", "0"), ("1", "2"), ("2", "1")]))
+# the corridor 0 -> 2 -> 1 -> 0 has one edge in and out at 2 and 1, but 0 branches
+@example(build_sft(Alphabet("012"), [("0", "1"), ("1", "1"), ("1", "2"), ("2", "0"), ("2", "2")]))
+@example(product(make_example("cycle2").spec, make_example("cycle2").spec))
+@example(product(make_example("golden_mean").spec, make_example("at_most_one_1").spec))
 def test_cylinder_has_aperiodic_matches_oracle(spec):
     n, checked = 1, 0
     while n <= 8 and checked + spec.count_words(n) <= BUDGET // 10:
         for word in spec.words(n):
-            expected = cylinder_has_aperiodic_oracle(spec, word)
+            expected = backend_cylinder_aperiodic_oracle(spec, word)
             assert cylinder_has_aperiodic(spec, word) == expected
         checked += spec.count_words(n)
         n += 1

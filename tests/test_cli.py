@@ -196,21 +196,27 @@ def test_verify_lemmas_determinism(capsys):
     assert report1 == report2
 
 
-@pytest.mark.parametrize("argv", [
+@pytest.mark.parametrize("argv, message", [
     pytest.param(["autos", "certify", "--spec", "builtin:hallway", "--code", "phi_a",
-                  "--rmax", "-1"], id="autos-certify"),
+                  "--rmax", "-1"], "r_max must be >= 0", id="autos-certify"),
     pytest.param(["certify-free", "--spec", "builtin:hallway", "--gen-a", "phi_a",
-                  "--gen-b", "phi_b", "--depth", "2", "--rmax", "-1"], id="certify-free"),
+                  "--gen-b", "phi_b", "--depth", "2", "--rmax", "-1"], "r_max must be >= 0",
+                 id="certify-free"),
     pytest.param(["spacetime", "--spec", "builtin:hallway", "--code", "phi_a", "--probe", "x3",
-                  "--width", "5", "--height", "3", "--rmax", "-1"], id="spacetime"),
+                  "--width", "5", "--height", "3", "--rmax", "-1"], "r_max must be >= 0",
+                 id="spacetime"),
     pytest.param(["complexity", "--spec", "builtin:golden_mean", "--max-n", "0"],
-                 id="complexity"),
+                 "max_n must be >= 1", id="complexity"),
+    pytest.param(["chain", "--spec", "builtin:hallway", "--range", "1", "--maxlen", "2",
+                  "--cap", "-1"], "cap must be >= 0", id="chain"),
+    pytest.param(["autos", "enumerate", "--spec", "builtin:full2", "--range", "-1"],
+                 "range must be >= 0", id="autos-enumerate"),
 ])
-def test_out_of_range_parameter_is_usage_error(capsys, argv):
+def test_out_of_range_parameter_is_usage_error(capsys, argv, message):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "must be >= " in captured.err
+    assert captured.err == f"error: {message}\n"
 
 
 def test_boolean_code_range_is_input_error(tmp_path, capsys, systems):

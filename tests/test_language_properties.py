@@ -8,14 +8,17 @@ against the level-by-level walk, `count_words` (one DP advanced across
 calls) against the DP rerun from length 0, in any call order, and the
 extension step (the end state's row) against per-extension `contains`.
 The window tables block codes slide by (`SubshiftSpec._windows`) are
-checked against ranks and slices of the canonical word lists, and the SFT
-essential graph against a brute-force build (`sft_graph_oracle`).
+checked against ranks and slices of the canonical word lists, the SFT
+essential graph against a brute-force build (`sft_graph_oracle`), and the
+live part of an SFT's compiled automaton (`_live`) against that graph:
+the same vertices, out-letters and in-degrees.
 """
 
 import itertools
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -114,9 +117,28 @@ def test_sft_graph_matches_brute_force_oracle(spec):
     assert spec.is_empty == ref.is_empty
     if not spec.is_empty:
         assert spec._transitions() == ref._transitions()
-    in_degree, ref_in_degree = spec._in_degrees(), ref._in_degrees()
-    for v in spec.vertices:
-        assert in_degree[v] == ref_in_degree[v]
+
+
+@settings(SETTINGS, max_examples=150)
+@given(sft_graph_cases().filter(lambda spec: not spec.is_empty))
+@example(build_sft(Alphabet("012"), [("1",)]))  # order 1: the start state is the vertex
+@example(build_sft(Alphabet("01"), [("0", "0"), ("1", "0")]))  # pruned 0 has an edge into 1
+def test_live_states_are_the_sft_vertices(spec):
+    # name each compiled state by the shortest word reaching it from the
+    # start, which is the state itself: a prefix of a vertex, or the vertex
+    rows, names, queue = spec._transitions(), {0: ()}, [0]
+    for s in queue:
+        for a, t in rows[s].items():
+            if t not in names:
+                names[t] = names[s] + (a,)
+                queue.append(t)
+    live, in_degree = spec._live()
+    assert sorted(names[s] for s in live) == sorted(spec.vertices)
+    for s, row in live.items():
+        assert tuple(row) == spec.out[names[s]]
+        assert all(names[t] == spec.step(names[s], a) for a, t in row.items())
+    edges_in = Counter(spec.step(u, a) for u in spec.vertices for a in spec.out[u])
+    assert {names[s]: in_degree[s] for s in live} == edges_in
 
 
 @SETTINGS
