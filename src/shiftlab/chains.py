@@ -5,10 +5,10 @@ n-|w|+1 words of every length n >= |w| (the removal bound), which caps
 the length of any chain built from words of bounded length.  On top of
 the chain sit the shadowing and syndeticity searches: how far from the
 forbidden words a surviving word behaves as if the forbidding never
-happened, and how often some chain word must recur in every point.
+happened, and how often some chain word must recur in every point, read
+off the words free of chain words grown one letter at a time.
 """
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -318,67 +318,53 @@ def shadowing_distance(spec, forbidden_words, u, t_steps, cap):
 class SyndeticReport:
     status: str           # "ok" | "cap-exceeded"
     gap: int | None       # minimal G, when status == "ok"
-    distance: int         # the D used
+    distance: int         # the D asked for, echoed: it changes no answer
     cap: int
     counterexample: tuple | None  # word with no qualifying occurrence at G-1
-
-
-def _anchor_index(anchors):
-    """Anchor length -> {anchor: its indices in chain order}."""
-    index = {}
-    for i, anchor in enumerate(anchors):
-        index.setdefault(len(anchor), {}).setdefault(anchor, []).append(i)
-    return tuple(index.items())
-
-
-def _has_qualifying_occurrence(word, index, dist):
-    """An anchor occurrence counting towards S_x inside this word.
-
-    An occurrence of the first anchor always qualifies; an occurrence of
-    w~_i at j qualifies when no earlier anchor starts within
-    [j-D, j+D+|w~_i|-1] (visible inside the word).  Of the indices an
-    anchor carries only the smallest can qualify, since the others are
-    blocked by it at j itself; so one pass over the start positions
-    records, per position, the smallest index starting there.
-    """
-    first = [math.inf] * len(word)  # smallest anchor index starting at each position
-    hits = []
-    for j in range(len(word)):
-        for length, table in index:
-            indices = table.get(word[j:j + length])  # a cut-off slice matches nothing
-            if indices:
-                i = indices[0]
-                if i == 0:
-                    return True
-                hits.append((i, j, length))
-                if i < first[j]:
-                    first[j] = i
-    for i, j, length in hits:
-        if min(first[max(j - dist, 0):j + dist + length]) >= i:
-            return True
-    return False
 
 
 def syndetic_gap(spec, chain, dist, cap):
     """Minimal G <= cap with a qualifying anchor occurrence in every length-G word.
 
-    Every word of L_G is scanned for G = 1, 2, ... up to the cap.  The
-    anchors are indexed once per call by length and word, so each word
-    costs one pass over its start positions, one dict lookup per anchor
-    length, and then one window minimum per occurrence found.
+    The search keeps the frontier of anchor-free words of length G-1, each
+    with its automaton state, and returns `ok` at the first G whose
+    frontier is empty; the counterexample is the previous frontier's
+    first word.  It rests on three facts:
+
+    1. A word has a qualifying occurrence exactly when it contains some
+       anchor.  An occurrence of w~_i at j qualifies unless an earlier
+       anchor w~_h, h < i, occurs in the word starting in
+       [j-D, j+D+|w~_i|-1].  For the least i with w~_i in the word, no
+       earlier anchor occurs in the word at all, so an occurrence of w~_i
+       qualifies for every D.  So under this word-clipped rule D changes
+       neither G nor the counterexample, and the report only echoes
+       `distance`.
+    2. A prefix of an anchor-free word is anchor-free.  So the anchor-free
+       words of L_G are exactly the one-letter extensions of those of
+       L_{G-1}, read along the row of each word's state, that do not end
+       in an anchor: an anchor inside the extension that is no suffix lies
+       in the parent word.
+    3. The extensions are made in parent order and then row (alphabet)
+       order, so each frontier is in canonical order, and its first word
+       is the least word without a qualifying occurrence.
     """
     anchors = chain.anchors()
     if not anchors:
         raise InvalidChainError("chain has no levels")
-    index = _anchor_index(anchors)
+    if cap < 1:
+        return SyndeticReport("cap-exceeded", None, dist, cap, None)
+    if spec.is_empty:
+        raise EmptySubshiftError("empty subshift has no language")
+    rows, anchor_set = spec._transitions(), set(anchors)
+    cuts = [slice(-k, None) for k in {len(a) for a in anchor_set}]  # the suffixes to test
+    # the anchor-free words of length 0; an empty anchor occurs in every word
+    frontier = [] if () in anchor_set else [((), 0)]
     prev_cex = None
     for gap in range(1, cap + 1):
-        cex = None
-        for w in spec.words(gap):
-            if not _has_qualifying_occurrence(w, index, dist):
-                cex = w
-                break
-        if cex is None:
+        # a cut longer than v takes all of v, which is then an anchor only if v is one
+        frontier = [(v, t) for u, s in frontier for a, t in rows[s].items()
+                    for v in (u + (a,),) if anchor_set.isdisjoint(map(v.__getitem__, cuts))]
+        if not frontier:
             return SyndeticReport("ok", gap, dist, cap, prev_cex)
-        prev_cex = cex
+        prev_cex = frontier[0][0]
     return SyndeticReport("cap-exceeded", None, dist, cap, prev_cex)

@@ -30,7 +30,6 @@ that also builds the SFT essential graph.
 
 import hashlib
 import json
-from collections import Counter
 
 from .errors import EmptySubshiftError, SpecFormatError
 from .words import Alphabet, Configuration
@@ -195,19 +194,33 @@ def _runs(rows, memo, state, k):
 def _prune(graph):
     """(rows, in_degree) of the part of a labelled graph on bi-infinite paths.
 
-    `graph` maps states to rows, letter -> target.  States with no edge in
-    or no edge out among those kept are dropped until none is; `rows`
-    keeps the graph's order and the kept targets, `in_degree` counts the
-    kept edges into each kept state.
+    `graph` maps states to rows, letter -> target.  A state with no edge in
+    or no edge out among the kept states is dropped; its edges come off the
+    degrees of its kept neighbours (`sources` lists the edges in), and one
+    left at degree 0 is dropped in turn, so each edge comes off once.
+    `rows` keeps the graph's order and the kept targets, `in_degree` counts
+    the kept edges into each kept state.
     """
-    alive = set(graph)
-    while True:
-        in_degree = Counter(t for s in alive for t in graph[s].values() if t in alive)
-        keep = {s for s in in_degree if not alive.isdisjoint(graph[s].values())}
-        if keep == alive:
-            return ({s: {a: t for a, t in row.items() if t in alive}
-                     for s, row in graph.items() if s in alive}, in_degree)
-        alive = keep
+    sources = {s: [] for s in graph}
+    for s, row in graph.items():
+        for t in row.values():
+            sources[t].append(s)
+    in_degree = {s: len(edges) for s, edges in sources.items()}
+    out_degree = {s: len(row) for s, row in graph.items()}
+    dead = [s for s in graph if not in_degree[s] or not out_degree[s]]
+    alive = set(graph).difference(dead)
+    while dead:
+        s = dead.pop()
+        for degree, ends in ((in_degree, graph[s].values()), (out_degree, sources[s])):
+            for t in ends:
+                if t in alive:
+                    degree[t] -= 1
+                    if not degree[t]:
+                        alive.remove(t)
+                        dead.append(t)
+    rows = {s: {a: t for a, t in row.items() if t in alive}
+            for s, row in graph.items() if s in alive}
+    return rows, {s: in_degree[s] for s in rows}
 
 
 class CylinderHandle:

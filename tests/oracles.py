@@ -9,8 +9,11 @@ endomorphism-witness oracle slides the code over every language word of
 every length up to a proven bound and tests each image with `contains`,
 and the free-semigroup oracle composes and pads a full rule table per generator
 word and scans all pairs; the library replaces both with single walks.
-The syndetic oracle rescans each word once per anchor and per earlier
-anchor, where the library makes one pass over an anchor index; the
+The syndetic oracle scans every word of L_G for every G and tests each
+anchor occurrence against every earlier anchor, where the library grows
+only the anchor-free words; the prune oracle recounts in-degrees over
+every kept edge in rounds, where the library drops states from a
+worklist; the
 closure oracle compares every new element with every known one through
 padded tables and recomposes every pair each round, where the library
 keys reduced tables and applies the generators and inverses after the
@@ -42,6 +45,7 @@ shiftlab code (the benchmark imports it before its own cold imports).
 """
 
 import itertools
+from collections import Counter
 from functools import lru_cache
 
 
@@ -143,6 +147,20 @@ def sft_graph_oracle(spec):
             self._prefixes = {v[:i] for v in self.vertices for i in range(1, len(v) + 1)}
 
     return BruteForceSft(spec.alphabet, spec.forbidden)
+
+
+def prune_oracle(graph):
+    """`subshifts._prune` by rounds: recount the in-degrees over every kept
+    edge and keep the states with an edge in and an edge out, until a round
+    keeps every state."""
+    alive = set(graph)
+    while True:
+        in_degree = Counter(t for s in alive for t in graph[s].values() if t in alive)
+        keep = {s for s in in_degree if not alive.isdisjoint(graph[s].values())}
+        if keep == alive:
+            return ({s: {a: t for a, t in row.items() if t in alive}
+                     for s, row in graph.items() if s in alive}, in_degree)
+        alive = keep
 
 
 def sparse_language_oracle(background, families, n):

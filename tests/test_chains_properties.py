@@ -1,11 +1,17 @@
 """Differential tests of the chain layer on generated specs.
 
-`chains.syndetic_gap` indexes the anchors once and scans each word in
-one pass; `oracles.syndetic_gap_oracle` rescans the word for every
-anchor and every earlier anchor.  Both must give the same report on the
-spec strategies of `test_language_properties.py`, with hand-built chains
+`chains.syndetic_gap` grows only the anchor-free words, one letter per
+gap, and stops when none is left; `oracles.syndetic_gap_oracle` scans
+every word of L_G for every G, testing each anchor occurrence against
+every earlier anchor.  Both must give the same report on the spec
+strategies of `test_language_properties.py`, with hand-built chains
 whose anchors are language words drawn with repeats (an anchor equal to
-an earlier one) and overlaps (an anchor extending another).
+an earlier one) and overlaps (an anchor extending another), and on
+explicit cases the drawn specs never reach: hallway's chain at maxlen 2
+(gap 12), `at_most_one_1`'s chain, cap 0 and the empty SFT.  The lemma
+the library rests on is tested on its own: on words built from anchors
+and letters, the oracle finds a qualifying occurrence for every D in 0-4
+exactly when some anchor occurs.
 
 `chains.cylinder_has_aperiodic` walks from every live automaton state
 that reads the word, checking degrees, with no backend rule;
@@ -35,6 +41,7 @@ from hypothesis import strategies as st
 import pytest
 from oracles import (
     backend_cylinder_aperiodic_oracle,
+    has_qualifying_occurrence,
     shadowing_distance_oracle,
     syndetic_gap_oracle,
     unique_extension_oracle,
@@ -42,6 +49,7 @@ from oracles import (
 from shiftlab.chains import (
     Chain,
     ChainLevel,
+    build_chain,
     cylinder_has_aperiodic,
     forbid,
     shadowing_distance,
@@ -49,10 +57,10 @@ from shiftlab.chains import (
     unique_extension,
 )
 from shiftlab.complexity import AT_LEAST_CAP, extension_radius
-from shiftlab.errors import HypothesisError
-from shiftlab.subshifts import build_sft, build_sparse, product
+from shiftlab.errors import EmptySubshiftError, HypothesisError
+from shiftlab.subshifts import build_sft, build_sparse, empty_sft, product
 from shiftlab.systems import make_example
-from shiftlab.words import Alphabet
+from shiftlab.words import Alphabet, occurrences
 from test_autos_properties import specs
 from test_language_properties import SETTINGS
 
@@ -74,6 +82,11 @@ def hand_chains(draw, spec):
             anchors.append(draw(st.sampled_from(longer)) if longer else base)
         else:
             anchors.append(draw(st.sampled_from(pool)))
+    return _chain(spec, anchors)
+
+
+def _chain(spec, anchors):
+    """The chain whose anchors w~_0 .. w~_k are `anchors`."""
     levels = tuple(ChainLevel(spec, a, a, False) for a in anchors[:-1])
     longest = max(len(a) for a in anchors)
     return Chain(levels=levels, terminal=ChainLevel(spec, anchors[-1], anchors[-1], False),
@@ -90,6 +103,47 @@ def test_syndetic_gap_matches_oracle(data):
     while cap > 0 and sum(spec.count_words(g) for g in range(1, cap + 1)) > BUDGET:
         cap -= 1
     assert syndetic_gap(spec, chain, dist, cap) == syndetic_gap_oracle(spec, chain, dist, cap)
+
+
+def test_syndetic_gap_explicit_examples():
+    hallway = make_example("hallway").spec
+    chain = build_chain(hallway, 1, 2, 40)
+    for dist in range(5):
+        report = syndetic_gap(hallway, chain, dist, 30)
+        assert report == syndetic_gap_oracle(hallway, chain, dist, 30)
+        assert (report.gap, report.counterexample) == (12, tuple("000010p0000"))
+    one = make_example("at_most_one_1").spec
+    chain = build_chain(one, 1, 1, 10)
+    for dist in range(5):
+        assert syndetic_gap(one, chain, dist, 50) == syndetic_gap_oracle(one, chain, dist, 50)
+    for cap in (0, -1):
+        report = syndetic_gap(one, chain, 2, cap)
+        assert report == syndetic_gap_oracle(one, chain, 2, cap)
+        assert (report.status, report.counterexample) == ("cap-exceeded", None)
+    # an empty anchor occurs in every word, the empty word included
+    chain = _chain(one, [("1",), ()])
+    assert syndetic_gap(one, chain, 0, 3) == syndetic_gap_oracle(one, chain, 0, 3)
+    empty = empty_sft(Alphabet("01"))
+    chain = _chain(empty, [("0",)])
+    assert syndetic_gap(empty, chain, 0, 0) == syndetic_gap_oracle(empty, chain, 0, 0)
+    assert syndetic_gap(empty, chain, 0, 0).status == "cap-exceeded"
+    for fn in (syndetic_gap, syndetic_gap_oracle):
+        with pytest.raises(EmptySubshiftError, match="^empty subshift has no language$"):
+            fn(empty, chain, 0, 2)
+
+
+@SETTINGS
+@given(st.data())
+def test_qualifying_occurrence_exactly_when_an_anchor_occurs(data):
+    # the least-index anchor occurring in a word has no earlier anchor in
+    # the word to block it, so it qualifies for every D
+    spec = data.draw(specs)
+    anchors = data.draw(hand_chains(spec)).anchors()
+    letter = st.sampled_from(spec.alphabet.letters).map(lambda a: (a,))
+    word = sum(data.draw(st.lists(st.one_of(st.sampled_from(anchors), letter), max_size=6)), ())
+    occurs = any(occurrences(word, a) for a in anchors)
+    for dist in range(5):
+        assert has_qualifying_occurrence(word, anchors, dist) == occurs
 
 
 @st.composite

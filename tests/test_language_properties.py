@@ -11,7 +11,10 @@ The window tables block codes slide by (`SubshiftSpec._windows`) are
 checked against ranks and slices of the canonical word lists, the SFT
 essential graph against a brute-force build (`sft_graph_oracle`), and the
 live part of an SFT's compiled automaton (`_live`) against that graph:
-the same vertices, out-letters and in-degrees.
+the same vertices, out-letters and in-degrees.  `_prune`, which drops
+dead states from a worklist, is checked against pruning in rounds
+(`prune_oracle`) on random labelled graphs: the same rows, in the same
+order, and the same in-degrees.
 """
 
 import itertools
@@ -28,13 +31,14 @@ from hypothesis import strategies as st
 from oracles import (
     centered_extensions_oracle,
     count_words_oracle,
+    prune_oracle,
     sft_graph_oracle,
     sft_language_oracle,
     sparse_language_oracle,
     words_oracle,
 )
 from shiftlab.complexity import _centered_extensions
-from shiftlab.subshifts import build_sft, build_sparse, product
+from shiftlab.subshifts import _prune, build_sft, build_sparse, product
 from shiftlab.words import Alphabet
 
 SETTINGS = settings(max_examples=40, deadline=None,
@@ -139,6 +143,33 @@ def test_live_states_are_the_sft_vertices(spec):
         assert all(names[t] == spec.step(names[s], a) for a, t in row.items())
     edges_in = Counter(spec.step(u, a) for u in spec.vertices for a in spec.out[u])
     assert {names[s]: in_degree[s] for s in live} == edges_in
+
+
+@st.composite
+def labelled_graphs(draw):
+    """States in any order, each row up to three letters to any states."""
+    states = draw(st.permutations(range(draw(st.integers(0, 8)))))
+    if not states:
+        return {}
+    row = st.dictionaries(st.sampled_from("abc"), st.sampled_from(states), max_size=3)
+    return {s: draw(row) for s in states}
+
+
+@settings(SETTINGS, max_examples=200)
+@given(labelled_graphs())
+@example({})
+# a chain of dead states 0 -> 1 -> ... -> 9 into the loop at 10: one round each
+# a chain of dead states 0 -> 1 -> ... -> 9 into the loop at 10: one round each
+@example({**{s: {"a": s + 1} for s in range(10)}, 10: {"a": 10}})
+@example({**{s: {"a": s + 1} for s in range(10)}, 10: {}})  # a dead end kills the chain
+@example({0: {"a": 1, "b": 1}, 1: {"a": 1}})  # dead 0 feeds live 1 by two edges
+@example({0: {"a": 0, "b": 1}, 1: {"a": 2}, 2: {}})  # live 0 feeds dead 1 and 2
+def test_prune_matches_round_oracle(graph):
+    rows, in_degree = _prune(graph)
+    ref_rows, ref_in_degree = prune_oracle(graph)
+    assert [(s, list(row.items())) for s, row in rows.items()] == \
+        [(s, list(row.items())) for s, row in ref_rows.items()]
+    assert in_degree == dict(ref_in_degree)
 
 
 @SETTINGS
