@@ -12,10 +12,13 @@ search is merely inconclusive.  It is sound on every backend: the
 endomorphism check is decided, not bounded.
 
 Every slide walks window ranks: a code keeps `outputs`, its letter on
-each window of L_{2R+1} by canonical rank, and the spec's window tables
-give each next window's rank from the last rank and the new letter, with
-no slice and no tuple hash.  The two checks that scan many words slide
-each block once.  The endomorphism check walks the spec's compiled
+each window of L_{2R+1} by canonical rank, and the spec's language trie
+(`SubshiftSpec._levels`) gives each next window's rank from the last
+rank and the new letter, with no slice and no tuple hash.  `compose`
+and `reduce_range` work on ranks alone and build codes from outputs:
+one prefix pass over the trie ranks the image of every word, and a
+code's rule table by window is built only when it is read.  The two
+checks that scan many words slide each block once.  The endomorphism check walks the spec's compiled
 automaton rows to a fixpoint, expanding each key (automaton state, rank
 of the last 2R letters, automaton state of the image) once; words with
 equal keys have equal futures, so the witness is the one a scan of
@@ -44,10 +47,13 @@ from .words import Configuration, occurrences
 class BlockCode:
     """Sliding block code of declared range with a total language table.
 
-    `outputs[k]` is the letter on the window of rank k in L_{2R+1}; `rule`
-    is the same table by window, read-only."""
+    `outputs[k]` is the letter on the window of rank k in L_{2R+1}, and it
+    is all a code holds.  `rule`, the same table by window, is a read-only
+    view built from `words(2R+1)` the first time it is read.  The
+    constructor checks a rule table against the language; `_of` trusts
+    outputs that `compose` and `reduce_range` build on ranks."""
 
-    __slots__ = ("spec", "radius", "rule", "outputs")
+    __slots__ = ("spec", "radius", "outputs", "_rule")
 
     def __init__(self, spec, radius, rule):
         if radius < 0:
@@ -67,8 +73,22 @@ class BlockCode:
                 raise ValueError(f"rule output {letter!r} not in alphabet")
         self.spec = spec
         self.radius = radius
-        self.rule = MappingProxyType(dict(rule))
         self.outputs = outputs
+        self._rule = None
+
+    @classmethod
+    def _of(cls, spec, radius, outputs):
+        """The code with these outputs by window rank, unchecked."""
+        code = cls.__new__(cls)
+        code.spec, code.radius, code.outputs, code._rule = spec, radius, outputs, None
+        return code
+
+    @property
+    def rule(self):
+        if self._rule is None:
+            words = self.spec.words(2 * self.radius + 1)
+            self._rule = MappingProxyType(dict(zip(words, self.outputs)))
+        return self._rule
 
     @classmethod
     def from_function(cls, spec, radius, fn):
@@ -153,19 +173,55 @@ def _check_inputs(spec, codes, r_max=0):
         raise ValueError("r_max must be >= 0")
 
 
+def _image_ranks(code, n):
+    """The rank in L_{n-2R} of the image of every word of L_n, by rank.
+
+    One prefix pass over the trie levels 2R+1..n (`SubshiftSpec._levels`).
+    Each word carries the rank of its last window and the rank of its
+    image so far.  A word u+(a,) of the next level has last window
+    ext[tail[j]][a], j the rank of u's last window, and image rank
+    ext'[i][b], i the rank of u's image, b the output on that window and
+    ext' the trie level one longer than u's image.  An image outside the
+    language raises KeyError.
+    """
+    span = 2 * code.radius + 1
+    levels = code.spec._levels(n)
+    ext, tail, _ = levels[span]
+    outputs = code.outputs
+    letters = levels[1][0][0]  # letter -> rank in L_1
+    last = range(len(outputs))
+    image = [letters[b] for b in outputs]
+    for m in range(span + 1, n + 1):
+        image_ext = levels[m - span + 1][0]
+        grown, grown_image = [], []
+        for j, i, row in zip(last, image, levels[m][0]):
+            windows, images = ext[tail[j]], image_ext[i]
+            for a in row:
+                k = windows[a]
+                grown.append(k)
+                grown_image.append(images[outputs[k]])
+        last, image = grown, grown_image
+    return image
+
+
 def compose(outer, inner):
-    """outer after inner; ranges add, table restricted to language windows."""
+    """outer after inner; ranges add, table restricted to language windows.
+
+    The output on a word of L_{2R+1}, R the sum of the ranges, is outer's
+    output at the rank of the word's image under inner (`_image_ranks`).
+    When an image leaves the language, the canonically first word with
+    such an image is found by sliding each word, and its image is named.
+    """
     _check_inputs(outer.spec, (inner,))
     spec = outer.spec
     radius = outer.radius + inner.radius
-    words = spec.words(2 * radius + 1)
-    rule = {}
-    for w, image in zip(words, _images(inner, words)):
-        letter = outer.rule.get(image)
-        if letter is None:
-            raise _missing_window(outer, image)
-        rule[w] = letter
-    return BlockCode(spec, radius, rule)
+    try:
+        ranks = _image_ranks(inner, 2 * radius + 1)
+    except KeyError:
+        rank = spec._windows(2 * outer.radius + 1)[0]
+        images = _images(inner, spec.words(2 * radius + 1))
+        raise next(_missing_window(outer, u) for u in images if u not in rank) from None
+    return BlockCode._of(spec, radius, [outer.outputs[k] for k in ranks])
 
 
 def pad(code, radius):
@@ -178,18 +234,30 @@ def pad(code, radius):
 
 
 def reduce_range(code):
-    """Smallest-range code equal to this one on the subshift."""
+    """Smallest-range code equal to this one on the subshift.
+
+    A code of range R > 0 has a table one range lower exactly when its
+    output on each window w is a function of w[1:-1].  That is u[1:] for
+    the parent u = w[:-1], so its rank is the trie's tail of u's rank, and
+    the outputs are grouped by it in a list.
+    """
     while code.radius > 0:
-        groups = {}
-        for w, letter in code.rule.items():
-            if groups.setdefault(w[1:-1], letter) != letter:
-                return code
-        code = BlockCode(code.spec, code.radius - 1, groups)
+        n = 2 * code.radius + 1
+        levels = code.spec._levels(n)
+        tail = levels[n - 1][1]
+        middle = [tail[p] for p, row in enumerate(levels[n][0]) for _ in row]
+        groups = [None] * len(levels[n - 2][2])
+        for j, letter in zip(middle, code.outputs):
+            groups[j] = letter
+        if [groups[j] for j in middle] != code.outputs:
+            return code
+        code = BlockCode._of(code.spec, code.radius - 1, groups)
     return code
 
 
 def equal_on_shift(spec, a, b):
     """Equality as maps on X, decided on the common-range window table."""
+    _check_inputs(spec, (a, b))
     radius = max(a.radius, b.radius)
     return pad(a, radius).outputs == pad(b, radius).outputs
 
@@ -336,6 +404,7 @@ def preserves_occurrences(spec, code, target, anchors=None):
     to occurrences whose D-stretch around the target avoids every anchor;
     the plain form is the relative one with no anchors and D = 0.
     """
+    _check_inputs(spec, (code,))
     target = tuple(target)
     radius = code.radius
     if anchors is not None and len(target) <= 2 * radius:
@@ -388,8 +457,11 @@ def subgroup_closure(spec, gens, cap):
     Since the steps are closed under inverses, this reaches exactly the
     subgroup they generate.  Elements come in the order identity, the
     steps in the given order, then each sphere in discovery order.  The
-    step is the outer code because `compose` looks up 2R+1 inner outputs
-    per word for an outer code of range R, and steps have small ranges.
+    step is the outer code because `compose` ranks the inner images in
+    one pass over the trie levels from the inner window length 2R'+1 up
+    to 2(R+R')+1.  With the element inside, that pass walks only the top
+    2R+1 levels, R the step's small range; with the step inside, it would
+    climb from the step's short window through every level below.
     """
     elements = []
     keys = set()
@@ -541,8 +613,8 @@ def code_to_json(code):
             raise SpecFormatError(f"letter {a!r} not serializable in rule keys")
     return {"range": code.radius,
             "alphabet": list(code.spec.alphabet.letters),
-            "rule": {",".join(w): code.rule[w]
-                     for w in code.spec.words(2 * code.radius + 1)}}
+            "rule": {",".join(w): letter for w, letter in
+                     zip(code.spec.words(2 * code.radius + 1), code.outputs)}}
 
 
 def parse_code(spec, obj, where="code"):

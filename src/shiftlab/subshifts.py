@@ -23,9 +23,12 @@ rows in alphabet order, the automaton answers `words` by joining runs of
 half the length, which emits canonical order (alphabet index, then
 lexicographic) without sorting; `count_words` by one dynamic program over
 the states, advanced from the longest length counted so far; and
-`contains` by a run.  `_live` prunes the rows to the states on
-bi-infinite paths, whose labels are the points, by the `_prune` loop
-that also builds the SFT essential graph.
+`contains` by a run.  `_levels` grows the language trie from the rows,
+each word of L_j ranked canonically by its parent in L_{j-1} and its
+letter, with the rank of its tail and its state; block codes slide,
+compose and reduce on these ranks.  `_live` prunes the rows to the
+states on bi-infinite paths, whose labels are the points, by the
+`_prune` loop that also builds the SFT essential graph.
 """
 
 import hashlib
@@ -50,6 +53,7 @@ class SubshiftSpec:
         self._rows = None
         self._live_rows = None
         self._word_cache = {}
+        self._trie = [(None, None, [0])]  # L_0 = {()}, at the start state
         self._window_cache = {}
         self._count_cache = {}
         self._count_front = None  # (length, path counts per state) of the longest count
@@ -108,20 +112,46 @@ class SubshiftSpec:
             self._word_cache[n] = tuple(words)
         return self._word_cache[n]
 
+    def _levels(self, n):
+        """The language trie to length n: `levels[j]` is (ext, tail, states)
+        of L_j for j <= n (the cached list may hold more).
+
+        `ext[p][a]` is the rank of u+(a,) for u of rank p in L_{j-1} (L_0 =
+        {()}), `tail[k]` the rank of w[1:] in L_{j-1} and `states[k]` the
+        automaton state of w, for w of rank k.  L_j is the words of L_{j-1}
+        extended by the letters of their states' rows, made in parent order
+        and then row (alphabet) order, so the ranks are canonical.  For
+        w = u+(a,), w[1:] = u[1:]+(a,), so tail[k] is read off the level
+        below as ext_{j-1}[tail_{j-1}[p]][a].
+        """
+        if self.is_empty:
+            raise EmptySubshiftError("empty subshift has no language")
+        levels = self._trie
+        rows = self._transitions()
+        if len(levels) == 1:
+            first = dict(zip(rows[0], range(len(rows[0]))))
+            levels.append(([first], [0] * len(first), list(rows[0].values())))
+        while len(levels) <= n:
+            up_ext, up_tail, up_states = levels[-1]
+            ext, tail, states = [], [], []
+            for p, s in enumerate(up_states):
+                shifted = up_ext[up_tail[p]]  # ranks of u[1:]+(a,), for u of rank p
+                row = {}
+                for a, t in rows[s].items():
+                    row[a] = len(states)
+                    states.append(t)
+                    tail.append(shifted[a])
+                ext.append(row)
+            levels.append((ext, tail, states))
+        return levels
+
     def _windows(self, span):
-        """(rank, ext, tail) of L_span: `rank[w]` is w's canonical index,
-        `ext[j][a]` the rank of u+(a,) for u of rank j in L_{span-1} (L_0 =
-        {()}; each u is a prefix, ranked by first appearance), `tail[k]`
-        the rank of w[1:] for w of rank k."""
+        """(rank, ext, tail) of L_span: `rank[w]` is w's canonical index, and
+        `ext` and `tail` are the trie's level `span` (`_levels`)."""
         if span not in self._window_cache:
-            words = self.words(span)
-            rank = {w: k for k, w in enumerate(words)}
-            heads = {u: j for j, u in enumerate(dict.fromkeys(w[:-1] for w in words))}
-            ext = [{} for _ in heads]
-            for w, k in rank.items():
-                ext[heads[w[:-1]]][w[-1]] = k
-            self._window_cache[span] = rank, ext, [heads[w[1:]] for w in words]
-        return self._window_cache[span]
+            self._window_cache[span] = {w: k for k, w in enumerate(self.words(span))}
+        ext, tail, _ = self._levels(span)[span]
+        return self._window_cache[span], ext, tail
 
     def count_words(self, n):
         """|L_n|; 1 for n <= 0 (the empty word); 0 for the empty subshift."""

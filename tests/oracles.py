@@ -21,8 +21,11 @@ newest sphere only; the inverse oracle
 checks both compositions against the identity, where the library checks
 one direction without composing.  These oracles compose through
 `compose_oracle`, the word-by-word composition, not `autos.compose`,
-and slide through `apply_to_word_oracle`, which slices each window and
-looks it up in the rule table, where the library walks window ranks.
+slide through `apply_to_word_oracle`, which slices each window and
+looks it up in the rule table, reduce through `reduce_range_oracle`,
+which groups the rule table by each window's middle, and compare through
+`equal_on_shift_oracle`, which pads through `compose_oracle`, where the
+library composes and reduces on the trie's window ranks.
 The SFT graph oracle lists every word of length q and scans vertices and
 edge windows for forbidden factors, then sorts the survivors, where the
 library grows clean words letter by letter and tests one suffix set.
@@ -354,9 +357,34 @@ def compose_oracle(outer, inner):
                                     for w in spec.words(2 * radius + 1)})
 
 
+def reduce_range_oracle(code):
+    """Drop a range while the rule table is a function of each window's middle."""
+    from shiftlab.autos import BlockCode
+
+    while code.radius > 0:
+        groups = {}
+        for w, letter in code.rule.items():
+            if groups.setdefault(w[1:-1], letter) != letter:
+                return code
+        code = BlockCode(code.spec, code.radius - 1, groups)
+    return code
+
+
+def equal_on_shift_oracle(spec, a, b):
+    """Both codes padded to the larger range through `compose_oracle`, then
+    compared window by window on L_{2R+1}."""
+    from shiftlab.autos import BlockCode
+
+    radius = max(a.radius, b.radius)
+    padded = [code if code.radius == radius else
+              compose_oracle(code, BlockCode.identity(spec, radius - code.radius))
+              for code in (a, b)]
+    return all(padded[0].output(w) == padded[1].output(w) for w in spec.words(2 * radius + 1))
+
+
 def find_inverse_oracle(spec, code, r_max):
     """Forced inverse tables, accepted when both compositions equal the identity."""
-    from shiftlab.autos import BlockCode, equal_on_shift
+    from shiftlab.autos import BlockCode
     from shiftlab.errors import RuleIncompleteError
 
     ident = BlockCode.identity(spec, 0)
@@ -376,8 +404,8 @@ def find_inverse_oracle(spec, code, r_max):
             continue
         candidate = BlockCode(spec, r, {u: forced[u] for u in domain})
         try:
-            if (equal_on_shift(spec, compose_oracle(candidate, code), ident)
-                    and equal_on_shift(spec, compose_oracle(code, candidate), ident)):
+            if (equal_on_shift_oracle(spec, compose_oracle(candidate, code), ident)
+                    and equal_on_shift_oracle(spec, compose_oracle(code, candidate), ident)):
                 return candidate
         except RuleIncompleteError:
             continue
@@ -386,14 +414,14 @@ def find_inverse_oracle(spec, code, r_max):
 
 def subgroup_closure_oracle(spec, gens, cap):
     """Pairwise closure: every new element against every known one, all pairs each round."""
-    from shiftlab.autos import BlockCode, ClosureResult, equal_on_shift, reduce_range
+    from shiftlab.autos import BlockCode, ClosureResult
 
     elements = []
 
     def add(code):
-        code = reduce_range(code)
+        code = reduce_range_oracle(code)
         for known in elements:
-            if equal_on_shift(spec, known, code):
+            if equal_on_shift_oracle(spec, known, code):
                 return False
         elements.append(code)
         return True

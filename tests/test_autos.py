@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from oracles import range0_automorphism_oracle
@@ -212,6 +214,20 @@ def test_code_on_another_subshift_is_rejected(systems):
     assert certify_automorphism(no00, rebuilt, 1).status == "certified"
     twin = build_sft(Alphabet("01"), [w("00")])
     assert certify_automorphism(twin, rebuilt, 1).status == "certified"
+
+
+def test_equality_and_occurrence_checks_reject_codes_on_another_subshift(systems):
+    # both read the codes' window ranks on the spec they are given
+    golden, full2 = systems["golden_mean"].spec, systems["full2"]
+    calls = (lambda: equal_on_shift(golden, BlockCode.identity(golden), full2.codes["identity"]),
+             lambda: equal_on_shift(golden, full2.codes["identity"], BlockCode.identity(golden)),
+             lambda: preserves_occurrences(golden, full2.codes["flip"], w("0")))
+    for call in calls:
+        with pytest.raises(ValueError, match="code lives on a different subshift"):
+            call()
+    twin = build_sft(Alphabet("01"), [w("11")])
+    assert equal_on_shift(twin, BlockCode.identity(golden), BlockCode.identity(twin, 1))
+    assert preserves_occurrences(twin, BlockCode.identity(golden), w("0"))
 
 
 def test_negative_inverse_range_is_rejected(systems):
@@ -556,6 +572,25 @@ def test_code_json_round_trip(systems):
     blob = code_to_json(hallway.codes["phi_a"])
     again = parse_code(hallway.spec, blob)
     assert equal_on_shift(hallway.spec, again, hallway.codes["phi_a"])
+
+
+def test_composed_and_reduced_codes_serialize_to_fixed_bytes(systems):
+    full2, golden = systems["full2"], systems["golden_mean"].spec
+    sigma = BlockCode.shift(golden, 1)
+    assert json.dumps(code_to_json(compose(full2.codes["shift"], full2.codes["flip"]))) == (
+        '{"range": 1, "alphabet": ["0", "1"], "rule": {"0,0,0": "1", "0,0,1": "0", '
+        '"0,1,0": "1", "0,1,1": "0", "1,0,0": "1", "1,0,1": "0", "1,1,0": "1", "1,1,1": "0"}}')
+    assert json.dumps(code_to_json(compose(sigma, sigma))) == (
+        '{"range": 2, "alphabet": ["0", "1"], "rule": {"0,0,0,0,0": "0", "0,0,0,0,1": "1", '
+        '"0,0,0,1,0": "0", "0,0,1,0,0": "0", "0,0,1,0,1": "1", "0,1,0,0,0": "0", '
+        '"0,1,0,0,1": "1", "0,1,0,1,0": "0", "1,0,0,0,0": "0", "1,0,0,0,1": "1", '
+        '"1,0,0,1,0": "0", "1,0,1,0,0": "0", "1,0,1,0,1": "1"}}')
+    assert json.dumps(code_to_json(reduce_range(pad(sigma, 2)))) == (
+        '{"range": 1, "alphabet": ["0", "1"], "rule": {"0,0,0": "0", "0,0,1": "1", '
+        '"0,1,0": "0", "1,0,0": "0", "1,0,1": "1"}}')
+    back = reduce_range(compose(full2.codes["shift_inv"], full2.codes["shift"]))
+    assert json.dumps(code_to_json(back)) == (
+        '{"range": 0, "alphabet": ["0", "1"], "rule": {"0": "0", "1": "1"}}')
 
 
 def test_parse_code_strictness(systems):

@@ -1,16 +1,21 @@
 """Differential tests of the code algebra on generated specs and codes.
 
 `autos._endomorphism_witness`, `certify_free_semigroup`, `find_inverse`,
-`subgroup_closure`, `apply_to_word` and `compose` are checked against
-the oracles in `oracles.py`: the same witness (or None), the same report
-including the first collision pair, the same inverse table (or None),
-the same closure status and set of maps, the same images and tables,
-and the same exception when a slide meets a window outside the
-language, which no rule table holds.  Inputs are the spec strategies of
+`subgroup_closure`, `apply_to_word`, `compose`, `reduce_range` and
+`equal_on_shift` are checked against the oracles in `oracles.py`: the
+same witness (or None), the same report including the first collision
+pair, the same inverse table (or None), the same closure status and set
+of maps, the same images, tables and verdicts, and the same exception
+when a slide meets a window outside the language, which no rule table
+holds.  Composed and reduced codes, built from outputs on window ranks,
+must serialize to the oracle codes' bytes, and their on-demand `rule`
+view must be the read-only table of `words` and `outputs`.  Inputs are the spec strategies of
 `test_language_properties.py` and codes of range 0-2: permutations of
 the centre letter, shifted permutations and random tables; closures run
 on letter maps of the full 3-shift and on the shift, its inverse and
-the flip of the full 2-shift.  The endomorphism oracle scans every
+the flip of the full 2-shift.  Reduction also runs on codes padded by
+up to two ranges, their tables read off each window's middle.  The
+endomorphism oracle scans every
 image length up to its proven bound, so a drawn code's range is lowered
 until that scan fits the budget.  A certified result must also compose
 with its inverse to the identity both ways, and both must map random
@@ -18,7 +23,8 @@ long language words into the language.
 """
 
 import itertools
-from types import SimpleNamespace
+import json
+from types import MappingProxyType, SimpleNamespace
 
 import pytest
 from hypothesis import assume, given
@@ -28,9 +34,11 @@ from oracles import (
     apply_to_word_oracle,
     compose_oracle,
     endomorphism_witness_oracle,
+    equal_on_shift_oracle,
     find_inverse_oracle,
     free_semigroup_oracle,
     image_length_bound,
+    reduce_range_oracle,
     subgroup_closure_oracle,
 )
 from shiftlab.autos import (
@@ -39,9 +47,11 @@ from shiftlab.autos import (
     apply_to_word,
     certify_automorphism,
     certify_free_semigroup,
+    code_to_json,
     compose,
     equal_on_shift,
     find_inverse,
+    reduce_range,
     subgroup_closure,
 )
 from shiftlab.errors import RuleIncompleteError
@@ -213,6 +223,71 @@ def test_compose_matches_oracle(data):
     spec = data.draw(specs)
     outer, inner = _budget_codes(data, spec, BUDGET // 4)
     assert _code_result(compose, outer, inner) == _code_result(compose_oracle, outer, inner)
+
+
+@st.composite
+def padded_codes(draw, spec):
+    """A drawn code, or the same map at up to two ranges more, its table read
+    off each window's middle, within the budget."""
+    code = draw(codes(spec))
+    extra = draw(st.integers(0, 2))
+    while extra and spec.count_words(2 * (code.radius + extra) + 1) > BUDGET // 4:
+        extra -= 1
+    if not extra:
+        return code
+    return BlockCode.from_function(spec, code.radius + extra,
+                                   lambda w: code.rule[w[extra:len(w) - extra]])
+
+
+@SETTINGS
+@given(st.data())
+def test_reduce_range_matches_oracle(data):
+    spec = data.draw(specs)
+    code = data.draw(padded_codes(spec))
+    got, expected = reduce_range(code), reduce_range_oracle(code)
+    assert (got.radius, got.outputs, got.rule) == (expected.radius, expected.outputs, expected.rule)
+
+
+@SETTINGS
+@given(st.data())
+def test_equal_on_shift_matches_oracle(data):
+    spec = data.draw(specs)
+    a, b = data.draw(padded_codes(spec)), data.draw(padded_codes(spec))
+    if data.draw(st.booleans()):
+        b = reduce_range(a)  # the same map, at another range whenever a reduces
+    assert equal_on_shift(spec, a, b) == equal_on_shift_oracle(spec, a, b)
+
+
+@SETTINGS
+@given(st.data())
+def test_composed_and_reduced_codes_serialize_as_oracle_codes(data):
+    # code_to_json needs string letters, so no product specs
+    spec = data.draw(st.one_of(sft_specs(), sparse_specs()).map(
+        lambda case: case[0]).filter(lambda spec: not spec.is_empty))
+    outer, inner = _budget_codes(data, spec, BUDGET // 4)
+    kind, composed = _result(compose, outer, inner)
+    if kind != "value":
+        return
+    expected = compose_oracle(outer, inner)
+    for got, want in ((composed, expected),
+                      (reduce_range(composed), reduce_range_oracle(expected))):
+        assert json.dumps(code_to_json(got)) == json.dumps(code_to_json(want))
+
+
+def test_rule_view_of_composed_and_reduced_codes(systems):
+    hallway = systems["hallway"]
+    walk = compose(hallway.codes["phi_a"], hallway.codes["phi_b"])
+    ident = reduce_range(compose(hallway.codes["phi_a_inv"], hallway.codes["phi_a"]))
+    assert ident.radius == 0
+    for code in (walk, ident):
+        words = hallway.spec.words(2 * code.radius + 1)
+        assert code.rule == dict(zip(words, code.outputs))
+        assert isinstance(code.rule, MappingProxyType) and code.rule is code.rule
+        window = words[0]
+        with pytest.raises(TypeError):
+            code.rule[window] = code.rule[window]
+        with pytest.raises(AttributeError):
+            code.rule = {}
 
 
 def _table(code):

@@ -7,8 +7,10 @@ also checked against its former self: `words` (joined half-length runs)
 against the level-by-level walk, `count_words` (one DP advanced across
 calls) against the DP rerun from length 0, in any call order, and the
 extension step (the end state's row) against per-extension `contains`.
-The window tables block codes slide by (`SubshiftSpec._windows`) are
-checked against ranks and slices of the canonical word lists, the SFT
+The language trie (`SubshiftSpec._levels`) is checked against the
+canonical word lists and the end states of runs, and the window tables
+block codes slide by (`SubshiftSpec._windows`) against ranks and
+slices of those lists, the SFT
 essential graph against a brute-force build (`sft_graph_oracle`), and the
 live part of an SFT's compiled automaton (`_live`) against that graph:
 the same vertices, out-letters and in-degrees.  `_prune`, which drops
@@ -236,6 +238,36 @@ def _check_windows(spec, span):
     assert tail == [shorter.index(w[1:]) for w in words]
 
 
+def _check_levels(spec, n):
+    rows = spec._transitions()
+    levels = spec._levels(n)
+    for j in range(1, n + 1):
+        ext, tail, states = levels[j]
+        words = spec.words(j)
+        rank = {w: k for k, w in enumerate(words)}
+        shorter = spec.words(j - 1) if j > 1 else ((),)
+        assert ext == [{a: rank[u + (a,)] for a in spec.alphabet.letters if u + (a,) in rank}
+                       for u in shorter]
+        assert tail == [shorter.index(w[1:]) for w in words]
+        ends = []
+        for w in words:
+            state = 0
+            for a in w:
+                state = rows[state][a]
+            ends.append(state)
+        assert states == ends
+
+
+@SETTINGS
+@given(any_specs)
+def test_language_trie_matches_words_and_run_ends(spec):
+    if not spec.is_empty:
+        n = 1
+        while n < 5 and spec.count_words(n + 1) <= BUDGET // 10:
+            n += 1
+        _check_levels(spec, n)
+
+
 @SETTINGS
 @given(any_specs)
 def test_window_tables_match_ranks_and_slices(spec):
@@ -256,6 +288,7 @@ def test_window_tables_match_ranks_and_slices(spec):
 @pytest.mark.parametrize("span", [1, 2, 3])
 def test_window_tables_on_fixed_specs(spec, span):
     _check_windows(spec, span)
+    _check_levels(spec, span + 2)
 
 
 def test_importing_oracles_loads_no_shiftlab_module():
