@@ -16,17 +16,15 @@ each window of L_{2R+1} by canonical rank, and the spec's language trie
 (`SubshiftSpec._levels`) gives each next window's rank from the last
 rank and the new letter, with no slice and no tuple hash.  `compose`
 and `reduce_range` work on ranks alone and build codes from outputs:
-one prefix pass over the trie ranks the image of every word, and a
-code's rule table by window is built only when it is read.  The two
-checks that scan many words slide each block once.  The endomorphism check walks the spec's compiled
-automaton rows to a fixpoint, expanding each key (automaton state, rank
-of the last 2R letters, automaton state of the image) once; words with
-equal keys have equal futures, so the witness is the one a scan of
-every word of every length would find.  The free-semigroup check pushes
-the language windows down the suffix trie of generator words as tuples
-of interned word ids; a step table per generator, id to image id, is
-filled by one slide the first time a node holds an id, so automorphisms
-take at most 2 * sum_m |L_m| slides.
+one prefix pass over the trie (`_image_ranks`) ranks the image of every
+word, and a code's rule table by window is built only when it is read.  The
+endomorphism check walks the spec's compiled automaton rows to a
+fixpoint, expanding each key (automaton state, rank of the last 2R
+letters, automaton state of the image) once; words with equal keys have
+equal futures, so the witness is the one a scan of every word of every
+length would find.  The free-semigroup check pushes the ranks of the
+language windows down the suffix trie of generator words, by one
+`_image_ranks` table per generator and length.
 """
 
 import itertools
@@ -410,6 +408,8 @@ def preserves_occurrences(spec, code, target, anchors=None):
     if anchors is not None and len(target) <= 2 * radius:
         raise ValueError("relative form needs |target| > 2R")
     anchor_words, dist = ((), 0) if anchors is None else anchors
+    if dist < 0:
+        raise ValueError("anchor distance must be >= 0")
     anchor_words = [tuple(w) for w in anchor_words]
     off = radius + dist
     for u in spec.words(len(target) + 2 * off):
@@ -532,26 +532,26 @@ def certify_free_semigroup(spec, a_cert, b_cert, depth):
     """Pairwise-distinctness check of all generator words up to the depth.
 
     Freeness here means: distinct words in the two generators give
-    distinct maps on the subshift, verified via the word-level equality
-    test at a common padded range.  The verdict is always relative to
+    distinct maps on the subshift.  The verdict is always relative to
     the depth, never an unconditional claim.
 
     The words are the nodes of a suffix trie, g+w being the child of w
-    (the leftmost factor acts last).  The language windows of length
-    2*top+1, top the largest range of a product, are pushed down the
-    trie one generator at a time.  Image words are interned: each gets
-    an id and its centre letter once.  A node is the tuple of its
-    windows' image ids, and a child is a gather from its generator's
-    step table, id to image id, whose entry for an id is filled by one
-    slide the first time a node holds that id.  So each (generator,
-    word) pair is slid once, however many nodes hold the word; for
-    automorphisms every image is a language word, so the slides number
-    at most 2 * sum_m |L_m| over the lengths m on the trie.  A word's
-    fingerprint, the centre letter of every window's image, is its rule
-    table padded to range top, so two words are the same map on X
-    exactly when their fingerprints agree.  The collision reported is
-    the first pair in the pairwise scan order: u the canonically first
-    word that has a later equal, v the first such later word.
+    (the leftmost factor acts last).  A node is (m, ranks): the rank in
+    L_m of the image of each window of L_n, n = 2*top+1, top the largest
+    range of a product.  A child under a generator of range R gathers
+    from its table `_image_ranks(code, m)`, and its fingerprint from the
+    centre letters of L_{m-2R}: its rule table padded to range top, so
+    two words are the same map on X exactly when their fingerprints
+    agree.  The collision reported is the first pair in the pairwise
+    scan order: u the canonically first word that has a later equal, v
+    the first such later word.
+
+    Every table finds a rank, so the result is exact, unless a generator
+    maps a word of L_n outside the language; its table at n, built
+    first, then raises `RuleIncompleteError` naming it.  Otherwise a
+    word u of L_m, m <= n, is a factor of some w in L_n (a language
+    extends on both sides), so its image is a factor of w's image, a
+    language word.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -559,31 +559,26 @@ def certify_free_semigroup(spec, a_cert, b_cert, depth):
     _check_inputs(spec, gens)
     words = semigroup_words(depth)
     top = depth * max(code.radius for code in gens)
-    images = list(spec.words(2 * top + 1))  # id -> word
-    ids = {u: k for k, u in enumerate(images)}  # word -> id
-    centres = [u[top] for u in images]  # id -> centre letter
-    steps = ([], [])  # per generator: id -> image id, -1 until slid
-    level = [tuple(range(len(images)))]
+    n = 2 * top + 1
+    steps = []  # per generator: m -> `_image_ranks` table of L_m
+    for name, code in zip("ab", gens):
+        try:
+            steps.append({m: _image_ranks(code, m) for m in range(n, 2 * code.radius, -2)})
+        except KeyError:
+            raise RuleIncompleteError(
+                f"generator {name} maps a word of L_{n} outside the language") from None
+    centres = {m: [u[m // 2] for u in spec.words(m)] for m in range(n, 0, -2)}
+    level = [(n, tuple(range(len(centres[n]))))]
     prints = []
     for _ in range(depth):
         # the next length in canonical order: "a"+w for each w, then "b"+w
         nxt = []
         for code, step in zip(gens, steps):
-            step.extend([-1] * (len(images) - len(step)))  # room for every id the level holds
-            for node in level:
-                child = _gather(step, node)
-                if -1 in child:
-                    # first-appearance order: a missing window raises where a
-                    # scan of every node's distinct images would meet it first
-                    todo = [k for k in dict.fromkeys(node) if step[k] < 0]
-                    for k, u in zip(todo, _images(code, [images[k] for k in todo])):
-                        step[k] = ids.setdefault(u, len(images))
-                        if step[k] == len(images):
-                            images.append(u)
-                            centres.append(u[len(u) // 2])
-                    child = _gather(step, node)
-                nxt.append(child)
-                prints.append(_gather(centres, child))
+            for m, node in level:
+                child_m = m - 2 * code.radius
+                child = _gather(step[m], node)
+                nxt.append((child_m, child))
+                prints.append(_gather(centres[child_m], child))
         level = nxt
     first = {}
     collision = None

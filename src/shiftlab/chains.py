@@ -275,6 +275,8 @@ def shadowing_distance(spec, forbidden_words, u, t_steps, cap):
     step per distance; the counterexample at each D is the canonically
     least failing word.
     """
+    if t_steps < 0:
+        raise ValueError("t_steps must be >= 0")
     u = tuple(u)
     forbidden_words = tuple(tuple(f) for f in forbidden_words)
     shrunk = spec
@@ -338,7 +340,9 @@ def syndetic_gap(spec, chain, dist, cap):
        earlier anchor occurs in the word at all, so an occurrence of w~_i
        qualifies for every D.  So under this word-clipped rule D changes
        neither G nor the counterexample, and the report only echoes
-       `distance`.
+       `distance`.  In the paper's S_x a chain word partly or wholly
+       outside the word may block too, which only removes qualifying
+       occurrences, so this G is only a lower bound for the gap of S_x.
     2. A prefix of an anchor-free word is anchor-free.  So the anchor-free
        words of L_G are exactly the one-letter extensions of those of
        L_{G-1}, read along the row of each word's state, that do not end

@@ -380,6 +380,16 @@ def test_preserves_relative_form_precondition(systems):
         preserves_occurrences(one.spec, sigma, w("1"), anchors=([w("1")], 2))
 
 
+def test_preserves_rejects_negative_anchor_distance(systems):
+    full2 = systems["full2"]
+    sigma = BlockCode.shift(full2.spec, 1)
+    with pytest.raises(ValueError, match="anchor distance must be >= 0"):
+        preserves_occurrences(full2.spec, sigma, w("000"), anchors=([w("1")], -2))
+    # a range-0 code would otherwise ask for words of length |target| - 2
+    with pytest.raises(ValueError, match="anchor distance must be >= 0"):
+        preserves_occurrences(full2.spec, full2.codes["identity"], w("0"), anchors=([w("1")], -1))
+
+
 def test_preserves_relative_form_by_hand(systems):
     # sigma reads the right neighbour and its inverse the left one, so a
     # centred 000 maps onto 000 exactly when the letter beyond it on that

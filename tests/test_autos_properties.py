@@ -7,9 +7,15 @@ same witness (or None), the same report including the first collision
 pair, the same inverse table (or None), the same closure status and set
 of maps, the same images, tables and verdicts, and the same exception
 when a slide meets a window outside the language, which no rule table
-holds.  Composed and reduced codes, built from outputs on window ranks,
-must serialize to the oracle codes' bytes, and their on-demand `rule`
-view must be the read-only table of `words` and `outputs`.  Inputs are the spec strategies of
+holds.  `certify_free_semigroup` must instead raise, naming the
+generator, when a generator maps a window of L_{2*top+1} outside the
+language, and match the oracle otherwise; every ordered pair of named
+automorphisms (hallway's five codes, the letter permutations of the full
+3-shift, sigma and sigma^2 on the full 2-shift, sigma and its inverse
+on salo_schraudner) must match it up to depth 4.  Composed and reduced
+codes, built from outputs on window ranks, must serialize to the oracle
+codes' bytes, and their on-demand `rule` view must be the read-only
+table of `words` and `outputs`.  Inputs are the spec strategies of
 `test_language_properties.py` and codes of range 0-2: permutations of
 the centre letter, shifted permutations and random tables; closures run
 on letter maps of the full 3-shift and on the shift, its inverse and
@@ -27,7 +33,7 @@ import json
 from types import MappingProxyType, SimpleNamespace
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, event, given
 from hypothesis import strategies as st
 
 from oracles import (
@@ -121,15 +127,23 @@ def test_endomorphism_witness_matches_oracle(data):
 @given(st.data())
 def test_free_semigroup_matches_oracle(data):
     spec = data.draw(specs)
-    # random tables are mostly no endomorphisms: their images leave the
-    # language, and sliding over such an image raises in both
     a, b = data.draw(codes(spec)), data.draw(codes(spec))
     radius = max(a.radius, b.radius)
     depth = _largest(data.draw(st.integers(1, 4)),
                      lambda d: spec.count_words(2 * d * radius + 1) <= BUDGET // 4)
     gens = SimpleNamespace(code=a), SimpleNamespace(code=b)
-    assert (_outcome(certify_free_semigroup, spec, *gens, depth)
-            == _outcome(free_semigroup_oracle, spec, *gens, depth))
+    # random tables are mostly no endomorphisms: one that maps a window of
+    # L_{2*top+1} outside the language must be rejected, whatever the oracle
+    # makes of it; otherwise every product acts on X and the reports agree
+    windows = spec.words(2 * depth * radius + 1)
+    if any(not spec.contains(apply_to_word_oracle(code, u)) for code in (a, b) for u in windows):
+        event("a generator leaves the language")
+        with pytest.raises(RuleIncompleteError, match="outside the language"):
+            certify_free_semigroup(spec, *gens, depth)
+    else:
+        event("both generators stay in the language")
+        assert (certify_free_semigroup(spec, *gens, depth)
+                == free_semigroup_oracle(spec, *gens, depth))
 
 
 @pytest.mark.parametrize("gen_b, top, collision", [
@@ -146,6 +160,34 @@ def test_hallway_walks_match_free_oracle(systems, gen_b, top, collision):
         report = certify_free_semigroup(hallway.spec, *gens, depth)
         assert report == free_semigroup_oracle(hallway.spec, *gens, depth)
     assert report.collision == collision
+
+
+def _endomorphisms(systems):
+    """Automorphisms by system; every ordered pair is checked."""
+    hallway, full2 = systems["hallway"], systems["full2"]
+    full3 = build_sft(Alphabet("012"), [])
+    salo = systems["salo_schraudner"].spec
+    names = ("identity", "phi_a", "phi_b", "phi_a_inv", "phi_b_inv")
+    return {"hallway": (hallway.spec, [hallway.codes[n] for n in names]),
+            "full3": (full3, [BlockCode.letter_map(full3, dict(zip("012", p)))
+                              for p in itertools.permutations("012")]),
+            "full2": (full2.spec, [BlockCode.shift(full2.spec, 1), BlockCode.shift(full2.spec, 2)]),
+            "salo_schraudner": (salo, [BlockCode.shift(salo, 1), BlockCode.shift(salo, -1)])}
+
+
+@pytest.mark.parametrize("name", ["hallway", "full3", "full2", "salo_schraudner"])
+def test_endomorphism_pairs_match_free_oracle(systems, name):
+    spec, codes_ = _endomorphisms(systems)[name]
+    for a, b in itertools.product(codes_, repeat=2):
+        gens = SimpleNamespace(code=a), SimpleNamespace(code=b)
+        radius = max(a.radius, b.radius)
+        # the oracle composes every product on L_{2*top+1}: sigma^2 on full2
+        # stops at depth 3, as its 2^17 windows at depth 4 take seconds
+        for depth in range(1, 5):
+            if spec.count_words(2 * depth * radius + 1) > BUDGET:
+                break
+            assert (certify_free_semigroup(spec, *gens, depth)
+                    == free_semigroup_oracle(spec, *gens, depth)), (a, b, depth)
 
 
 @pytest.mark.parametrize("radius", [0, 1])
@@ -167,6 +209,10 @@ def test_off_language_windows_raise_in_library_and_oracles(systems):
     for fn in (certify_free_semigroup, free_semigroup_oracle):
         with pytest.raises(RuleIncompleteError):
             fn(spec, *gens, 2)
+    # the library names the generator that leaves the language
+    ident = SimpleNamespace(code=BlockCode.identity(spec, 1))
+    with pytest.raises(RuleIncompleteError, match="generator b maps a word of L_5 outside"):
+        certify_free_semigroup(spec, ident, gens[1], 2)
     got, expected = _result(compose, spread, spread), _result(compose_oracle, spread, spread)
     assert got == expected and got[0] is RuleIncompleteError
     word = tuple("0010100")

@@ -257,6 +257,15 @@ def test_shadowing_hypothesis_failures(systems):
         shadowing_distance(full, [w("0"), w("1")], w("0"), 1, 5)
 
 
+def test_shadowing_rejects_negative_steps_before_any_work(systems):
+    full = systems["full2"].spec
+    with pytest.raises(ValueError, match="t_steps must be >= 0"):
+        shadowing_distance(full, [w("11")], w("1"), -1, 5)
+    # checked before forbidding, which would empty this spec
+    with pytest.raises(ValueError, match="t_steps must be >= 0"):
+        shadowing_distance(full, [w("0"), w("1")], w("0"), -1, 5)
+
+
 def test_shadowing_sparse_chain_distance(systems):
     one = systems["at_most_one_1"].spec
     report = shadowing_distance(one, [("0", "0", "1", "0", "0")], w("0"), 2, 10)
