@@ -14,17 +14,12 @@ endomorphism check is decided, not bounded.
 Every slide walks window ranks: a code keeps `outputs`, its letter on
 each window of L_{2R+1} by canonical rank, and the spec's language trie
 (`SubshiftSpec._levels`) gives each next window's rank from the last
-rank and the new letter, with no slice and no tuple hash.  `compose`
-and `reduce_range` work on ranks alone and build codes from outputs:
-one prefix pass over the trie (`_image_ranks`) ranks the image of every
-word, and a code's rule table by window is built only when it is read.  The
-endomorphism check walks the spec's compiled automaton rows to a
-fixpoint, expanding each key (automaton state, rank of the last 2R
-letters, automaton state of the image) once; words with equal keys have
-equal futures, so the witness is the one a scan of every word of every
-length would find.  The free-semigroup check pushes the ranks of the
-language windows down the suffix trie of generator words, by one
-`_image_ranks` table per generator and length.
+rank and the new letter, with no slice and no tuple hash.  One lazy
+prefix pass (`_image_ranks`) yields, length by length, the rank of the
+image of every word: `compose` takes its last level, `find_inverse` the
+level of each range it tries, and the free-semigroup check every other
+level.  The endomorphism check walks the compiled automaton rows to a
+fixpoint, expanding each key once (`_endomorphism_witness`).
 """
 
 import itertools
@@ -49,7 +44,7 @@ class BlockCode:
     is all a code holds.  `rule`, the same table by window, is a read-only
     view built from `words(2R+1)` the first time it is read.  The
     constructor checks a rule table against the language; `_of` trusts
-    outputs that `compose` and `reduce_range` build on ranks."""
+    outputs built on ranks (`compose`, `reduce_range`, `find_inverse`)."""
 
     __slots__ = ("spec", "radius", "outputs", "_rule")
 
@@ -122,33 +117,27 @@ def _missing_window(code, window):
         f"window {window!r} missing from range-{code.radius} rule table")
 
 
-def _images(code, words):
-    """Each word's image: the first window's rank k is looked up, each next
-    one is ext[tail[k]][a] (`SubshiftSpec._windows`), and outputs[k] is
-    emitted.  The first window outside the language raises."""
-    span = 2 * code.radius + 1
-    rank, ext, tail = code.spec._windows(span)
-    outputs = code.outputs
-    for word in words:
-        out = []
-        try:
-            k = rank[word[:span]]
-            out.append(outputs[k])
-            for a in word[span:]:
-                k = ext[tail[k]][a]
-                out.append(outputs[k])
-        except KeyError:
-            raise _missing_window(code, word[len(out):len(out) + span]) from None
-        yield tuple(out)
-
-
 def apply_to_word(code, word):
-    """Slide the code over the word: output length |w| - 2R."""
+    """Slide the code over the word: output length |w| - 2R.  The first
+    window's rank k is walked down the trie from the empty word, each next
+    one is ext[tail[k]][a], and outputs[k] is emitted."""
     word = tuple(word)
     span = 2 * code.radius + 1
     if len(word) < span:
         raise ValueError(f"word of length {len(word)} shorter than window {span}")
-    return next(_images(code, (word,)))
+    levels = code.spec._levels(span)
+    ext, tail, _ = levels[span]
+    outputs, out, k = code.outputs, [], 0
+    try:
+        for j, a in enumerate(word[:span], 1):
+            k = levels[j][0][k][a]
+        out.append(outputs[k])
+        for a in word[span:]:
+            k = ext[tail[k]][a]
+            out.append(outputs[k])
+    except KeyError:
+        raise _missing_window(code, word[len(out):len(out) + span]) from None
+    return tuple(out)
 
 
 def apply_to_config(code, config):
@@ -159,7 +148,7 @@ def apply_to_config(code, config):
     lp, mid, rp = len(config.left), pure_r - pure_l - 1, len(config.right)
     # one slide over the stretch whose outputs are a left period, the centre and a right period
     stretch = config.window(pure_l - lp + 1 - radius, lp + mid + rp + 2 * radius)
-    image = next(_images(code, (stretch,)))
+    image = apply_to_word(code, stretch)
     return Configuration(image[:lp], image[lp:lp + mid], image[lp + mid:], offset=-(pure_l + 1))
 
 
@@ -172,34 +161,41 @@ def _check_inputs(spec, codes, r_max=0):
 
 
 def _image_ranks(code, n):
-    """The rank in L_{n-2R} of the image of every word of L_n, by rank.
-
-    One prefix pass over the trie levels 2R+1..n (`SubshiftSpec._levels`).
-    Each word carries the rank of its last window and the rank of its
-    image so far.  A word u+(a,) of the next level has last window
-    ext[tail[j]][a], j the rank of u's last window, and image rank
-    ext'[i][b], i the rank of u's image, b the output on that window and
-    ext' the trie level one longer than u's image.  An image outside the
-    language raises KeyError.
-    """
+    """Yield, for m = 2R+1..n, the rank in L_{m-2R} of the image of every
+    word of L_m, by rank, growing the trie one level per table read.  Each
+    word carries the ranks of its last window and of its image so far: a
+    word u+(a,) of the next level has last window ext[tail[j]][a], j the
+    rank of u's last window, and image rank ext'[i][b], i the rank of u's
+    image, b the output on that window and ext' the trie level one longer
+    than u's image.  An image outside the language raises KeyError."""
     span = 2 * code.radius + 1
-    levels = code.spec._levels(n)
+    levels = code.spec._levels(span)
     ext, tail, _ = levels[span]
     outputs = code.outputs
     letters = levels[1][0][0]  # letter -> rank in L_1
     last = range(len(outputs))
     image = [letters[b] for b in outputs]
+    yield image
     for m in range(span + 1, n + 1):
+        rows = code.spec._levels(m)[m][0]
         image_ext = levels[m - span + 1][0]
         grown, grown_image = [], []
-        for j, i, row in zip(last, image, levels[m][0]):
+        for j, i, row in zip(last, image, rows):
             windows, images = ext[tail[j]], image_ext[i]
             for a in row:
                 k = windows[a]
                 grown.append(k)
                 grown_image.append(images[outputs[k]])
         last, image = grown, grown_image
-    return image
+        yield image
+
+
+def _middles(spec, n):
+    """The rank in L_{n-2} of w[1:-1] for each word w of L_n, by rank:
+    w[1:-1] is u[1:] for the parent u = w[:-1], so the tail of u's rank."""
+    levels = spec._levels(n)
+    tail = levels[n - 1][1]
+    return [tail[p] for p, row in enumerate(levels[n][0]) for _ in row]
 
 
 def compose(outer, inner):
@@ -210,15 +206,14 @@ def compose(outer, inner):
     When an image leaves the language, the canonically first word with
     such an image is found by sliding each word, and its image is named.
     """
-    _check_inputs(outer.spec, (inner,))
-    spec = outer.spec
-    radius = outer.radius + inner.radius
+    spec, radius = outer.spec, outer.radius + inner.radius
+    _check_inputs(spec, (inner,))
     try:
-        ranks = _image_ranks(inner, 2 * radius + 1)
+        for ranks in _image_ranks(inner, 2 * radius + 1):
+            pass
     except KeyError:
-        rank = spec._windows(2 * outer.radius + 1)[0]
-        images = _images(inner, spec.words(2 * radius + 1))
-        raise next(_missing_window(outer, u) for u in images if u not in rank) from None
+        images = (apply_to_word(inner, w) for w in spec.words(2 * radius + 1))
+        raise next(_missing_window(outer, u) for u in images if not spec.contains(u)) from None
     return BlockCode._of(spec, radius, [outer.outputs[k] for k in ranks])
 
 
@@ -231,23 +226,33 @@ def pad(code, radius):
     return compose(code, BlockCode.identity(code.spec, radius - code.radius))
 
 
+def _centres(spec):
+    """Yield the centre letter of each word of L_1, L_3, ... by rank: the
+    centre of w in L_n is the centre of w[1:-1] in L_{n-2} (`_middles`)."""
+    centres = list(spec._levels(1)[1][0][0])  # L_1's letters, by rank
+    for n in itertools.count(3, 2):
+        yield centres
+        centres = [centres[j] for j in _middles(spec, n)]
+
+
+def _forced(keys, letters):
+    """The letters as a list by key 0..k-1, or None if a key has two."""
+    table = dict(zip(keys, letters))
+    if list(map(table.get, keys)) != letters:
+        return None
+    return list(map(table.get, range(len(table))))
+
+
 def reduce_range(code):
     """Smallest-range code equal to this one on the subshift.
 
     A code of range R > 0 has a table one range lower exactly when its
-    output on each window w is a function of w[1:-1].  That is u[1:] for
-    the parent u = w[:-1], so its rank is the trie's tail of u's rank, and
-    the outputs are grouped by it in a list.
+    output on each window w is a function of w[1:-1] (`_middles`), whose
+    rank covers L_{2R-1} as a language extends on both sides.
     """
     while code.radius > 0:
-        n = 2 * code.radius + 1
-        levels = code.spec._levels(n)
-        tail = levels[n - 1][1]
-        middle = [tail[p] for p, row in enumerate(levels[n][0]) for _ in row]
-        groups = [None] * len(levels[n - 2][2])
-        for j, letter in zip(middle, code.outputs):
-            groups[j] = letter
-        if [groups[j] for j in middle] != code.outputs:
+        groups = _forced(_middles(code.spec, 2 * code.radius + 1), code.outputs)
+        if groups is None:
             return code
         code = BlockCode._of(code.spec, code.radius - 1, groups)
     return code
@@ -278,16 +283,17 @@ def find_inverse(spec, code, r_max):
     """Search ranges 0..r_max for a two-sided inverse; None is inconclusive.
 
     At each candidate range r the inverse table is forced: the centre of
-    a preimage word of length 2(r+R)+1 must be a function of its image
-    window.  Conflicting constraints rule the range out, and so does a
-    key set other than L_{2r+1}: an image outside the language has no
-    window in an inverse's table, and a language window that is no image
-    leaves the table incomplete.  A consistent forced table is a left
-    inverse by construction (its value on each image is the centre of
-    every preimage), so only code after candidate is checked: on every
-    word of L_{2(r+R)+1}, the code applied to the candidate's image must
-    give back the centre letter, an image outside the code's table
-    failing the range.
+    a preimage word of length m = 2(r+R)+1 (`_centres`) must be a
+    function of its image window, ranked in L_{2r+1} by level m of one
+    lazy `_image_ranks` pass (`_forced`).  Conflicting constraints rule
+    the range out, and so does a key set other than L_{2r+1}: an image
+    outside the language (a KeyError from the pass) has no window in an
+    inverse's table, and a language window that is no image leaves fewer
+    than |L_{2r+1}| keys.  A consistent forced table is a left inverse by
+    construction (its value on each image is the centre of every
+    preimage), so only code after candidate is checked: on every word of
+    L_m, the code applied to the candidate's image must give back the
+    centre letter, an image outside the language failing the range.
 
     A key-set failure persists at every higher range, so the search stops
     there: languages extend on both sides, and each image at range r+1
@@ -296,21 +302,26 @@ def find_inverse(spec, code, r_max):
     no image, is the centre of such a word at range r+1.
     """
     _check_inputs(spec, (code,), r_max)
-    for r in range(r_max + 1):
-        centre = r + code.radius
-        words = spec.words(2 * centre + 1)
-        forced = {}
-        for w, image in zip(words, _images(code, words)):
-            if forced.setdefault(image, w[centre]) != w[centre]:
-                break
-        else:
-            domain = spec.words(2 * r + 1)
-            if len(forced) != len(domain) or not all(u in forced for u in domain):
-                return None
-            candidate = BlockCode(spec, r, {u: forced[u] for u in domain})
-            if all(code.rule.get(image) == w[centre]
-                   for w, image in zip(words, _images(candidate, words))):
-                return candidate
+    span = 2 * code.radius + 1
+    passes = itertools.islice(_image_ranks(code, span + 2 * r_max), 0, None, 2)
+    for r, centres in zip(range(r_max + 1), itertools.islice(_centres(spec), code.radius, None)):
+        try:
+            ranks = next(passes)
+        except KeyError:
+            return None
+        forced = _forced(ranks, centres)
+        if forced is None:
+            continue
+        if len(forced) != spec.count_words(2 * r + 1):
+            return None
+        candidate = BlockCode._of(spec, r, forced)
+        try:
+            for back in _image_ranks(candidate, span + 2 * r):
+                pass
+        except KeyError:
+            continue
+        if list(map(code.outputs.__getitem__, back)) == centres:
+            return candidate
     return None
 
 
@@ -322,7 +333,7 @@ def _endomorphism_witness(spec, code):
     rank in L_{2R} of its last 2R letters (a one-to-one relabelling of
     the letters, so the witness is unchanged) and the automaton state of
     its length-n image.  Each step appends one image letter, the output
-    on the last 2R+1 letters, whose rank the spec's window tables give.
+    on the last 2R+1 letters, whose rank the trie's level 2R+1 gives.
     Words with equal keys have the same extensions with the same
     verdicts, so each key is expanded once, by the canonically first word
     reaching it on the first level it appears, and the walk stops when a
@@ -335,7 +346,8 @@ def _endomorphism_witness(spec, code):
     expanded, and extensions come in canonical order (parent, then letter).
     """
     rows = spec._transitions()
-    _, ext, tail = code.spec._windows(2 * code.radius + 1)
+    span = 2 * code.radius + 1
+    ext, tail, _ = code.spec._levels(span)[span]
     frontier = [((), 0)]
     for _ in range(2 * code.radius):
         frontier = [(w + (a,), t) for w, s in frontier for a, t in rows[s].items()]
@@ -457,12 +469,12 @@ def subgroup_closure(spec, gens, cap):
     Since the steps are closed under inverses, this reaches exactly the
     subgroup they generate.  Elements come in the order identity, the
     steps in the given order, then each sphere in discovery order.  The
-    step is the outer code because `compose` ranks the inner images in
-    one pass over the trie levels from the inner window length 2R'+1 up
-    to 2(R+R')+1.  With the element inside, that pass walks only the top
-    2R+1 levels, R the step's small range; with the step inside, it would
-    climb from the step's short window through every level below.
+    step is the outer code: `compose`'s pass over the inner images walks
+    the trie from the inner window length 2R'+1 up to 2(R+R')+1, so only
+    2R+1 levels, R the step's small range, with the element inside.
     """
+    gens = tuple(gens)
+    _check_inputs(spec, [code for cert in gens for code in (cert.code, cert.inverse)])
     elements = []
     keys = set()
 
@@ -539,19 +551,17 @@ def certify_free_semigroup(spec, a_cert, b_cert, depth):
     (the leftmost factor acts last).  A node is (m, ranks): the rank in
     L_m of the image of each window of L_n, n = 2*top+1, top the largest
     range of a product.  A child under a generator of range R gathers
-    from its table `_image_ranks(code, m)`, and its fingerprint from the
-    centre letters of L_{m-2R}: its rule table padded to range top, so
-    two words are the same map on X exactly when their fingerprints
-    agree.  The collision reported is the first pair in the pairwise
-    scan order: u the canonically first word that has a later equal, v
-    the first such later word.
+    from level m of the generator's one `_image_ranks` pass to n, and its
+    fingerprint from the centre letters of L_{m-2R} (`_centres`): its rule
+    table padded to range top, so two words are the same map on X exactly
+    when their fingerprints agree.  The collision reported is the first
+    pair in the pairwise scan order: u the canonically first word that
+    has a later equal, v the first such later word.
 
-    Every table finds a rank, so the result is exact, unless a generator
-    maps a word of L_n outside the language; its table at n, built
-    first, then raises `RuleIncompleteError` naming it.  Otherwise a
-    word u of L_m, m <= n, is a factor of some w in L_n (a language
-    extends on both sides), so its image is a factor of w's image, a
-    language word.
+    A word of L_m, m <= n, is a factor of a word of L_n (a language
+    extends on both sides), and so is its image.  So a generator's pass
+    raises, and `RuleIncompleteError` names it, exactly when it maps a
+    word of L_n outside the language; otherwise the result is exact.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -562,12 +572,13 @@ def certify_free_semigroup(spec, a_cert, b_cert, depth):
     n = 2 * top + 1
     steps = []  # per generator: m -> `_image_ranks` table of L_m
     for name, code in zip("ab", gens):
+        levels = range(2 * code.radius + 1, n + 1, 2)
         try:
-            steps.append({m: _image_ranks(code, m) for m in range(n, 2 * code.radius, -2)})
+            steps.append(dict(zip(levels, itertools.islice(_image_ranks(code, n), 0, None, 2))))
         except KeyError:
             raise RuleIncompleteError(
                 f"generator {name} maps a word of L_{n} outside the language") from None
-    centres = {m: [u[m // 2] for u in spec.words(m)] for m in range(n, 0, -2)}
+    centres = dict(zip(range(1, n + 1, 2), _centres(spec)))
     level = [(n, tuple(range(len(centres[n]))))]
     prints = []
     for _ in range(depth):
@@ -581,14 +592,10 @@ def certify_free_semigroup(spec, a_cert, b_cert, depth):
                 prints.append(_gather(centres[child_m], child))
         level = nxt
     first = {}
-    collision = None
-    for j, fingerprint in enumerate(prints):
-        i = first.setdefault(fingerprint, j)
-        if i != j and (collision is None or i < collision[0]):
-            collision = (i, j)
+    pairs = ((first.setdefault(fingerprint, j), j) for j, fingerprint in enumerate(prints))
+    collision = min((pair for pair in pairs if pair[0] != pair[1]), default=None)
     if collision:
-        pair = (words[collision[0]], words[collision[1]])
-        return FreeSemigroupReport("collision", depth, words, pair)
+        return FreeSemigroupReport("collision", depth, words, tuple(words[k] for k in collision))
     return FreeSemigroupReport("free-to-depth", depth, words, None)
 
 

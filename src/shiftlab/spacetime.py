@@ -9,7 +9,7 @@ array.
 
 from dataclasses import dataclass
 
-from .autos import apply_to_config
+from .autos import _check_inputs, apply_to_config
 
 
 @dataclass(frozen=True)
@@ -35,15 +35,14 @@ def spacetime_window(spec, cert, config, width, height, row0=0, col0=None):
     """
     if width < 1 or height < 1:
         raise ValueError("width and height must be >= 1")
+    _check_inputs(spec, (cert.code, cert.inverse))
     if not spec.contains_config(config):
         raise ValueError("base configuration not in the subshift")
     if col0 is None:
         col0 = -(width // 2)
     base = config
-    for _ in range(-row0 if row0 < 0 else 0):
-        base = apply_to_config(cert.inverse, base)
-    for _ in range(row0 if row0 > 0 else 0):
-        base = apply_to_config(cert.code, base)
+    for _ in range(abs(row0)):
+        base = apply_to_config(cert.inverse if row0 < 0 else cert.code, base)
     rows = [base]
     for _ in range(height - 1):
         rows.append(apply_to_config(cert.code, rows[-1]))
@@ -107,12 +106,12 @@ def _shift_exponent(image, probe, bound):
 
 def orbit_preserving(spec, cert, probes, bound):
     """Per-probe shift exponent realizing the code on that probe, or None."""
+    _check_inputs(spec, (cert.code, cert.inverse))
     results = []
     for probe in probes:
         if not spec.contains_config(probe):
             raise ValueError("probe not in the subshift")
-        image = apply_to_config(cert.code, probe)
-        results.append(_shift_exponent(image, probe, bound))
+        results.append(_shift_exponent(apply_to_config(cert.code, probe), probe, bound))
     return tuple(results)
 
 
@@ -124,6 +123,7 @@ class PowerShiftReport:
 
 def power_is_shift(spec, cert, probes, m_max, shift_bound):
     """Smallest M <= m_max whose M-th power acts as a shift on every probe."""
+    _check_inputs(spec, (cert.code, cert.inverse))
     probes = tuple(probes)
     for probe in probes:
         if not spec.contains_config(probe):

@@ -54,7 +54,6 @@ class SubshiftSpec:
         self._live_rows = None
         self._word_cache = {}
         self._trie = [(None, None, [0])]  # L_0 = {()}, at the start state
-        self._window_cache = {}
         self._count_cache = {}
         self._count_front = None  # (length, path counts per state) of the longest count
 
@@ -134,24 +133,18 @@ class SubshiftSpec:
         while len(levels) <= n:
             up_ext, up_tail, up_states = levels[-1]
             ext, tail, states = [], [], []
-            for p, s in enumerate(up_states):
-                shifted = up_ext[up_tail[p]]  # ranks of u[1:]+(a,), for u of rank p
+            k = 0  # rank of the next word of L_j
+            for s, q in zip(up_states, up_tail):
+                shifted = up_ext[q]  # ranks of u[1:]+(a,), for u[1:] of rank q
                 row = {}
                 for a, t in rows[s].items():
-                    row[a] = len(states)
+                    row[a] = k
+                    k += 1
                     states.append(t)
                     tail.append(shifted[a])
                 ext.append(row)
             levels.append((ext, tail, states))
         return levels
-
-    def _windows(self, span):
-        """(rank, ext, tail) of L_span: `rank[w]` is w's canonical index, and
-        `ext` and `tail` are the trie's level `span` (`_levels`)."""
-        if span not in self._window_cache:
-            self._window_cache[span] = {w: k for k, w in enumerate(self.words(span))}
-        ext, tail, _ = self._levels(span)[span]
-        return self._window_cache[span], ext, tail
 
     def count_words(self, n):
         """|L_n|; 1 for n <= 0 (the empty word); 0 for the empty subshift."""

@@ -1,8 +1,9 @@
 import json
+import re
 
 import pytest
 
-from oracles import range0_automorphism_oracle
+from oracles import find_inverse_oracle, range0_automorphism_oracle
 from shiftlab import (
     apply_to_config,
     apply_to_word,
@@ -82,6 +83,15 @@ def test_apply_rule_incomplete_off_language(systems):
     padded = pad(ident, 1)
     with pytest.raises(RuleIncompleteError):
         apply_to_word(padded, w("0110"))
+
+
+def test_apply_to_word_names_the_first_window_outside_the_language(systems):
+    # the first window is ranked down the trie, each next one by its tail and letter
+    ident = BlockCode.identity(systems["golden_mean"].spec, 1)
+    for word, window in (("1100", w("110")), ("0011", w("011"))):
+        message = f"window {window!r} missing from range-1 rule table"
+        with pytest.raises(RuleIncompleteError, match=re.escape(message)):
+            apply_to_word(ident, w(word))
 
 
 def test_apply_to_config_identity(systems):
@@ -193,6 +203,22 @@ def test_find_inverse_xor_rule_fails(systems):
     xor = BlockCode.from_function(
         full2.spec, 1, lambda win: str(int(win[1]) ^ int(win[2])))
     assert find_inverse(full2.spec, xor, 2) is None
+
+
+@pytest.mark.parametrize("r_max", range(4))
+def test_find_inverse_stops_at_the_first_inverting_range(systems, r_max):
+    # the flip maps 00 to 11, outside the golden mean, but its range-0 table
+    # is already an inverse, so the search never reads a length-2 image
+    gm = systems["golden_mean"].spec
+    flip = BlockCode.letter_map(gm, {"0": "1", "1": "0"})
+    inv, expected = find_inverse(gm, flip, r_max), find_inverse_oracle(gm, flip, r_max)
+    assert (inv.radius, inv.outputs) == (expected.radius, expected.outputs) == (0, ["1", "0"])
+
+
+def test_find_inverse_grows_the_trie_only_as_far_as_it_reads():
+    full2 = build_sft(Alphabet("01"), [])
+    assert find_inverse(full2, BlockCode.identity(full2), 5).radius == 0
+    assert len(full2._trie) == 2  # L_0 and L_1
 
 
 def test_code_on_another_subshift_is_rejected(systems):
@@ -505,6 +531,14 @@ def test_closure_cap_is_the_group_order():
     full4, gens = _letter_map_certs("0123", ("1023", "1230"))
     assert len(subgroup_closure(full4, gens, 24).elements) == 24
     assert subgroup_closure(full4, gens, 23).status == "cap-exceeded"
+
+
+def test_closure_rejects_a_certificate_on_another_subshift(systems):
+    # the full2 flip maps 00 to 11, so it is no endomorphism of the golden mean
+    golden, full2 = systems["golden_mean"].spec, systems["full2"]
+    flip = certify_automorphism(full2.spec, full2.codes["flip"], 0).cert
+    with pytest.raises(ValueError, match="code lives on a different subshift"):
+        subgroup_closure(golden, [flip], 10)
 
 
 def test_closure_empty_generators(systems):

@@ -7,12 +7,12 @@ also checked against its former self: `words` (joined half-length runs)
 against the level-by-level walk, `count_words` (one DP advanced across
 calls) against the DP rerun from length 0, in any call order, and the
 extension step (the end state's row) against per-extension `contains`.
-The language trie (`SubshiftSpec._levels`) is checked against the
-canonical word lists and the end states of runs, and the window tables
-block codes slide by (`SubshiftSpec._windows`) against ranks and
-slices of those lists, the SFT
-essential graph against a brute-force build (`sft_graph_oracle`), and the
-live part of an SFT's compiled automaton (`_live`) against that graph:
+The language trie (`SubshiftSpec._levels`), which every block code
+slides by, is checked against the canonical word lists and the end
+states of runs: each `ext` row against the ranks of the one-letter
+extensions, each `tail` against the rank of the word's tail.  The SFT
+essential graph is checked against a brute-force build
+(`sft_graph_oracle`), and the live part of an SFT's compiled automaton (`_live`) against that graph:
 the same vertices, out-letters and in-degrees.  `_prune`, which drops
 dead states from a worklist, is checked against pruning in rounds
 (`prune_oracle`) on random labelled graphs: the same rows, in the same
@@ -227,17 +227,6 @@ def test_extension_step_matches_contains_oracle(spec, data):
     assert _centered_extensions(spec, wordset) == centered_extensions_oracle(spec, wordset)
 
 
-def _check_windows(spec, span):
-    words = spec.words(span)
-    rank, ext, tail = spec._windows(span)
-    assert rank == {w: k for k, w in enumerate(words)}
-    shorter = spec.words(span - 1) if span > 1 else ((),)
-    assert len(ext) == len(shorter)
-    for j, u in enumerate(shorter):
-        assert ext[j] == {a: rank[u + (a,)] for a in spec.alphabet.letters if u + (a,) in rank}
-    assert tail == [shorter.index(w[1:]) for w in words]
-
-
 def _check_levels(spec, n):
     rows = spec._transitions()
     levels = spec._levels(n)
@@ -268,16 +257,6 @@ def test_language_trie_matches_words_and_run_ends(spec):
         _check_levels(spec, n)
 
 
-@SETTINGS
-@given(any_specs)
-def test_window_tables_match_ranks_and_slices(spec):
-    if not spec.is_empty:
-        for span in range(1, 5):
-            if spec.count_words(span) > BUDGET // 10:
-                break
-            _check_windows(spec, span)
-
-
 @pytest.mark.parametrize("spec", [
     pytest.param(build_sft(Alphabet("0"), []), id="one-letter"),
     pytest.param(build_sft(Alphabet("01"), [("1", "1")]), id="golden-mean"),
@@ -287,7 +266,6 @@ def test_window_tables_match_ranks_and_slices(spec):
 ])
 @pytest.mark.parametrize("span", [1, 2, 3])
 def test_window_tables_on_fixed_specs(spec, span):
-    _check_windows(spec, span)
     _check_levels(spec, span + 2)
 
 

@@ -31,6 +31,18 @@ def hallway_cert_a(systems):
     return certify_automorphism(hallway.spec, hallway.codes["phi_a"], 1).cert
 
 
+def test_certificate_on_another_subshift_is_rejected(systems, full2_certs):
+    # the full2 flip maps 0^inf to 1^inf, which the golden mean does not contain
+    golden, flip = systems["golden_mean"].spec, full2_certs["flip"]
+    probe = Configuration(("0",), ("1",), ("0",))
+    calls = (lambda: spacetime_window(golden, flip, Configuration.constant("0"), 3, 3),
+             lambda: orbit_preserving(golden, flip, [probe], 2),
+             lambda: power_is_shift(golden, flip, [probe], 2, 2))
+    for call in calls:
+        with pytest.raises(ValueError, match="code lives on a different subshift"):
+            call()
+
+
 def test_identity_rows_repeat_base(systems, full2_certs):
     probe = systems["full2"].probes["alt"]
     window = spacetime_window(systems["full2"].spec, full2_certs["identity"],
