@@ -23,17 +23,18 @@ fixpoint, expanding each key once (`_endomorphism_witness`).
 """
 
 import itertools
-import json
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import eq, itemgetter
 from types import MappingProxyType
 
 from .errors import (
+    EmptySubshiftError,
     InvalidChainError,
     RuleIncompleteError,
     SearchSpaceError,
     SpecFormatError,
 )
+from .subshifts import _check_keys, _read_json
 from .words import Configuration, occurrences
 
 
@@ -303,13 +304,15 @@ def find_inverse(spec, code, r_max):
     """
     _check_inputs(spec, (code,), r_max)
     span = 2 * code.radius + 1
-    passes = itertools.islice(_image_ranks(code, span + 2 * r_max), 0, None, 2)
+    images = _image_ranks(code, span + 2 * r_max)
+    passes = itertools.islice(images, 0, None, 2)
     for r, centres in zip(range(r_max + 1), itertools.islice(_centres(spec), code.radius, None)):
         try:
-            ranks = next(passes)
+            forced = _forced(next(passes), centres)
         except KeyError:
             return None
-        forced = _forced(ranks, centres)
+        if r == r_max:
+            images.close()  # its level lists are spent: free them before the candidate's pass
         if forced is None:
             continue
         if len(forced) != spec.count_words(2 * r + 1):
@@ -320,7 +323,7 @@ def find_inverse(spec, code, r_max):
                 pass
         except KeyError:
             continue
-        if list(map(code.outputs.__getitem__, back)) == centres:
+        if all(map(eq, map(code.outputs.__getitem__, back), centres)):
             return candidate
     return None
 
@@ -393,13 +396,16 @@ def enumerate_automorphisms(spec, radius, table_cap=1_000_000):
     """All of Aut_R(X) by brute force over rule tables, canonically ordered."""
     if radius < 0:
         raise ValueError("range must be >= 0")
-    domain = spec.words(2 * radius + 1)
-    size = len(spec.alphabet) ** len(domain)
+    if spec.is_empty:
+        raise EmptySubshiftError("empty subshift has no language")
+    windows = spec.count_words(2 * radius + 1)
+    size = len(spec.alphabet) ** windows
     if size > table_cap:
         raise SearchSpaceError(size, table_cap)
     certs = []
-    for values in itertools.product(spec.alphabet.letters, repeat=len(domain)):
-        code = BlockCode(spec, radius, dict(zip(domain, values)))
+    # each table holds one alphabet letter per window of L_{2R+1}, by rank: nothing to check
+    for values in itertools.product(spec.alphabet.letters, repeat=windows):
+        code = BlockCode._of(spec, radius, list(values))
         result = certify_automorphism(spec, code, radius)
         if result.status == "certified":
             certs.append(result.cert)
@@ -623,12 +629,7 @@ def parse_code(spec, obj, where="code"):
     """Strict block-code parser with a completeness check against L_{2R+1}(X)."""
     if not isinstance(obj, dict):
         raise SpecFormatError(f"{where}: expected an object")
-    extra = set(obj) - _CODE_KEYS
-    if extra:
-        raise SpecFormatError(f"{where}: unknown keys {sorted(extra)}")
-    missing = _CODE_KEYS - set(obj)
-    if missing:
-        raise SpecFormatError(f"{where}: missing keys {sorted(missing)}")
+    _check_keys(obj, _CODE_KEYS, where)
     radius = obj["range"]
     if not isinstance(radius, int) or isinstance(radius, bool) or radius < 0:
         raise SpecFormatError(f"{where}.range: expected an integer >= 0")
@@ -652,9 +653,4 @@ def parse_code(spec, obj, where="code"):
 
 
 def load_code(spec, path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SpecFormatError(f"{path}: invalid JSON ({exc})") from None
-    return parse_code(spec, obj, where=str(path))
+    return parse_code(spec, _read_json(path), where=str(path))

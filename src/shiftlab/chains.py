@@ -228,23 +228,17 @@ def build_chain(spec, radius, max_len, cap):
 
 
 def chain_to_json(chain):
-    levels = []
-    forbidden_so_far = []
-    for lvl in chain.levels:
-        levels.append({"forbidden_so_far": [list(w) for w in forbidden_so_far],
-                       "w": list(lvl.word),
-                       "w_tilde": list(lvl.extended),
-                       "aperiodic_cylinder": lvl.aperiodic_cylinder})
-        forbidden_so_far.append(lvl.extended)
-    terminal = None
-    if chain.terminal is not None:
-        terminal = {"forbidden_so_far": [list(w) for w in forbidden_so_far],
-                    "w": list(chain.terminal.word),
-                    "w_tilde": list(chain.terminal.extended),
-                    "aperiodic_cylinder": chain.terminal.aperiodic_cylinder}
+    def level(lvl, i):
+        """The level's dict, after the w_tilde of the i levels before it."""
+        return {"forbidden_so_far": [list(u.extended) for u in chain.levels[:i]],
+                "w": list(lvl.word),
+                "w_tilde": list(lvl.extended),
+                "aperiodic_cylinder": lvl.aperiodic_cylinder}
+
+    terminal = chain.terminal
     return {
-        "levels": levels,
-        "terminal": terminal,
+        "levels": [level(lvl, i) for i, lvl in enumerate(chain.levels)],
+        "terminal": None if terminal is None else level(terminal, len(chain.levels)),
         "range": chain.range_r,
         "max_len": chain.max_len,
         "effective_len": chain.effective_len,

@@ -21,7 +21,7 @@ import traceback
 from . import autos, chains, spacetime, suites
 from .complexity import complexity_table
 from .errors import NoUniqueExtenderError, ShiftlabError, SpecFormatError
-from .subshifts import _parse_letters, _parse_word, load_spec, spec_digest
+from .subshifts import _parse_letters, _parse_word, _read_json, load_spec, spec_digest
 from .systems import SYSTEM_NAMES, make_example
 from .words import Configuration
 
@@ -75,11 +75,7 @@ def _resolve_probe(ref, system, inputs):
         return system.probes[ref]
     if not os.path.exists(ref):
         raise UsageError(f"probe not found: {ref}")
-    with open(ref, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SpecFormatError(f"{ref}: invalid JSON ({exc})") from None
+    obj = _read_json(ref)
     keys = {"left_period", "center", "right_period", "origin_offset"}
     if not isinstance(obj, dict) or set(obj) != keys:
         raise SpecFormatError(f"{ref}: probe must have exactly keys {sorted(keys)}")

@@ -6,7 +6,8 @@ Three finite descriptions are supported:
   de Bruijn-style transition graph of order max(|f|)-1.  Membership in the
   language means occurrence in a bi-infinite point; merely avoiding the
   forbidden words is not enough, which is why the graph is pruned until
-  every vertex has an incoming and an outgoing edge.
+  every vertex has an incoming and an outgoing edge.  The pruned rows
+  are the graph, kept as they are: vertex -> {letter: target vertex}.
 * Sparse: a background letter plus families of marker multisets; points
   are all-background except for finitely many markers forming a
   sub-multiset of one family.
@@ -190,6 +191,13 @@ class SubshiftSpec:
         """Canonical plain-data description (also the JSON form)."""
         raise NotImplementedError
 
+    def __eq__(self, other):
+        """Specs are equal exactly when their canonical descriptors are."""
+        return isinstance(other, SubshiftSpec) and self.descriptor() == other.descriptor()
+
+    def __hash__(self):
+        return hash(repr(self.descriptor()))
+
     def __repr__(self):
         return f"<{type(self).__name__} {self.descriptor()!r}>"
 
@@ -270,8 +278,9 @@ class SftSpec(SubshiftSpec):
     Vertices are the clean words of length order-1; the edge u -a-> v
     exists when v = u[1:]+(a,) and the combined window of length `order`
     avoids every forbidden word.  Iterated removal of vertices without
-    in- or out-edges leaves exactly the graph whose bi-infinite paths
-    realize the language.
+    in- or out-edges (`_prune`) leaves exactly the graph whose bi-infinite
+    paths realize the language; `graph` is its rows, vertex -> {letter:
+    target}, vertices and letters in canonical order.
     """
 
     kind = "sft"
@@ -302,25 +311,18 @@ class SftSpec(SubshiftSpec):
         vert_set = set(verts)
         # A proper factor of the window w = u+(a,) lies in u or in w[1:], both
         # clean vertices, so only w itself can be forbidden.
-        rows, _ = _prune({u: {a: w[1:] for a in letters
-                              if (w := u + (a,)) not in forbidden and w[1:] in vert_set}
-                          for u in verts})
-        self.vertices = tuple(rows)
-        self.out = {u: tuple(row) for u, row in rows.items()}
-        self.is_empty = not self.vertices
+        self.graph, _ = _prune({u: {a: w[1:] for a in letters
+                                    if (w := u + (a,)) not in forbidden and w[1:] in vert_set}
+                                for u in verts})
+        self.is_empty = not self.graph
         # every language word shorter than q starts some essential vertex
-        self._prefixes = {v[:i] for v in self.vertices for i in range(1, len(v) + 1)}
-
-    @staticmethod
-    def step(u, a):
-        """Successor vertex along the edge labeled by appending `a`."""
-        return (u + (a,))[1:]
+        self._prefixes = {v[:i] for v in self.graph for i in range(1, len(v) + 1)}
 
     def _next(self, state, a):
         if len(state) < self.window_len:
             grown = state + (a,)
             return grown if grown in self._prefixes else None
-        return self.step(state, a) if a in self.out[state] else None
+        return self.graph[state].get(a)
 
     def contains_config(self, config):
         q = self.window_len
@@ -334,14 +336,6 @@ class SftSpec(SubshiftSpec):
         return {"kind": "sft",
                 "alphabet": list(self.alphabet.letters),
                 "forbidden": [list(f) for f in self.forbidden]}
-
-    def __eq__(self, other):
-        return (isinstance(other, SftSpec)
-                and self.alphabet == other.alphabet
-                and self.forbidden == other.forbidden)
-
-    def __hash__(self):
-        return hash((self.alphabet, self.forbidden))
 
 
 class SparseSpec(SubshiftSpec):
@@ -398,15 +392,6 @@ class SparseSpec(SubshiftSpec):
                 "background": self.background,
                 "families": [list(f) for f in self.families]}
 
-    def __eq__(self, other):
-        return (isinstance(other, SparseSpec)
-                and self.alphabet == other.alphabet
-                and self.background == other.background
-                and self.families == other.families)
-
-    def __hash__(self):
-        return hash((self.alphabet, self.background, self.families))
-
 
 class ProductSpec(SubshiftSpec):
     """Letterwise Cartesian product over the pair alphabet."""
@@ -448,14 +433,6 @@ class ProductSpec(SubshiftSpec):
                 "factors": [self.factor_left.descriptor(),
                             self.factor_right.descriptor()]}
 
-    def __eq__(self, other):
-        return (isinstance(other, ProductSpec)
-                and self.factor_left == other.factor_left
-                and self.factor_right == other.factor_right)
-
-    def __hash__(self):
-        return hash((self.factor_left, self.factor_right))
-
 
 # -- constructors (the public build operations) --------------------------
 
@@ -495,13 +472,23 @@ _SPEC_KEYS = {
 }
 
 
-def _parse_letters(obj, where):
-    if not isinstance(obj, list) or not obj:
-        raise SpecFormatError(f"{where}: expected a nonempty list of letters")
-    for a in obj:
-        if not isinstance(a, str):
-            raise SpecFormatError(f"{where}: letters must be strings, got {a!r}")
-    return tuple(obj)
+def _read_json(path):
+    """The JSON value of an input file; invalid JSON is a SpecFormatError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SpecFormatError(f"{path}: invalid JSON ({exc})") from None
+
+
+def _check_keys(obj, keys, where):
+    """Reject an object whose key set is not exactly `keys`."""
+    extra = set(obj) - keys
+    if extra:
+        raise SpecFormatError(f"{where}: unknown keys {sorted(extra)}")
+    missing = keys - set(obj)
+    if missing:
+        raise SpecFormatError(f"{where}: missing keys {sorted(missing)}")
 
 
 def _parse_word(obj, where):
@@ -513,6 +500,12 @@ def _parse_word(obj, where):
     return tuple(obj)
 
 
+def _parse_letters(obj, where):
+    if not isinstance(obj, list) or not obj:
+        raise SpecFormatError(f"{where}: expected a nonempty list of letters")
+    return _parse_word(obj, where)
+
+
 def parse_spec(obj, where="spec"):
     """Strict parser for the subshift spec JSON schema; unknown keys rejected."""
     if not isinstance(obj, dict):
@@ -520,43 +513,33 @@ def parse_spec(obj, where="spec"):
     kind = obj.get("kind")
     if kind not in _SPEC_KEYS:
         raise SpecFormatError(f"{where}.kind: expected one of sft|sparse|product")
-    allowed = _SPEC_KEYS[kind]
-    extra = set(obj) - allowed
-    if extra:
-        raise SpecFormatError(f"{where}: unknown keys {sorted(extra)}")
-    missing = allowed - set(obj)
-    if missing:
-        raise SpecFormatError(f"{where}: missing keys {sorted(missing)}")
-    if kind == "sft":
-        alphabet = Alphabet(_parse_letters(obj["alphabet"], f"{where}.alphabet"))
-        if not isinstance(obj["forbidden"], list):
-            raise SpecFormatError(f"{where}.forbidden: expected a list of words")
-        words = [_parse_word(w, f"{where}.forbidden[{i}]")
-                 for i, w in enumerate(obj["forbidden"])]
+    _check_keys(obj, _SPEC_KEYS[kind], where)
+    if kind == "product":
+        factors = obj["factors"]
+        if not isinstance(factors, list) or len(factors) != 2:
+            raise SpecFormatError(f"{where}.factors: expected exactly two factor specs")
+        left = parse_spec(factors[0], f"{where}.factors[0]")
+        right = parse_spec(factors[1], f"{where}.factors[1]")
         try:
-            return build_sft(alphabet, words)
-        except ValueError as exc:
+            return product(left, right)
+        except EmptySubshiftError as exc:
             raise SpecFormatError(f"{where}: {exc}") from None
-    if kind == "sparse":
-        alphabet = Alphabet(_parse_letters(obj["alphabet"], f"{where}.alphabet"))
+    alphabet = Alphabet(_parse_letters(obj["alphabet"], f"{where}.alphabet"))
+    try:
+        if kind == "sft":
+            if not isinstance(obj["forbidden"], list):
+                raise SpecFormatError(f"{where}.forbidden: expected a list of words")
+            return build_sft(alphabet, [_parse_word(w, f"{where}.forbidden[{i}]")
+                                        for i, w in enumerate(obj["forbidden"])])
         if not isinstance(obj["background"], str):
             raise SpecFormatError(f"{where}.background: expected a letter string")
         if not isinstance(obj["families"], list):
             raise SpecFormatError(f"{where}.families: expected a list of families")
-        fams = [_parse_word(f, f"{where}.families[{i}]")
-                for i, f in enumerate(obj["families"])]
-        try:
-            return build_sparse(alphabet, obj["background"], fams)
-        except ValueError as exc:
-            raise SpecFormatError(f"{where}: {exc}") from None
-    factors = obj["factors"]
-    if not isinstance(factors, list) or len(factors) != 2:
-        raise SpecFormatError(f"{where}.factors: expected exactly two factor specs")
-    left = parse_spec(factors[0], f"{where}.factors[0]")
-    right = parse_spec(factors[1], f"{where}.factors[1]")
-    try:
-        return product(left, right)
-    except EmptySubshiftError as exc:
+        return build_sparse(alphabet, obj["background"],
+                            [_parse_word(f, f"{where}.families[{i}]")
+                             for i, f in enumerate(obj["families"])])
+    except ValueError as exc:
+        # a backend's own check; the SpecFormatErrors above pass through
         raise SpecFormatError(f"{where}: {exc}") from None
 
 
@@ -565,12 +548,7 @@ def spec_to_json(spec):
 
 
 def load_spec(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SpecFormatError(f"{path}: invalid JSON ({exc})") from None
-    return parse_spec(obj, where=str(path))
+    return parse_spec(_read_json(path), where=str(path))
 
 
 def spec_digest(spec):

@@ -143,11 +143,10 @@ def sft_graph_oracle(spec):
                 if keep == alive:
                     break
                 alive = keep
-            self.vertices = tuple(sorted(alive, key=self.alphabet.word_key))
-            self.out = {u: tuple(a for a in out[u] if (u + (a,))[1:] in alive)
-                        for u in self.vertices}
-            self.is_empty = not self.vertices
-            self._prefixes = {v[:i] for v in self.vertices for i in range(1, len(v) + 1)}
+            self.graph = {u: {a: v for a in out[u] if (v := (u + (a,))[1:]) in alive}
+                          for u in sorted(alive, key=self.alphabet.word_key)}
+            self.is_empty = not self.graph
+            self._prefixes = {v[:i] for v in self.graph for i in range(1, len(v) + 1)}
 
     return BruteForceSft(spec.alphabet, spec.forbidden)
 
@@ -540,14 +539,14 @@ def shadowing_distance_oracle(spec, forbidden_words, u, t_steps, cap):
 
 
 def _forward_adj(spec):
-    return {u: tuple(spec.step(u, a) for a in spec.out[u]) for u in spec.vertices}
+    return {u: tuple(row.values()) for u, row in spec.graph.items()}
 
 
 def _backward_adj(spec):
-    rev = {u: [] for u in spec.vertices}
-    for u in spec.vertices:
-        for a in spec.out[u]:
-            rev[spec.step(u, a)].append(u)
+    rev = {u: [] for u in spec.graph}
+    for u, row in spec.graph.items():
+        for v in row.values():
+            rev[v].append(u)
     return {u: tuple(vs) for u, vs in rev.items()}
 
 
@@ -665,7 +664,7 @@ def cylinder_has_aperiodic_oracle(spec, word):
     q = spec.window_len
     if q == 0:
         # order-1 SFT: cycles are the allowed self-loops
-        return len(spec.out[()]) >= 2
+        return len(spec.graph[()]) >= 2
     if len(word) < q:
         return any(cylinder_has_aperiodic_oracle(spec, u)
                    for u in spec.words(q) if u[:len(word)] == word)

@@ -25,6 +25,7 @@ from shiftlab import (
 from shiftlab.autos import BlockCode, product_code, reduce_range
 from shiftlab.chains import Chain, ChainLevel
 from shiftlab.errors import (
+    EmptySubshiftError,
     InvalidChainError,
     RuleIncompleteError,
     SearchSpaceError,
@@ -370,6 +371,14 @@ def test_enumerate_search_space_cap(systems):
 def test_enumerate_rejects_negative_range(systems):
     with pytest.raises(ValueError, match="range must be >= 0"):
         enumerate_automorphisms(systems["full2"].spec, -1)
+
+
+@pytest.mark.parametrize("forbidden", [[("0",), ("1",)], [("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")]],
+                         ids=["order-1", "order-2"])
+def test_enumerate_on_the_empty_subshift_is_an_input_error(forbidden):
+    # the search is sized by count_words, which is 0 here; it must still refuse, not fail inside
+    with pytest.raises(EmptySubshiftError, match="empty subshift has no language"):
+        enumerate_automorphisms(build_sft(Alphabet("01"), forbidden), 0)
 
 
 def test_enumeration_closure_under_composition(systems):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from shiftlab import code_to_json, spec_to_json
+from shiftlab import code_to_json, make_example, spec_to_json
 from shiftlab import errors
 from shiftlab.cli import main
 
@@ -239,6 +239,61 @@ def test_malformed_spec_file_exits_2(tmp_path, capsys):
     path.write_text(json.dumps({"kind": "sft", "alphabet": ["0"],
                                 "forbidden": [], "bogus": 1}))
     assert main(["complexity", "--spec", str(path), "--max-n", "3"]) == 2
+
+
+SFT_OBJ = {"kind": "sft", "alphabet": ["0", "1"], "forbidden": [["1", "1"]]}
+PROBE_OBJ = {"left_period": ["0"], "center": ["1"], "right_period": ["0"], "origin_offset": 0}
+PROBE_KEYS = "['center', 'left_period', 'origin_offset', 'right_period']"
+CODE_OBJ = code_to_json(make_example("hallway").codes["phi_a"])
+
+
+def _without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+@pytest.mark.parametrize("role, content, message", [
+    pytest.param("spec", "{\"kind\": \"sft\"", None, id="spec-invalid-json"),
+    pytest.param("spec", {**SFT_OBJ, "bogus": 1}, ": unknown keys ['bogus']", id="spec-unknown"),
+    pytest.param("spec", _without(SFT_OBJ, "forbidden"), ": missing keys ['forbidden']",
+                 id="spec-missing"),
+    pytest.param("spec", {"kind": "product", "factors": [_without(SFT_OBJ, "alphabet"), SFT_OBJ]},
+                 ".factors[0]: missing keys ['alphabet']", id="spec-factor-missing"),
+    pytest.param("spec", {**SFT_OBJ, "alphabet": []},
+                 ".alphabet: expected a nonempty list of letters", id="spec-no-letters"),
+    pytest.param("spec", {**SFT_OBJ, "alphabet": ["0", 1]},
+                 ".alphabet: letters must be strings, got 1", id="spec-letter-type"),
+    pytest.param("spec", {**SFT_OBJ, "forbidden": [[]]}, ": forbidden words must be nonempty",
+                 id="spec-backend-check"),
+    pytest.param("code", "{\"range\": 1,", None, id="code-invalid-json"),
+    pytest.param("code", {**CODE_OBJ, "bogus": 1}, ": unknown keys ['bogus']", id="code-unknown"),
+    pytest.param("code", _without(CODE_OBJ, "rule"), ": missing keys ['rule']", id="code-missing"),
+    pytest.param("probe", "[\"0\"", None, id="probe-invalid-json"),
+    pytest.param("probe", {**PROBE_OBJ, "bogus": 1}, f": probe must have exactly keys {PROBE_KEYS}",
+                 id="probe-unknown"),
+    pytest.param("probe", _without(PROBE_OBJ, "center"),
+                 f": probe must have exactly keys {PROBE_KEYS}", id="probe-missing"),
+    pytest.param("probe", {**PROBE_OBJ, "left_period": []},
+                 ".left_period: expected a nonempty list of letters", id="probe-empty-period"),
+    pytest.param("probe", {**PROBE_OBJ, "center": "1"},
+                 ".center: expected a word as a list of letters", id="probe-center"),
+])
+def test_input_file_error_messages(tmp_path, capsys, role, content, message):
+    # each malformed file is an input error (exit 2) with its exact message on stderr
+    path = tmp_path / f"{role}.json"
+    if isinstance(content, str):
+        path.write_text(content)
+        with pytest.raises(json.JSONDecodeError) as exc:
+            json.loads(content)
+        message = f": invalid JSON ({exc.value})"
+    else:
+        path.write_text(json.dumps(content))
+    refs = {"spec": "builtin:hallway", "code": "phi_a", "probe": "x3", role: str(path)}
+    argv = ["spacetime", "--spec", refs["spec"], "--code", refs["code"], "--probe", refs["probe"],
+            "--width", "5", "--height", "3", "--rmax", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}{message}\n"
 
 
 def test_unknown_builtin_exits_2(capsys):

@@ -11,9 +11,10 @@ The language trie (`SubshiftSpec._levels`), which every block code
 slides by, is checked against the canonical word lists and the end
 states of runs: each `ext` row against the ranks of the one-letter
 extensions, each `tail` against the rank of the word's tail.  The SFT
-essential graph is checked against a brute-force build
-(`sft_graph_oracle`), and the live part of an SFT's compiled automaton (`_live`) against that graph:
-the same vertices, out-letters and in-degrees.  `_prune`, which drops
+essential graph (`SftSpec.graph`, the pruned rows) is checked against a
+brute-force build (`sft_graph_oracle`), and the live part of an SFT's
+compiled automaton (`_live`) against that graph: the same vertices, rows
+and in-degrees.  `_prune`, which drops
 dead states from a worklist, is checked against pruning in rounds
 (`prune_oracle`) on random labelled graphs: the same rows, in the same
 order, and the same in-degrees.
@@ -117,8 +118,9 @@ def test_sft_graph_matches_brute_force_oracle(spec):
     # the essential graph against a build that lists all |A|^q words,
     # scans every vertex and edge window for forbidden factors and sorts
     ref = sft_graph_oracle(spec)
-    assert spec.vertices == ref.vertices  # including their order
-    assert spec.out == ref.out
+    # the same rows, vertices and letters in the same order
+    assert [(u, list(row.items())) for u, row in spec.graph.items()] == \
+        [(u, list(row.items())) for u, row in ref.graph.items()]
     assert spec._prefixes == ref._prefixes
     assert spec.is_empty == ref.is_empty
     if not spec.is_empty:
@@ -139,11 +141,10 @@ def test_live_states_are_the_sft_vertices(spec):
                 names[t] = names[s] + (a,)
                 queue.append(t)
     live, in_degree = spec._live()
-    assert sorted(names[s] for s in live) == sorted(spec.vertices)
+    assert sorted(names[s] for s in live) == sorted(spec.graph)
     for s, row in live.items():
-        assert tuple(row) == spec.out[names[s]]
-        assert all(names[t] == spec.step(names[s], a) for a, t in row.items())
-    edges_in = Counter(spec.step(u, a) for u in spec.vertices for a in spec.out[u])
+        assert [(a, names[t]) for a, t in row.items()] == list(spec.graph[names[s]].items())
+    edges_in = Counter(v for row in spec.graph.values() for v in row.values())
     assert {names[s]: in_degree[s] for s in live} == edges_in
 
 
@@ -187,6 +188,43 @@ def test_product_language_matches_zipped_oracles(case):
 
 
 any_specs = st.one_of(sft_specs(), sparse_specs(), product_specs()).map(lambda case: case[0])
+
+
+def _rebuilt(draw, spec):
+    """The spec built again from its own data in a drawn order: the forbidden
+    words or the families permuted, one repeated, each family's markers
+    shuffled; an SFT may come back as `sft_graph_oracle`'s subclass."""
+    if spec.kind == "product":
+        return product(_rebuilt(draw, spec.factor_left), _rebuilt(draw, spec.factor_right))
+    if spec.kind == "sparse":
+        families = [draw(st.permutations(f)) for f in spec.families + spec.families[:1]]
+        return build_sparse(spec.alphabet, spec.background, draw(st.permutations(families)))
+    rebuilt = build_sft(spec.alphabet, draw(st.permutations(spec.forbidden + spec.forbidden[:1])))
+    return sft_graph_oracle(rebuilt) if draw(st.booleans()) else rebuilt
+
+
+@st.composite
+def spec_pairs(draw):
+    spec = draw(any_specs)
+    return spec, (_rebuilt(draw, spec) if draw(st.booleans()) else draw(any_specs))
+
+
+@settings(SETTINGS, max_examples=150)
+@given(spec_pairs())
+@example((build_sft(Alphabet("01"), [("1", "1"), ("0", "0", "0")]),
+          sft_graph_oracle(build_sft(Alphabet("01"), [("0", "0", "0"), ("1", "1")]))))
+@example((build_sparse(Alphabet("0ab"), "0", [("a", "b"), ("b",)]),
+          build_sparse(Alphabet("0ab"), "0", [("b",), ("b", "a"), ()])))
+@example((build_sft(Alphabet("01"), [("1",)]), build_sparse(Alphabet("01"), "0", [])))
+@example((build_sft(Alphabet("01"), []), build_sft(Alphabet("10"), [])))  # letter order counts
+def test_equality_and_hash_follow_the_descriptor(pair):
+    a, b = pair
+    same = a.descriptor() == b.descriptor()
+    assert (a == b) is (b == a) is same
+    assert (a != b) is not same
+    if same:
+        assert hash(a) == hash(b)
+    assert a != a.descriptor()
 
 
 @SETTINGS
