@@ -34,6 +34,7 @@ from .errors import (
     SearchSpaceError,
     SpecFormatError,
 )
+from .complexity import _centred
 from .subshifts import _check_keys, _read_json
 from .words import Configuration, occurrences
 
@@ -418,7 +419,8 @@ def preserves_occurrences(spec, code, target, anchors=None):
     Plain form: every language word with `target` centered maps onto
     `target`.  Relative form (anchors = (words, D)): the same, restricted
     to occurrences whose D-stretch around the target avoids every anchor;
-    the plain form is the relative one with no anchors and D = 0.
+    the plain form is the relative one with no anchors and D = 0.  Both
+    read E_{R+D} of `complexity._centred` (empty for a target outside L).
     """
     _check_inputs(spec, (code,))
     target = tuple(target)
@@ -429,11 +431,9 @@ def preserves_occurrences(spec, code, target, anchors=None):
     if dist < 0:
         raise ValueError("anchor distance must be >= 0")
     anchor_words = [tuple(w) for w in anchor_words]
-    off = radius + dist
-    for u in spec.words(len(target) + 2 * off):
+    for u in next(itertools.islice(_centred(spec, target), radius + dist, None)):
         # u[radius:len(u) - radius] is the D-stretch around the target
-        if (u[off:off + len(target)] == target
-                and not any(occurrences(u[radius:len(u) - radius], a) for a in anchor_words)
+        if (not any(occurrences(u[radius:len(u) - radius], a) for a in anchor_words)
                 and apply_to_word(code, u)[dist:dist + len(target)] != target):
             return False
     return True

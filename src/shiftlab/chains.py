@@ -5,10 +5,13 @@ n-|w|+1 words of every length n >= |w| (the removal bound), which caps
 the length of any chain built from words of bounded length.  On top of
 the chain sit the shadowing and syndeticity searches: how far from the
 forbidden words a surviving word behaves as if the forbidding never
-happened, and how often some chain word must recur in every point, read
-off the words free of chain words grown one letter at a time.
+happened, read off the canonical lists of `complexity._centred`, and
+how often some chain word must recur in every point, read off the words
+free of chain words grown one letter at a time.
 """
 
+import functools
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -20,7 +23,7 @@ from .errors import (
     NoAperiodicPointError,
     NoUniqueExtenderError,
 )
-from .complexity import _centered_extensions, _extend_while_unique
+from .complexity import _centred, _extend_while_unique
 from .subshifts import SftSpec, SparseSpec, build_sft, build_sparse, empty_sft
 
 
@@ -170,7 +173,10 @@ class Chain:
 
 
 def unique_extension(spec, word, steps):
-    """The unique `steps`-fold centered extension of word, or None."""
+    """The unique `steps`-fold centered extension of word, or None (always
+    for a word outside the language, which not even itself extends)."""
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
     unique_steps, u = _extend_while_unique(spec, tuple(word), steps)
     return u if unique_steps == steps else None
 
@@ -265,46 +271,32 @@ def shadowing_distance(spec, forbidden_words, u, t_steps, cap):
     Y is X minus the forbidden words; u must extend uniquely at least
     `t_steps` times in L(Y) to v.  Every word of X carrying u centered,
     with no forbidden word starting within D of u's start, must then
-    carry v centered.  The words carrying u centered grow one extension
-    step per distance; the counterexample at each D is the canonically
-    least failing word.
+    carry v centered.  The words carrying u centered at distance D are
+    E_{T+D} of `_centred`, one extension step per distance, in canonical
+    order; the counterexample at each D is the first failing word.
     """
     if t_steps < 0:
         raise ValueError("t_steps must be >= 0")
     u = tuple(u)
     forbidden_words = tuple(tuple(f) for f in forbidden_words)
-    shrunk = spec
-    for f in forbidden_words:
-        shrunk = forbid(shrunk, f)
+    shrunk = functools.reduce(forbid, forbidden_words, spec)
     if shrunk.is_empty or not shrunk.contains(u):
         raise HypothesisError(f"word {u!r} not in the language after forbidding")
     v = unique_extension(shrunk, u, t_steps)
     if v is None:
         raise HypothesisError(
             f"word {u!r} does not extend uniquely {t_steps} times after forbidding")
-    extensions = {u}
-    for _ in range(t_steps):
-        extensions = _centered_extensions(spec, extensions)
     prev_cex = None
-    for dist in range(cap + 1):
-        if dist:
-            extensions = _centered_extensions(spec, extensions)
-        n = len(u) + 2 * (dist + t_steps)
-        failing = []
-        for w in extensions:
-            clean = True
-            for f in forbidden_words:
-                for p in range(t_steps, 2 * dist + t_steps + 1):
-                    if p + len(f) <= n and w[p:p + len(f)] == f:
-                        clean = False
-                        break
-                if not clean:
-                    break
-            if clean and w[dist:dist + len(v)] != v:
-                failing.append(w)
-        if not failing:
+    levels = itertools.islice(_centred(spec, u), t_steps, t_steps + cap + 1)
+    for dist, extensions in enumerate(levels):
+        # a forbidden word starting in [T, T+2D], within D of u's start, excuses w
+        starts = range(t_steps, t_steps + 2 * dist + 1)
+        cex = next((w for w in extensions if w[dist:dist + len(v)] != v
+                    and not any(w[p:p + len(f)] == f for f in forbidden_words for p in starts)),
+                   None)
+        if cex is None:
             return ShadowingReport("ok", dist, cap, v, prev_cex)
-        prev_cex = min(failing, key=spec.alphabet.word_key)
+        prev_cex = cex
     return ShadowingReport("cap-exceeded", None, cap, v, prev_cex)
 
 

@@ -312,7 +312,11 @@ def main(argv=None):
         "violations": violations,
         "elapsed_ms": int((time.monotonic() - started) * 1000),
     }
-    _emit(report, args.out)
+    try:
+        _emit(report, args.out)
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write report: {args.out}: {exc.strerror}\n")
+        return 2
     return 1 if violations else 0
 
 

@@ -4,11 +4,13 @@ The counting side is straightforward; the interesting parts are the
 extension radii (how far a word determines its surroundings) and the
 window search behind the slow-complexity growth argument:  whenever
 P_X(n) <= n^d from some point on, some m <= n*ln(n) has every word of
-length m pinned down Cn deep on both sides, with C = ln(2)/(4d).
+length m pinned down Cn deep on both sides, with C = ln(2)/(4d).  All
+two-sided extensions come from `_centred`, in canonical order as made.
 """
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -84,44 +86,43 @@ class ExtensionReport:
     extension: tuple  # the unique centered extension at min(radius, cap)
 
 
-def _centered_extensions(spec, wordset):
-    """One-step two-sided extensions (a,)+w+(b,) within the language.
-
-    Each left word (a,)+w is run once through the compiled automaton; the
-    right letters b are then the keys of its end state's row.
-    """
-    for w in wordset:
-        spec.alphabet.check_word(w)
-    out = set()
-    if spec.is_empty:
-        return out
-    rows = spec._transitions()
-    for w in wordset:
-        for a, state in rows[0].items():
-            for c in w:
-                state = rows[state].get(c)
-                if state is None:
-                    break  # the language is factorial
-            else:
-                left = (a,) + w
-                for b in rows[state]:
-                    out.add(left + (b,))
-    return out
+def _centred(spec, word):
+    """Yield E_0, E_1, ...: E_k lists the words of L_{|w|+2k} with w at the
+    centre, in canonical order.  E_0 is [w] if w is in the language
+    (`contains` also checks the letters), else every E_k is [].  E_{k+1}
+    runs a+u for a in the start row, then u in E_k, and appends a+u+b for
+    b in the end state's row, so it is made in canonical order; it misses
+    no word, as the middle of each lies in E_k (factoriality)."""
+    if not spec.contains(word):
+        yield from itertools.repeat([])
+    level, rows = [word], spec._transitions()
+    while True:
+        yield level
+        nxt = []
+        for a, start in rows[0].items():
+            for u in level:
+                state = start
+                for c in u:
+                    state = rows[state].get(c)
+                    if state is None:
+                        break  # the language is factorial
+                else:
+                    left = (a,) + u
+                    for b in rows[state]:
+                        nxt.append(left + (b,))
+        level = nxt
 
 
 def _extend_while_unique(spec, word, steps):
-    """Extend word one step at a time, at most `steps` times, while it extends uniquely.
-
-    Returns (k, u): the first k steps each left exactly one word, and u is
-    that unique k-fold extension (the word itself when k is 0).
-    """
-    u = word
-    for k in range(steps):
-        nxt = _centered_extensions(spec, {u})
-        if len(nxt) != 1:
+    """(k, u) for the largest k <= `steps` with E_k = [u] (uniqueness is
+    monotone in k); (-1, None) for a word outside the language."""
+    u = None
+    for k, level in enumerate(_centred(spec, word)):
+        if len(level) != 1:
+            return k - 1, u
+        (u,) = level
+        if k >= steps:
             return k, u
-        (u,) = nxt
-    return steps, u
 
 
 def extension_radius(spec, word, cap):
@@ -133,9 +134,9 @@ def extension_radius(spec, word, cap):
     word = tuple(word)
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    if not spec.contains(word):
-        raise ValueError(f"word {word!r} not in the language")
     radius, unique_ext = _extend_while_unique(spec, word, cap)
+    if radius < 0:
+        raise ValueError(f"word {word!r} not in the language")
     return ExtensionReport(word, AT_LEAST_CAP if radius == cap else radius, cap, unique_ext)
 
 

@@ -473,12 +473,14 @@ _SPEC_KEYS = {
 
 
 def _read_json(path):
-    """The JSON value of an input file; invalid JSON is a SpecFormatError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """The JSON value of an input file; an unreadable file or invalid JSON is a SpecFormatError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SpecFormatError(f"{path}: invalid JSON ({exc})") from None
+    except OSError as exc:
+        raise SpecFormatError(f"{path}: cannot read ({exc.strerror})") from None
+    except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError: JSON text is UTF-8
+        raise SpecFormatError(f"{path}: invalid JSON ({exc})") from None
 
 
 def _check_keys(obj, keys, where):

@@ -40,9 +40,12 @@ the library walks from each live automaton state reading the word,
 checking degrees, on every backend alike.
 The shadowing oracle rebuilds the extensions of u from u for every
 distance and takes the first failing word in sorted order, where the
-library extends one set once more per distance and takes the least
-failing word; the unique-extension oracle iterates the `contains`-based
-extension step on a set, where the library reads the automaton's rows.
+library reads the canonical lists of `complexity._centred`, one
+extension step per distance, and takes the first failing word; the
+unique-extension oracle iterates the `contains`-based extension step on
+a set, where the library reads the automaton's rows; the
+occurrence-preservation oracle scans all of L_n for the words with the
+target at the centre, where the library reads them off `_centred`.
 They import shiftlab when called, so importing this module loads no
 shiftlab code (the benchmark imports it before its own cold imports).
 """
@@ -484,14 +487,46 @@ def centered_extensions_oracle(spec, wordset):
 
 
 def unique_extension_oracle(spec, word, steps):
-    """The unique `steps`-fold extension by iterated `centered_extensions_oracle`, or None."""
-    current = {tuple(word)}
+    """The unique `steps`-fold extension by iterated `centered_extensions_oracle`, or None.
+
+    None for a word outside the language at every `steps`: it starts from
+    no word at all.
+    """
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    word = tuple(word)
+    current = {word} if spec.contains(word) else set()
     for _ in range(steps):
-        current = centered_extensions_oracle(spec, current)
         if len(current) != 1:
             return None
-    (u,) = current
-    return u
+        current = centered_extensions_oracle(spec, current)
+    return current.pop() if len(current) == 1 else None
+
+
+def preserves_occurrences_oracle(spec, code, target, anchors=None):
+    """Occurrence preservation by a scan of all of L_{|target|+2(R+D)} for
+    the words with `target` at the centre, each slid by `apply_to_word_oracle`."""
+    from shiftlab.words import occurrences
+
+    if code.spec is not spec and code.spec != spec:
+        raise ValueError("code lives on a different subshift")
+    target = tuple(target)
+    radius = code.radius
+    if anchors is not None and len(target) <= 2 * radius:
+        raise ValueError("relative form needs |target| > 2R")
+    anchor_words, dist = ((), 0) if anchors is None else anchors
+    if dist < 0:
+        raise ValueError("anchor distance must be >= 0")
+    anchor_words = [tuple(w) for w in anchor_words]
+    spec.alphabet.check_word(target)
+    off = radius + dist
+    for u in spec.words(len(target) + 2 * off):
+        # u[radius:len(u) - radius] is the D-stretch around the target
+        if (u[off:off + len(target)] == target
+                and not any(occurrences(u[radius:len(u) - radius], a) for a in anchor_words)
+                and apply_to_word_oracle(code, u)[dist:dist + len(target)] != target):
+            return False
+    return True
 
 
 def shadowing_distance_oracle(spec, forbidden_words, u, t_steps, cap):

@@ -408,6 +408,23 @@ def test_preserves_shift_fails(systems):
     assert not preserves_occurrences(one.spec, one.codes["shift"], w("1"))
 
 
+def test_preserves_checks_the_target_letters(systems):
+    full2 = systems["full2"]
+    with pytest.raises(ValueError, match="letter 'x' not in alphabet"):
+        preserves_occurrences(full2.spec, full2.codes["identity"], w("x"))
+    # a target over the alphabet outside the language is preserved vacuously
+    golden = systems["golden_mean"].spec
+    assert preserves_occurrences(golden, BlockCode.shift(golden, 1), w("11"))
+
+
+def test_preserves_empty_target(systems):
+    # the words carrying the empty target have length 2R, one short of a window
+    full2 = systems["full2"]
+    for code in (full2.codes["identity"], BlockCode.shift(full2.spec, 1)):
+        with pytest.raises(ValueError, match="shorter than window"):
+            preserves_occurrences(full2.spec, code, ())
+
+
 def test_preserves_relative_form_precondition(systems):
     one = systems["at_most_one_1"]
     sigma = one.codes["shift"]

@@ -25,7 +25,11 @@ endomorphism oracle scans every
 image length up to its proven bound, so a drawn code's range is lowered
 until that scan fits the budget.  A certified result must also compose
 with its inverse to the identity both ways, and both must map random
-long language words into the language.
+long language words into the language.  `preserves_occurrences`, which
+reads the words with the target at the centre off `complexity._centred`,
+must match the oracle that scans all of L_n for them, in the plain and
+the anchored form, with D in 0-2, codes of range 0-1 (identities among
+them) and targets in and out of the language.
 """
 
 import itertools
@@ -33,7 +37,7 @@ import json
 from types import MappingProxyType, SimpleNamespace
 
 import pytest
-from hypothesis import assume, event, given
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -44,6 +48,7 @@ from oracles import (
     find_inverse_oracle,
     free_semigroup_oracle,
     image_length_bound,
+    preserves_occurrences_oracle,
     reduce_range_oracle,
     subgroup_closure_oracle,
 )
@@ -57,6 +62,7 @@ from shiftlab.autos import (
     compose,
     equal_on_shift,
     find_inverse,
+    preserves_occurrences,
     reduce_range,
     subgroup_closure,
 )
@@ -439,3 +445,35 @@ def test_subgroup_closure_matches_oracle(data):
     # the library's order (identity, steps, spheres) differs from the oracle's rounds
     assert _keys(spec, got.elements) == _keys(spec, expected.elements)
     assert len(got.elements or ()) == len(expected.elements or ())
+
+
+@settings(SETTINGS, max_examples=200)
+@given(st.data())
+def test_preserves_occurrences_matches_scan_oracle(data):
+    spec = data.draw(specs.filter(lambda spec: len(spec.alphabet) > 1))
+    kind = data.draw(st.sampled_from(("drawn", "identity", "shift")))
+    if kind == "drawn":
+        code = data.draw(codes(spec, max_radius=1))
+    elif kind == "identity":
+        code = BlockCode.identity(spec, data.draw(st.integers(0, 1)))
+    else:  # sigma and its inverse read one neighbour, which anchors can pin down
+        code = BlockCode.shift(spec, data.draw(st.sampled_from((1, -1))))
+    anchored = data.draw(st.booleans())
+    shortest = 2 * code.radius + 1 if anchored else 1  # the relative form needs |target| > 2R
+    if data.draw(st.sampled_from((True, True, True, False))):
+        length = data.draw(st.integers(shortest, shortest + 2))
+        target = data.draw(st.sampled_from(spec.words(length)))
+    else:  # mostly outside the language, now and then too short for the relative form
+        letter = st.sampled_from(spec.alphabet.letters)
+        target = tuple(data.draw(st.lists(letter, min_size=1, max_size=shortest + 2)))
+    anchors = None
+    if anchored:
+        dist = data.draw(st.integers(0, 2))
+        while dist and spec.count_words(len(target) + 2 * (code.radius + dist)) > BUDGET // 4:
+            dist -= 1
+        # factors of the target hit the stretch at a known place; language words anywhere
+        factors = [target[i:j] for i in range(len(target)) for j in range(i + 1, len(target) + 1)]
+        pool = factors + list(spec.words(data.draw(st.integers(1, 2))))
+        anchors = (data.draw(st.lists(st.sampled_from(pool), max_size=2)), dist)
+    assert (_result(preserves_occurrences, spec, code, target, anchors)
+            == _result(preserves_occurrences_oracle, spec, code, target, anchors))

@@ -276,11 +276,21 @@ def _without(obj, key):
                  ".left_period: expected a nonempty list of letters", id="probe-empty-period"),
     pytest.param("probe", {**PROBE_OBJ, "center": "1"},
                  ".center: expected a word as a list of letters", id="probe-center"),
+    # None stands for a directory in place of the file
+    pytest.param("spec", None, ": cannot read (Is a directory)", id="spec-directory"),
+    pytest.param("code", None, ": cannot read (Is a directory)", id="code-directory"),
+    pytest.param("probe", None, ": cannot read (Is a directory)", id="probe-directory"),
+    pytest.param("spec", b"\xff{}", ": invalid JSON ('utf-8' codec can't decode byte 0xff "
+                 "in position 0: invalid start byte)", id="spec-not-utf8"),
 ])
 def test_input_file_error_messages(tmp_path, capsys, role, content, message):
     # each malformed file is an input error (exit 2) with its exact message on stderr
     path = tmp_path / f"{role}.json"
-    if isinstance(content, str):
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    elif isinstance(content, str):
         path.write_text(content)
         with pytest.raises(json.JSONDecodeError) as exc:
             json.loads(content)
@@ -311,6 +321,22 @@ def test_out_file_written_atomically(tmp_path, capsys):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["results"]["table"] == {"1": 2, "2": 4}
+
+
+@pytest.mark.parametrize("target, reason", [
+    pytest.param("missing/r.json", "No such file or directory", id="missing-directory"),
+    pytest.param("reports", "Is a directory", id="directory"),
+])
+def test_out_write_failure_exits_2(tmp_path, capsys, monkeypatch, target, reason):
+    # a report that cannot be written is an input error, not a traceback, and
+    # leaves no temporary file behind
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "reports").mkdir()
+    assert main(["complexity", "--spec", "builtin:full2", "--max-n", "3", "--out", target]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write report: {target}: {reason}\n"
+    assert [p.name for p in tmp_path.rglob("*")] == ["reports"]
 
 
 def test_certify_free_with_json_files(tmp_path, capsys, systems):

@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import sparse_language_oracle
+from oracles import sparse_language_oracle, unique_extension_oracle
 from shiftlab import (
     build_sft,
     build_sparse,
@@ -111,6 +111,18 @@ def test_extension_step_rejects_foreign_letters(systems):
         extension_radius(gm, w("x"), 3)
     with pytest.raises(ValueError, match="letter 'x' not in alphabet"):
         unique_extension(gm, w("x"), 1)
+
+
+@pytest.mark.parametrize("extend", [unique_extension, unique_extension_oracle])
+def test_unique_extension_of_a_word_outside_the_language(systems, extend):
+    # no word of the golden mean carries 11, so it has no extension, not even itself
+    gm = systems["golden_mean"].spec
+    assert [extend(gm, w("11"), steps) for steps in range(3)] == [None, None, None]
+    assert [extend(gm, w("1"), steps) for steps in range(3)] == [w("1"), w("010"), None]
+    with pytest.raises(ValueError, match="steps must be >= 0"):
+        extend(gm, w("11"), -1)
+    with pytest.raises(ValueError, match="steps must be >= 0"):
+        extend(gm, w("1"), -1)
 
 
 def test_extension_radius_antitone_under_extension():

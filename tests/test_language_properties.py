@@ -7,6 +7,10 @@ also checked against its former self: `words` (joined half-length runs)
 against the level-by-level walk, `count_words` (one DP advanced across
 calls) against the DP rerun from length 0, in any call order, and the
 extension step (the end state's row) against per-extension `contains`.
+The centred-extension generator (`complexity._centred`) is checked
+against the words of L_{|w|+2k} that carry w at their centre, filtered
+out of `words` in canonical order, for words in and out of the
+language, and its first step against the `contains`-based oracle.
 The language trie (`SubshiftSpec._levels`), which every block code
 slides by, is checked against the canonical word lists and the end
 states of runs: each `ext` row against the ranks of the one-letter
@@ -40,7 +44,7 @@ from oracles import (
     sparse_language_oracle,
     words_oracle,
 )
-from shiftlab.complexity import _centered_extensions
+from shiftlab.complexity import _centred
 from shiftlab.subshifts import _prune, build_sft, build_sparse, product
 from shiftlab.words import Alphabet
 
@@ -253,16 +257,36 @@ def test_count_words_in_any_call_order(spec, data):
             assert len(spec.words(n)) == expected
 
 
+def _centred_word(data, spec):
+    """Mostly a language word; now and then, and always on the empty
+    subshift, any word over the alphabet, the empty word included."""
+    if spec.is_empty or data.draw(st.integers(0, 2)) == 0:
+        return tuple(data.draw(st.lists(st.sampled_from(spec.alphabet.letters), max_size=5)))
+    words = spec.words(data.draw(st.integers(1, 4)))
+    return data.draw(st.sampled_from(words[:50]))
+
+
 @SETTINGS
 @given(any_specs, st.data())
 def test_extension_step_matches_contains_oracle(spec, data):
-    letters = spec.alphabet.letters
-    word = st.lists(st.sampled_from(letters), max_size=5).map(tuple)
-    wordset = set(data.draw(st.lists(word, max_size=6)))
-    if not spec.is_empty:
-        n = data.draw(st.integers(1, 4))
-        wordset |= set(itertools.islice(spec.words(n), data.draw(st.integers(0, 8))))
-    assert _centered_extensions(spec, wordset) == centered_extensions_oracle(spec, wordset)
+    word = _centred_word(data, spec)
+    levels = _centred(spec, word)
+    assert next(levels) == ([word] if spec.contains(word) else [])
+    assert next(levels) == spec.alphabet.sort_words(centered_extensions_oracle(spec, {word}))
+
+
+@settings(SETTINGS, max_examples=100)
+@given(any_specs, st.data())
+def test_centred_levels_are_the_centred_words_in_canonical_order(spec, data):
+    word = _centred_word(data, spec)
+    for k, level in enumerate(itertools.islice(_centred(spec, word), 4)):
+        n = len(word) + 2 * k
+        if spec.is_empty or n == 0:
+            assert level == ([] if spec.is_empty else [()])
+            continue
+        if spec.count_words(n) > BUDGET:
+            break
+        assert level == [u for u in spec.words(n) if u[k:k + len(word)] == word]
 
 
 def _check_levels(spec, n):
