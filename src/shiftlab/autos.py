@@ -421,6 +421,7 @@ def preserves_occurrences(spec, code, target, anchors=None):
     to occurrences whose D-stretch around the target avoids every anchor;
     the plain form is the relative one with no anchors and D = 0.  Both
     read E_{R+D} of `complexity._centred` (empty for a target outside L).
+    The empty target holds at every range: its carriers' images are empty.
     """
     _check_inputs(spec, (code,))
     target = tuple(target)
@@ -430,6 +431,8 @@ def preserves_occurrences(spec, code, target, anchors=None):
     anchor_words, dist = ((), 0) if anchors is None else anchors
     if dist < 0:
         raise ValueError("anchor distance must be >= 0")
+    if not target:
+        return True
     anchor_words = [tuple(w) for w in anchor_words]
     for u in next(itertools.islice(_centred(spec, target), radius + dist, None)):
         # u[radius:len(u) - radius] is the D-stretch around the target

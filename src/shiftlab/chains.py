@@ -35,7 +35,11 @@ def forbid(spec, word):
     SFT: append to the forbidden list and re-prune (exact).  Sparse: drop
     every family that admits the word's marker multiset; forbidding an
     all-background word empties the shift, since every sparse point has
-    arbitrarily long background runs.
+    arbitrarily long background runs.  The sparse result lies inside X(w):
+    it is X(w) for an all-background word, for markers no family admits,
+    and for a word (a,) exactly when each family holding a, less its a's,
+    lies within a kept family; in general it is smaller: (1,) under the
+    family (1, 2) loses the point with one 2 (ROADMAP item 4).
     """
     word = spec.alphabet.check_word(word)
     if isinstance(spec, SftSpec):

@@ -23,12 +23,14 @@ The states are the prefixes of the essential vertices, then the vertices
 rows in alphabet order, the automaton answers `words` by joining runs of
 half the length, which emits canonical order (alphabet index, then
 lexicographic) without sorting; `count_words` by one dynamic program over
-the states, advanced from the longest length counted so far; and
-`contains` by a run.  `_levels` grows the language trie from the rows,
-each word of L_j ranked canonically by its parent in L_{j-1} and its
-letter, with the rank of its tail and its state; block codes slide,
-compose and reduce on these ranks.  `_live` prunes the rows to the
-states on bi-infinite paths, whose labels are the points, by the
+the states, advanced from the longest length counted so far; `contains`
+by a run; and `contains_config`, for every backend's eventually periodic
+points ...l l c r r..., by the run of l^N c r^N, N the number of states
+(N copies of a tail pass some state twice).  `_levels` grows the language
+trie from the rows, each word of L_j ranked canonically by its parent in
+L_{j-1} and its letter, with the rank of its tail and its state; block
+codes slide, compose and reduce on these ranks.  `_live` prunes the rows
+to the states on bi-infinite paths, whose labels are the points, by the
 `_prune` loop that also builds the SFT essential graph.
 """
 
@@ -36,14 +38,15 @@ import hashlib
 import json
 
 from .errors import EmptySubshiftError, SpecFormatError
-from .words import Alphabet, Configuration
+from .words import Alphabet
 
 
 class SubshiftSpec:
     """Common surface of all backends.  Instances are immutable.
 
     A backend supplies `_next(state, letter)`, None when the letter cannot
-    follow, and `_start()` if its start state is not the empty tuple.
+    follow, `_start()` if its start state is not the empty tuple, and
+    `descriptor()`, its canonical plain-data description (the JSON form).
     """
 
     kind = None
@@ -184,12 +187,21 @@ class SubshiftSpec:
         return True
 
     def contains_config(self, config):
-        """Whether the eventually periodic point lies in the subshift."""
-        raise NotImplementedError
+        """Whether the eventually periodic point ...l l c r r... lies in X:
+        exactly when l^N c r^N is in L, N the number of compiled states.
 
-    def descriptor(self):
-        """Canonical plain-data description (also the JSON form)."""
-        raise NotImplementedError
+        Only if: the point carries the word.  If: the point lies in X when
+        every word it carries is in L, and each is a factor of some
+        l^A c r^M.  Right tail: two of the N+1 states after l^N c r^j,
+        j = 0..N, coincide, at j = i and i+p, so r^p loops there and, by
+        factoriality, l^N c r^M is in L for every M.  Left tail: two of the
+        states after l^i, i = 0..N, coincide, at i = a and a+p, so l^p loops
+        at the state after l^a, from which l^(N-a) c r^M is read; so
+        l^(N+k*p) c r^M is in L for every k, and by factoriality so is
+        l^A c r^M for every A.  A letter outside the alphabet is a ValueError.
+        """
+        n = 1 if self.is_empty else len(self._transitions())  # empty: only check letters
+        return self.contains(config.left * n + config.center + config.right * n)
 
     def __eq__(self, other):
         """Specs are equal exactly when their canonical descriptors are."""
@@ -324,13 +336,9 @@ class SftSpec(SubshiftSpec):
             return grown if grown in self._prefixes else None
         return self.graph[state].get(a)
 
-    def contains_config(self, config):
-        q = self.window_len
-        lo = -config.offset - len(config.left) - q
-        hi = len(config.center) - config.offset + len(config.right) + q
-        # the window covers a full period of tail transitions on each side,
-        # so validity of this word propagates to the whole point
-        return self.contains(config.window(lo, hi - lo))
+    # bench/tracing.py traces contains_config per backend class; the bindings
+    # go once it traces SubshiftSpec.contains_config by name (ROADMAP item 6)
+    contains_config = SubshiftSpec.contains_config
 
     def descriptor(self):
         return {"kind": "sft",
@@ -377,14 +385,7 @@ class SparseSpec(SubshiftSpec):
         grown = tuple(sorted(state + (a,), key=self.alphabet.index))
         return grown if grown in self._downset else None
 
-    def contains_config(self, config):
-        for a in config.left + config.right:
-            if a not in self.alphabet:
-                raise ValueError(f"letter {a!r} not in alphabet")
-            if a != self.background:
-                # a marker in a periodic tail would repeat infinitely often
-                return False
-        return self.contains(config.center)
+    contains_config = SubshiftSpec.contains_config  # traced per class, see SftSpec
 
     def descriptor(self):
         return {"kind": "sparse",
@@ -414,19 +415,7 @@ class ProductSpec(SubshiftSpec):
         right = self.factor_right._next(state[1], a[1])
         return None if left is None or right is None else (left, right)
 
-    def _project(self, config, side):
-        pick = (lambda a: a[0]) if side == 0 else (lambda a: a[1])
-        return Configuration(tuple(pick(a) for a in config.left),
-                             tuple(pick(a) for a in config.center),
-                             tuple(pick(a) for a in config.right),
-                             config.offset)
-
-    def contains_config(self, config):
-        for a in config.left + config.center + config.right:
-            if a not in self.alphabet:
-                raise ValueError(f"letter {a!r} not in pair alphabet")
-        return (self.factor_left.contains_config(self._project(config, 0))
-                and self.factor_right.contains_config(self._project(config, 1)))
+    contains_config = SubshiftSpec.contains_config  # traced per class, see SftSpec
 
     def descriptor(self):
         return {"kind": "product",

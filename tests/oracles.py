@@ -45,7 +45,10 @@ extension step per distance, and takes the first failing word; the
 unique-extension oracle iterates the `contains`-based extension step on
 a set, where the library reads the automaton's rows; the
 occurrence-preservation oracle scans all of L_n for the words with the
-target at the centre, where the library reads them off `_centred`.
+target at the centre, where the library reads them off `_centred`.  The
+point-membership oracle keeps the per-backend rules (an SFT window, a
+sparse tail rule, a product projected onto its factors), where the
+library pumps each tail through the compiled automaton on every backend.
 They import shiftlab when called, so importing this module loads no
 shiftlab code (the benchmark imports it before its own cold imports).
 """
@@ -517,6 +520,8 @@ def preserves_occurrences_oracle(spec, code, target, anchors=None):
     anchor_words, dist = ((), 0) if anchors is None else anchors
     if dist < 0:
         raise ValueError("anchor distance must be >= 0")
+    if not target:
+        return True  # the images of the words carrying () are all empty
     anchor_words = [tuple(w) for w in anchor_words]
     spec.alphabet.check_word(target)
     off = radius + dist
@@ -744,3 +749,28 @@ def backend_cylinder_aperiodic_oracle(spec, word):
                 or backend_cylinder_aperiodic_oracle(spec.factor_right,
                                                      tuple(b for _, b in word)))
     return cylinder_has_aperiodic_oracle(spec, word)
+
+
+def contains_config_oracle(spec, config):
+    """Point membership by the per-backend rules, once every letter is
+    checked.  SFT: the window that covers one tail period beyond the centre
+    on each side, widened by the vertex length, is in L.  Sparse: both
+    tails are background and the centre is in L.  Product: both projected
+    points lie in their factors."""
+    from shiftlab.words import Configuration
+
+    spec.alphabet.check_word(config.left + config.center + config.right)
+    if spec.kind == "product":
+        return all(
+            contains_config_oracle(factor, Configuration(
+                *(tuple(a[side] for a in part)
+                  for part in (config.left, config.center, config.right)),
+                config.offset))
+            for side, factor in enumerate((spec.factor_left, spec.factor_right)))
+    if spec.kind == "sparse":
+        return (set(config.left + config.right) == {spec.background}
+                and spec.contains(config.center))
+    q = spec.window_len
+    lo = -config.offset - len(config.left) - q
+    hi = len(config.center) - config.offset + len(config.right) + q
+    return spec.contains(config.window(lo, hi - lo))

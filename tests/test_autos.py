@@ -3,7 +3,11 @@ import re
 
 import pytest
 
-from oracles import find_inverse_oracle, range0_automorphism_oracle
+from oracles import (
+    find_inverse_oracle,
+    preserves_occurrences_oracle,
+    range0_automorphism_oracle,
+)
 from shiftlab import (
     apply_to_config,
     apply_to_word,
@@ -418,11 +422,17 @@ def test_preserves_checks_the_target_letters(systems):
 
 
 def test_preserves_empty_target(systems):
-    # the words carrying the empty target have length 2R, one short of a window
+    # the words carrying the empty target have length 2R and empty images
     full2 = systems["full2"]
-    for code in (full2.codes["identity"], BlockCode.shift(full2.spec, 1)):
-        with pytest.raises(ValueError, match="shorter than window"):
-            preserves_occurrences(full2.spec, code, ())
+    hallway = systems["hallway"]
+    cases = [(full2.spec, full2.codes["identity"]), (full2.spec, BlockCode.shift(full2.spec, 1)),
+             (hallway.spec, hallway.codes["phi_a"])]
+    for spec, code in cases:
+        assert preserves_occurrences(spec, code, ())
+        assert preserves_occurrences_oracle(spec, code, ())
+    # the relative form keeps its |target| > 2R precondition
+    with pytest.raises(ValueError, match="relative form needs"):
+        preserves_occurrences(full2.spec, full2.codes["identity"], (), anchors=([w("1")], 0))
 
 
 def test_preserves_relative_form_precondition(systems):

@@ -21,7 +21,12 @@ compiled automaton (`_live`) against that graph: the same vertices, rows
 and in-degrees.  `_prune`, which drops
 dead states from a worklist, is checked against pruning in rounds
 (`prune_oracle`) on random labelled graphs: the same rows, in the same
-order, and the same in-degrees.
+order, and the same in-degrees.  `contains_config`, the one pumping rule
+for eventually periodic points, is checked against the former per-backend
+rules (`contains_config_oracle`) on SFT (empty ones included), sparse,
+product and product-of-product specs, with points cut from walks on the
+compiled automaton and points of random letters: the same answers, and
+the same error for a letter outside the alphabet.
 """
 
 import itertools
@@ -37,6 +42,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     centered_extensions_oracle,
+    contains_config_oracle,
     count_words_oracle,
     prune_oracle,
     sft_graph_oracle,
@@ -46,7 +52,7 @@ from oracles import (
 )
 from shiftlab.complexity import _centred
 from shiftlab.subshifts import _prune, build_sft, build_sparse, product
-from shiftlab.words import Alphabet
+from shiftlab.words import Alphabet, Configuration
 
 SETTINGS = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -287,6 +293,71 @@ def test_centred_levels_are_the_centred_words_in_canonical_order(spec, data):
         if spec.count_words(n) > BUDGET:
             break
         assert level == [u for u in spec.words(n) if u[k:k + len(word)] == word]
+
+
+_factor_specs = st.one_of(sft_specs(max_letters=2), sparse_specs(max_markers=1)).filter(
+    lambda case: not case[0].is_empty).map(lambda case: case[0])
+
+# product of a product and a factor, on either side
+nested_products = st.tuples(product_specs().map(lambda case: case[0]), _factor_specs,
+                             st.booleans()).map(
+    lambda t: product(t[0], t[1]) if t[2] else product(t[1], t[0]))
+
+
+def _point(data, spec):
+    """(left, centre, right) of an eventually periodic point: random letters,
+    or cuts of one walk on the compiled automaton.  When the walk repeats a
+    state, the tails are often cut at two visits of one state, so that they
+    loop and the point lies in X."""
+    letters = spec.alphabet.letters
+    if spec.is_empty or data.draw(st.integers(0, 2)) == 0:
+        def part(least):
+            return tuple(data.draw(st.lists(st.sampled_from(letters), min_size=least, max_size=4)))
+        return part(1), part(0), part(1)
+    rows, states, walk = spec._transitions(), [0], ()
+    for _ in range(data.draw(st.integers(1, 14))):
+        a = data.draw(st.sampled_from(list(rows[states[-1]])))
+        walk += (a,)
+        states.append(rows[states[-1]][a])
+    cuts = [(i, j) for j in range(len(states)) for i in range(j)]
+    loops = [(i, j) for i, j in cuts if states[i] == states[j]]
+    if loops and data.draw(st.booleans()):
+        cuts = loops
+    i, j = data.draw(st.sampled_from(cuts))
+    later = [(k, m) for k, m in cuts if k >= j]
+    if not later:
+        return walk[i:j], (), walk[i:j]
+    k, m = data.draw(st.sampled_from(later))
+    return walk[i:j], walk[j:k], walk[k:m]
+
+
+def _membership(rule, spec, config):
+    try:
+        return rule(spec, config)
+    except ValueError as exc:
+        return str(exc)
+
+
+EMPTY_SFTS = [build_sft(Alphabet("01"), [("0",), ("1",)]),  # order 1
+              build_sft(Alphabet("01"), [("0", "0"), ("0", "1"), ("1", "1")])]
+
+
+@settings(SETTINGS, max_examples=200)
+@given(st.one_of(any_specs, nested_products, st.sampled_from(EMPTY_SFTS)), st.data())
+def test_contains_config_matches_backend_oracle(spec, data):
+    library = type(spec).contains_config
+    points = [_point(data, spec) for _ in range(6)]
+    for left, centre, right in points:
+        config = Configuration(left, centre, right, data.draw(st.integers(-3, 3)))
+        assert _membership(library, spec, config) == \
+            _membership(contains_config_oracle, spec, config)
+    # one letter outside the alphabet, in either tail or the centre, raises on every backend
+    parts = [list(part) for part in points[0]]
+    part = parts[data.draw(st.integers(0, 2))]
+    part.insert(data.draw(st.integers(0, len(part))), "x")
+    config = Configuration(*parts)
+    assert _membership(library, spec, config) == \
+        _membership(contains_config_oracle, spec, config) == "letter 'x' not in alphabet"
 
 
 def _check_levels(spec, n):

@@ -13,7 +13,7 @@ from shiftlab import (
     spec_to_json,
 )
 from shiftlab.errors import EmptySubshiftError, SpecFormatError
-from shiftlab.subshifts import empty_sft
+from shiftlab.subshifts import ProductSpec, SftSpec, SparseSpec, SubshiftSpec, empty_sft
 from shiftlab.words import Alphabet, Configuration
 
 BIN = Alphabet(("0", "1"))
@@ -208,6 +208,36 @@ def test_contains_config_by_backend(systems):
     ss = systems["salo_schraudner"].spec
     assert ss.contains_config(Configuration.constant(("0", "0")))
     assert not ss.contains_config(Configuration.periodic((("0", "1"), ("0", "0"))))
+
+
+def test_contains_config_pumps_each_tail_once_per_state(systems):
+    # one copy of the left period, 1 0, is in L, but the point ...111 000...
+    # is not in X: the rule must read as many copies as there are states
+    one = systems["at_most_one_1"].spec
+    assert len(one._transitions()) == 2
+    assert one.contains(w("10"))
+    assert not one.contains_config(Configuration(w("1"), (), w("0")))
+    assert one.contains_config(Configuration(w("0"), w("1"), w("0")))
+
+
+def test_contains_config_is_one_rule_bound_on_each_backend():
+    # the benchmark's tracer looks the method up in each backend class's own namespace
+    for cls in (SftSpec, SparseSpec, ProductSpec):
+        assert vars(cls)["contains_config"] is SubshiftSpec.contains_config
+
+
+def test_contains_config_rejects_letters_outside_the_alphabet(systems):
+    # a marker before the bad letter once made the sparse rule answer False
+    one = systems["at_most_one_1"].spec
+    with pytest.raises(ValueError, match="'x' not in alphabet"):
+        one.contains_config(Configuration(w("1x"), (), w("0")))
+    ss = systems["salo_schraudner"].spec
+    with pytest.raises(ValueError, match=r"\('0', '2'\) not in alphabet"):
+        ss.contains_config(Configuration.constant(("0", "2")))
+    empty = empty_sft(BIN)
+    assert not empty.contains_config(Configuration.constant("0"))
+    with pytest.raises(ValueError, match="not in alphabet"):
+        empty.contains_config(Configuration(w("0"), w("0"), w("x")))
 
 
 def test_spec_json_round_trip(systems):
