@@ -22,13 +22,14 @@ level.  The endomorphism check walks the compiled automaton rows to a
 fixpoint, expanding each key once (`_endomorphism_witness`).
 """
 
+import functools
 import itertools
+import json
 from dataclasses import dataclass
 from operator import eq, itemgetter
 from types import MappingProxyType
 
 from .errors import (
-    EmptySubshiftError,
     InvalidChainError,
     RuleIncompleteError,
     SearchSpaceError,
@@ -397,8 +398,6 @@ def enumerate_automorphisms(spec, radius, table_cap=1_000_000):
     """All of Aut_R(X) by brute force over rule tables, canonically ordered."""
     if radius < 0:
         raise ValueError("range must be >= 0")
-    if spec.is_empty:
-        raise EmptySubshiftError("empty subshift has no language")
     windows = spec.count_words(2 * radius + 1)
     size = len(spec.alphabet) ** windows
     if size > table_cap:
@@ -618,13 +617,27 @@ def commutator(a, b, a_inv, b_inv):
 _CODE_KEYS = {"range", "alphabet", "rule"}
 
 
+def _string_letters(spec):
+    """Whether rule keys join the letters with commas; else each key is the
+    compact JSON array of its window (pair letters, nested in products)."""
+    return all(isinstance(a, str) for a in spec.alphabet.letters)
+
+
+def _as_letter(obj):
+    """A letter read back from JSON: arrays become tuples, at every depth."""
+    return tuple(map(_as_letter, obj)) if isinstance(obj, list) else obj
+
+
 def code_to_json(code):
-    for a in code.spec.alphabet.letters:
-        if not isinstance(a, str) or "," in a:
-            raise SpecFormatError(f"letter {a!r} not serializable in rule keys")
+    key = functools.partial(json.dumps, separators=(",", ":"))
+    if _string_letters(code.spec):
+        for a in code.spec.alphabet.letters:
+            if "," in a:
+                raise SpecFormatError(f"letter {a!r} not serializable in rule keys")
+        key = ",".join
     return {"range": code.radius,
             "alphabet": list(code.spec.alphabet.letters),
-            "rule": {",".join(w): letter for w, letter in
+            "rule": {key(w): letter for w, letter in
                      zip(code.spec.words(2 * code.radius + 1), code.outputs)}}
 
 
@@ -636,13 +649,23 @@ def parse_code(spec, obj, where="code"):
     radius = obj["range"]
     if not isinstance(radius, int) or isinstance(radius, bool) or radius < 0:
         raise SpecFormatError(f"{where}.range: expected an integer >= 0")
-    if tuple(obj["alphabet"]) != spec.alphabet.letters:
+    if tuple(map(_as_letter, obj["alphabet"])) != spec.alphabet.letters:
         raise SpecFormatError(f"{where}.alphabet: does not match the subshift alphabet")
     if not isinstance(obj["rule"], dict):
         raise SpecFormatError(f"{where}.rule: expected an object")
+    strings = _string_letters(spec)
     rule = {}
     for key, letter in obj["rule"].items():
-        window = tuple(key.split(","))
+        if strings:
+            window = tuple(key.split(","))
+        else:
+            try:
+                window = json.loads(key)
+            except ValueError:
+                window = None
+            if not isinstance(window, list):
+                raise SpecFormatError(f"{where}.rule[{key!r}]: expected a JSON array of letters")
+            window, letter = _as_letter(window), _as_letter(letter)
         if len(window) != 2 * radius + 1:
             raise SpecFormatError(f"{where}.rule[{key!r}]: window length != 2R+1")
         for a in window + (letter,):

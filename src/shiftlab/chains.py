@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from .errors import (
     CapExceededError,
-    EmptySubshiftError,
     HypothesisError,
     InvalidChainError,
     NoAperiodicPointError,
@@ -39,9 +38,13 @@ def forbid(spec, word):
     it is X(w) for an all-background word, for markers no family admits,
     and for a word (a,) exactly when each family holding a, less its a's,
     lies within a kept family; in general it is smaller: (1,) under the
-    family (1, 2) loses the point with one 2 (ROADMAP item 4).
+    family (1, 2) loses the point with one 2 (ROADMAP item 4).  Every point
+    carries the empty word, so forbidding it empties every backend; a
+    product forbids no other word.
     """
     word = spec.alphabet.check_word(word)
+    if not word:
+        return empty_sft(spec.alphabet)
     if isinstance(spec, SftSpec):
         return build_sft(spec.alphabet, spec.forbidden + (word,))
     if isinstance(spec, SparseSpec):
@@ -197,8 +200,6 @@ def _smallest_unique_extender(spec, radius, max_len):
 
 def build_chain(spec, radius, max_len, cap):
     """Greedy chain construction, forbidding the extended word at each level."""
-    if spec.is_empty:
-        raise EmptySubshiftError("cannot build a chain over the empty subshift")
     if radius < 1 or max_len < 1:
         raise ValueError("radius and max_len must be >= 1")
     if cap < 0:
@@ -284,7 +285,7 @@ def shadowing_distance(spec, forbidden_words, u, t_steps, cap):
     u = tuple(u)
     forbidden_words = tuple(tuple(f) for f in forbidden_words)
     shrunk = functools.reduce(forbid, forbidden_words, spec)
-    if shrunk.is_empty or not shrunk.contains(u):
+    if not shrunk.contains(u):
         raise HypothesisError(f"word {u!r} not in the language after forbidding")
     v = unique_extension(shrunk, u, t_steps)
     if v is None:
@@ -347,8 +348,6 @@ def syndetic_gap(spec, chain, dist, cap):
         raise InvalidChainError("chain has no levels")
     if cap < 1:
         return SyndeticReport("cap-exceeded", None, dist, cap, None)
-    if spec.is_empty:
-        raise EmptySubshiftError("empty subshift has no language")
     rows, anchor_set = spec._transitions(), set(anchors)
     cuts = [slice(-k, None) for k in {len(a) for a in anchor_set}]  # the suffixes to test
     # the anchor-free words of length 0; an empty anchor occurs in every word

@@ -89,10 +89,6 @@ def _resolve_probe(ref, system, inputs):
     return Configuration(left, center, right, offset)
 
 
-def _word_list(word):
-    return [str(a) for a in word]
-
-
 def cmd_complexity(args):
     inputs = {}
     spec, _ = _resolve_spec(args.spec, inputs)
@@ -112,7 +108,7 @@ def cmd_chain(args):
         violation = {"lemma": "chain-construction",
                      "reason": "no-unique-extender",
                      "level": exc.level,
-                     "partial_words": [_word_list(lvl.word) for lvl in exc.partial]}
+                     "partial_words": [list(lvl.word) for lvl in exc.partial]}
         return inputs, {"built": False}, [violation]
     results = chains.chain_to_json(chain)
     results["built"] = True
@@ -147,8 +143,8 @@ def cmd_autos_certify(args):
     elif result.status == "not-endomorphism":
         witness_word, witness_image = result.witness
         violations.append({"lemma": "endomorphism",
-                           "word": _word_list(witness_word),
-                           "image": _word_list(witness_image)})
+                           "word": list(witness_word),
+                           "image": list(witness_image)})
     return inputs, results, violations
 
 

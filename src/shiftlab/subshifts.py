@@ -31,7 +31,10 @@ trie from the rows, each word of L_j ranked canonically by its parent in
 L_{j-1} and its letter, with the rank of its tail and its state; block
 codes slide, compose and reduce on these ranks.  `_live` prunes the rows
 to the states on bi-infinite paths, whose labels are the points, by the
-`_prune` loop that also builds the SFT essential graph.
+`_prune` loop that also builds the SFT essential graph.  An SFT whose graph
+prunes away, and a product with an empty factor, is the empty subshift: it
+has no automaton, so `_transitions` refuses every read of its language,
+while `contains`, `count_words` and `contains_config` answer without one.
 """
 
 import hashlib
@@ -68,7 +71,10 @@ class SubshiftSpec:
 
     def _transitions(self):
         """Rows of the compiled automaton: state 0 is the start, and row s
-        maps each allowed letter, in alphabet order, to its target state."""
+        maps each allowed letter, in alphabet order, to its target state.
+        The empty subshift has none: every read of its language fails here."""
+        if self.is_empty:
+            raise EmptySubshiftError("empty subshift has no language")
         if self._rows is None:
             states = [self._start()]
             index = {states[0]: 0}
@@ -100,12 +106,10 @@ class SubshiftSpec:
         order of the pairs (u, v) is the canonical order of the words u+v,
         and no sort is needed.
         """
-        if self.is_empty:
-            raise EmptySubshiftError("empty subshift has no language")
-        if n < 1:
-            raise ValueError("word length must be >= 1")
         if n not in self._word_cache:
             rows = self._transitions()
+            if n < 1:
+                raise ValueError("word length must be >= 1")
             if n == 1:
                 words = [(a,) for a in rows[0]]
             else:
@@ -127,8 +131,6 @@ class SubshiftSpec:
         w = u+(a,), w[1:] = u[1:]+(a,), so tail[k] is read off the level
         below as ext_{j-1}[tail_{j-1}[p]][a].
         """
-        if self.is_empty:
-            raise EmptySubshiftError("empty subshift has no language")
         levels = self._trie
         rows = self._transitions()
         if len(levels) == 1:
@@ -395,17 +397,17 @@ class SparseSpec(SubshiftSpec):
 
 
 class ProductSpec(SubshiftSpec):
-    """Letterwise Cartesian product over the pair alphabet."""
+    """Letterwise Cartesian product over the pair alphabet; empty exactly
+    when a factor is, as a pair of points needs a point of each factor."""
 
     kind = "product"
 
     def __init__(self, left, right):
-        if left.is_empty or right.is_empty:
-            raise EmptySubshiftError("product factors must be nonempty")
         pairs = tuple((a, b) for a in left.alphabet.letters for b in right.alphabet.letters)
         super().__init__(Alphabet(pairs))
         self.factor_left = left
         self.factor_right = right
+        self.is_empty = left.is_empty or right.is_empty
 
     def _start(self):
         return (self.factor_left._start(), self.factor_right._start())
@@ -511,10 +513,7 @@ def parse_spec(obj, where="spec"):
             raise SpecFormatError(f"{where}.factors: expected exactly two factor specs")
         left = parse_spec(factors[0], f"{where}.factors[0]")
         right = parse_spec(factors[1], f"{where}.factors[1]")
-        try:
-            return product(left, right)
-        except EmptySubshiftError as exc:
-            raise SpecFormatError(f"{where}: {exc}") from None
+        return product(left, right)
     alphabet = Alphabet(_parse_letters(obj["alphabet"], f"{where}.alphabet"))
     try:
         if kind == "sft":

@@ -544,7 +544,7 @@ def shadowing_distance_oracle(spec, forbidden_words, u, t_steps, cap):
     shrunk = spec
     for f in forbidden_words:
         shrunk = forbid(shrunk, f)
-    if shrunk.is_empty or not shrunk.contains(u):
+    if not shrunk.contains(u):
         raise HypothesisError(f"word {u!r} not in the language after forbidding")
     v = unique_extension_oracle(shrunk, u, t_steps)
     if v is None:

@@ -26,10 +26,9 @@ from shiftlab import (
     preserves_occurrences,
     subgroup_closure,
 )
-from shiftlab.autos import BlockCode, product_code, reduce_range
+from shiftlab.autos import BlockCode, _endomorphism_witness, product_code, reduce_range
 from shiftlab.chains import Chain, ChainLevel
 from shiftlab.errors import (
-    EmptySubshiftError,
     InvalidChainError,
     RuleIncompleteError,
     SearchSpaceError,
@@ -211,6 +210,21 @@ def test_find_inverse_xor_rule_fails(systems):
 
 
 @pytest.mark.parametrize("r_max", range(4))
+def test_injective_endomorphism_that_is_not_onto_stays_unknown(r_max):
+    # the SFT without 10, 20 and 21 holds 0^inf 1^k 2^inf, 0^inf 1^inf, 1^inf 2^inf
+    # and the fixed points; writing 1 at a 0 whose right neighbour is not 0 maps
+    # 0^inf 1^k 2^inf to 0^inf 1^(k+1) 2^inf, so the code is injective but misses
+    # 0^inf 2^inf.  The forced table conflicts at r = 0, and at r = 1 the window
+    # 0 0 2 is no image, so the key-set check ends the search
+    spec = build_sft(Alphabet("012"), [w("10"), w("20"), w("21")])
+    code = BlockCode.from_function(spec, 1, lambda u: "1" if u[1] == "0" != u[2] else u[1])
+    assert _endomorphism_witness(spec, code) is None
+    assert find_inverse(spec, code, r_max) is None
+    assert find_inverse_oracle(spec, code, r_max) is None
+    assert certify_automorphism(spec, code, r_max).status == "unknown"
+
+
+@pytest.mark.parametrize("r_max", range(4))
 def test_find_inverse_stops_at_the_first_inverting_range(systems, r_max):
     # the flip maps 00 to 11, outside the golden mean, but its range-0 table
     # is already an inverse, so the search never reads a length-2 image
@@ -375,14 +389,6 @@ def test_enumerate_search_space_cap(systems):
 def test_enumerate_rejects_negative_range(systems):
     with pytest.raises(ValueError, match="range must be >= 0"):
         enumerate_automorphisms(systems["full2"].spec, -1)
-
-
-@pytest.mark.parametrize("forbidden", [[("0",), ("1",)], [("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")]],
-                         ids=["order-1", "order-2"])
-def test_enumerate_on_the_empty_subshift_is_an_input_error(forbidden):
-    # the search is sized by count_words, which is 0 here; it must still refuse, not fail inside
-    with pytest.raises(EmptySubshiftError, match="empty subshift has no language"):
-        enumerate_automorphisms(build_sft(Alphabet("01"), forbidden), 0)
 
 
 def test_enumeration_closure_under_composition(systems):
@@ -652,6 +658,29 @@ def test_code_json_round_trip(systems):
     blob = code_to_json(hallway.codes["phi_a"])
     again = parse_code(hallway.spec, blob)
     assert equal_on_shift(hallway.spec, again, hallway.codes["phi_a"])
+
+
+def test_product_codes_round_trip_through_json(systems):
+    # a pair letter is written as a JSON array, and a rule key as the compact
+    # JSON array of its window
+    spec = systems["salo_schraudner"].spec
+    certs = enumerate_automorphisms(spec, 0)
+    assert len(certs) == 2  # the identity and the factor swap
+    for cert in certs:
+        blob = json.loads(json.dumps(code_to_json(cert.code)))
+        assert blob["alphabet"] == [["0", "0"], ["0", "1"], ["1", "0"], ["1", "1"]]
+        assert parse_code(spec, blob).outputs == cert.code.outputs
+    swap = code_to_json(certs[1].code)
+    assert swap["rule"]['[["0","1"]]'] == ("1", "0")
+    nested = product(spec, build_sft(Alphabet("01"), []))
+    blob = json.loads(json.dumps(code_to_json(BlockCode.identity(nested, 1))))
+    assert next(iter(blob["rule"])) == '[[["0","0"],"0"],[["0","0"],"0"],[["0","0"],"0"]]'
+    assert parse_code(nested, blob).outputs == BlockCode.identity(nested, 1).outputs
+    good = code_to_json(certs[0].code)
+    for key, reason in (('["0","0"]', "window length"), ("0,0", "expected a JSON array"),
+                        ('{"0":"0"}', "expected a JSON array"), ('[["0","2"]]', "not in alphabet")):
+        with pytest.raises(SpecFormatError, match=reason):
+            parse_code(spec, {**good, "rule": {**good["rule"], key: ["0", "0"]}})
 
 
 def test_composed_and_reduced_codes_serialize_to_fixed_bytes(systems):

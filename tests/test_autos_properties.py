@@ -62,6 +62,7 @@ from shiftlab.autos import (
     compose,
     equal_on_shift,
     find_inverse,
+    parse_code,
     preserves_occurrences,
     reduce_range,
     subgroup_closure,
@@ -313,9 +314,8 @@ def test_equal_on_shift_matches_oracle(data):
 @SETTINGS
 @given(st.data())
 def test_composed_and_reduced_codes_serialize_as_oracle_codes(data):
-    # code_to_json needs string letters, so no product specs
-    spec = data.draw(st.one_of(sft_specs(), sparse_specs()).map(
-        lambda case: case[0]).filter(lambda spec: not spec.is_empty))
+    # product specs write pair letters as JSON arrays, and parse_code reads them back
+    spec = data.draw(specs)
     outer, inner = _budget_codes(data, spec, BUDGET // 4)
     kind, composed = _result(compose, outer, inner)
     if kind != "value":
@@ -323,7 +323,9 @@ def test_composed_and_reduced_codes_serialize_as_oracle_codes(data):
     expected = compose_oracle(outer, inner)
     for got, want in ((composed, expected),
                       (reduce_range(composed), reduce_range_oracle(expected))):
-        assert json.dumps(code_to_json(got)) == json.dumps(code_to_json(want))
+        text = json.dumps(code_to_json(got))
+        assert text == json.dumps(code_to_json(want))
+        assert parse_code(spec, json.loads(text)).outputs == got.outputs
 
 
 def test_rule_view_of_composed_and_reduced_codes(systems):

@@ -12,6 +12,9 @@ from shiftlab import (
     product,
     spec_to_json,
 )
+from shiftlab.autos import enumerate_automorphisms
+from shiftlab.chains import Chain, ChainLevel, build_chain, forbid, syndetic_gap, verify_removal_bound
+from shiftlab.complexity import complexity
 from shiftlab.errors import EmptySubshiftError, SpecFormatError
 from shiftlab.subshifts import ProductSpec, SftSpec, SparseSpec, SubshiftSpec, empty_sft
 from shiftlab.words import Alphabet, Configuration
@@ -110,10 +113,68 @@ def test_product_golden_mean_squared():
     assert spec.count_words(2) == 9
 
 
-def test_product_of_empty_factor_errors():
+def test_product_of_empty_factor_is_empty():
     gm = build_sft(BIN, [w("11")])
-    with pytest.raises(EmptySubshiftError):
-        product(gm, empty_sft(BIN))
+    for spec in (product(gm, empty_sft(BIN)), product(empty_sft(BIN), gm)):
+        assert spec.is_empty
+        assert spec.alphabet.letters == tuple((a, b) for a in "01" for b in "01")
+
+
+def _empty_specs():
+    full2 = build_sft(BIN, [])
+    order2 = build_sft(BIN, [w("00"), w("01"), w("10"), w("11")])
+    nested = product(build_sparse(BIN, "0", [("1",)]), product(full2, empty_sft(BIN)))
+    return [pytest.param(empty_sft(BIN), id="order-1"),
+            pytest.param(order2, id="order-2"),
+            pytest.param(product(full2, empty_sft(BIN)), id="product"),
+            pytest.param(nested, id="product-of-products")]
+
+
+NO_LANGUAGE = "^empty subshift has no language$"
+
+
+@pytest.mark.parametrize("spec", _empty_specs())
+def test_the_empty_subshift_refuses_every_language_read(spec):
+    # the one refusal is in _transitions; enumerate_automorphisms sizes its search by
+    # count_words, 0 here, and reaches it through the one table it tries
+    letter = spec.alphabet.letters[0]
+    chain = Chain(levels=(ChainLevel(spec, (letter,), (letter,), False),), terminal=None,
+                  range_r=0, max_len=1, effective_len=1)
+    reads = [spec._transitions, spec._live, lambda: spec.words(0), lambda: spec.words(1),
+             lambda: spec._levels(1), lambda: syndetic_gap(spec, chain, 0, 1),
+             lambda: enumerate_automorphisms(spec, 0), lambda: build_chain(spec, 1, 1, 5)]
+    for read in reads:
+        with pytest.raises(EmptySubshiftError, match=NO_LANGUAGE):
+            read()
+
+
+@pytest.mark.parametrize("spec", _empty_specs())
+def test_the_answers_defined_on_the_empty_subshift(spec):
+    letter = spec.alphabet.letters[0]
+    assert spec.is_empty
+    assert not spec.contains(()) and not spec.contains((letter,))
+    assert [spec.count_words(n) for n in range(-1, 4)] == [0] * 5
+    assert not spec.contains_config(Configuration((letter,), (), (letter,)))
+    with pytest.raises(ValueError, match="not in alphabet"):
+        spec.contains_config(Configuration(("x",), (), (letter,)))
+    with pytest.raises(EmptySubshiftError, match="^complexity undefined on the empty subshift$"):
+        complexity(spec, 1)
+    assert forbid(spec, ()).is_empty
+
+
+@pytest.mark.parametrize("name", ["full2", "golden_mean", "cycle2",
+                                  "at_most_one_1", "salo_schraudner", "hallway"])
+def test_forbidding_the_empty_word_empties_every_backend(systems, name):
+    spec = systems[name].spec
+    assert forbid(spec, ()) == empty_sft(spec.alphabet)
+
+
+@pytest.mark.parametrize("name", ["full2", "at_most_one_1", "hallway", "salo_schraudner"])
+def test_removal_bound_for_the_empty_word(systems, name):
+    # each has an aperiodic point, so P(n) >= n+1, and forbidding () leaves P = 0
+    report = verify_removal_bound(systems[name].spec, (), 6)
+    assert report.ok
+    assert [row[1] for row in report.rows] == [0] * 7
 
 
 def test_enumerate_language_examples():
