@@ -36,7 +36,7 @@ from .errors import (
     SpecFormatError,
 )
 from .complexity import _centred
-from .subshifts import _check_keys, _read_json
+from .subshifts import _as_letter, _check_keys, _read_json, _read_word
 from .words import Configuration, occurrences
 
 
@@ -46,26 +46,30 @@ class BlockCode:
     `outputs[k]` is the letter on the window of rank k in L_{2R+1}, and it
     is all a code holds.  `rule`, the same table by window, is a read-only
     view built from `words(2R+1)` the first time it is read.  The
-    constructor checks a rule table against the language; `_of` trusts
-    outputs built on ranks (`compose`, `reduce_range`, `find_inverse`)."""
+    constructor checks a rule table against the language, its size before
+    listing L_{2R+1}; `_of` trusts outputs built on ranks (`compose`,
+    `reduce_range`, `find_inverse`)."""
 
     __slots__ = ("spec", "radius", "outputs", "_rule")
 
     def __init__(self, spec, radius, rule):
         if radius < 0:
             raise ValueError("range must be >= 0")
-        domain = spec.words(2 * radius + 1)
+        size = spec.count_words(span := 2 * radius + 1)
+        if len(rule) != size:
+            shown = size if size < 10 ** 99 else "over 10^99"  # str() refuses 4,300+ digits
+            raise ValueError(f"rule table must cover exactly the language windows; "
+                             f"it has {len(rule)}, L_{span} has {shown}")
+        domain = spec.words(span)
         try:
             outputs = [rule[w] for w in domain]
         except KeyError:
-            outputs = None
-        if outputs is None or len(rule) != len(domain):
             domain, keys = set(domain), set(rule)
             raise ValueError(
                 f"rule table must cover exactly the language windows; "
-                f"missing {len(domain - keys)}, extra {len(keys - domain)}")
-        for letter in dict.fromkeys(rule.values()):
-            if letter not in spec.alphabet:
+                f"missing {len(domain - keys)}, extra {len(keys - domain)}") from None
+        for letter in outputs:
+            if letter not in spec.alphabet.letters:  # equality, not hashing: any value is refused
                 raise ValueError(f"rule output {letter!r} not in alphabet")
         self.spec = spec
         self.radius = radius
@@ -623,11 +627,6 @@ def _string_letters(spec):
     return all(isinstance(a, str) for a in spec.alphabet.letters)
 
 
-def _as_letter(obj):
-    """A letter read back from JSON: arrays become tuples, at every depth."""
-    return tuple(map(_as_letter, obj)) if isinstance(obj, list) else obj
-
-
 def code_to_json(code):
     key = functools.partial(json.dumps, separators=(",", ":"))
     if _string_letters(code.spec):
@@ -643,35 +642,37 @@ def code_to_json(code):
 
 def parse_code(spec, obj, where="code"):
     """Strict block-code parser with a completeness check against L_{2R+1}(X)."""
-    if not isinstance(obj, dict):
-        raise SpecFormatError(f"{where}: expected an object")
     _check_keys(obj, _CODE_KEYS, where)
     radius = obj["range"]
     if not isinstance(radius, int) or isinstance(radius, bool) or radius < 0:
         raise SpecFormatError(f"{where}.range: expected an integer >= 0")
-    if tuple(map(_as_letter, obj["alphabet"])) != spec.alphabet.letters:
+    if _read_word(spec.alphabet, obj["alphabet"], f"{where}.alphabet") != spec.alphabet.letters:
         raise SpecFormatError(f"{where}.alphabet: does not match the subshift alphabet")
-    if not isinstance(obj["rule"], dict):
-        raise SpecFormatError(f"{where}.rule: expected an object")
+    if not isinstance(obj["rule"], dict) or not obj["rule"]:  # an empty rule leaves `range` free
+        raise SpecFormatError(f"{where}.rule: expected a nonempty object")
     strings = _string_letters(spec)
     rule = {}
-    for key, letter in obj["rule"].items():
+    for key, value in obj["rule"].items():
         if strings:
-            window = tuple(key.split(","))
+            window = key.split(",")
         else:
             try:
                 window = json.loads(key)
-            except ValueError:
+            except (ValueError, RecursionError):
                 window = None
             if not isinstance(window, list):
                 raise SpecFormatError(f"{where}.rule[{key!r}]: expected a JSON array of letters")
-            window, letter = _as_letter(window), _as_letter(letter)
         if len(window) != 2 * radius + 1:
             raise SpecFormatError(f"{where}.rule[{key!r}]: window length != 2R+1")
-        for a in window + (letter,):
+        if not strings:  # string windows skip it: the loop checks them with no call per letter
+            window = _read_word(spec.alphabet, window, f"{where}.rule[{key!r}]")
+        for a in window:
             if a not in spec.alphabet:
                 raise SpecFormatError(f"{where}.rule[{key!r}]: letter {a!r} not in alphabet")
-        rule[window] = letter
+        letter = _as_letter(value)
+        if letter not in spec.alphabet:
+            raise SpecFormatError(f"{where}.rule[{key!r}]: letter {value!r} not in alphabet")
+        rule[tuple(window)] = letter
     try:
         return BlockCode(spec, radius, rule)
     except ValueError as exc:

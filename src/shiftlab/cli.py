@@ -21,7 +21,7 @@ import traceback
 from . import autos, chains, spacetime, suites
 from .complexity import complexity_table
 from .errors import NoUniqueExtenderError, ShiftlabError, SpecFormatError
-from .subshifts import _parse_letters, _parse_word, _read_json, load_spec, spec_digest
+from .subshifts import _check_keys, _read_json, _read_word, load_spec, spec_digest
 from .systems import SYSTEM_NAMES, make_example
 from .words import Configuration
 
@@ -69,22 +69,22 @@ def _resolve_code(ref, spec, system, inputs, key="code"):
     return code
 
 
-def _resolve_probe(ref, system, inputs):
+def _resolve_probe(ref, spec, system, inputs):
     if system is not None and ref in system.probes:
         inputs["probe"] = {"builtin": ref}
         return system.probes[ref]
     if not os.path.exists(ref):
         raise UsageError(f"probe not found: {ref}")
     obj = _read_json(ref)
-    keys = {"left_period", "center", "right_period", "origin_offset"}
-    if not isinstance(obj, dict) or set(obj) != keys:
-        raise SpecFormatError(f"{ref}: probe must have exactly keys {sorted(keys)}")
+    _check_keys(obj, {"left_period", "center", "right_period", "origin_offset"}, ref)
     offset = obj["origin_offset"]
     if not isinstance(offset, int) or isinstance(offset, bool):
         raise SpecFormatError(f"{ref}.origin_offset: expected an integer")
-    left = _parse_letters(obj["left_period"], f"{ref}.left_period")
-    center = _parse_word(obj["center"], f"{ref}.center")
-    right = _parse_letters(obj["right_period"], f"{ref}.right_period")
+    left, center, right = (_read_word(spec.alphabet, obj[key], f"{ref}.{key}")
+                           for key in ("left_period", "center", "right_period"))
+    if not left or not right:
+        side = "right" if left else "left"
+        raise SpecFormatError(f"{ref}.{side}_period: expected a nonempty list of letters")
     inputs["probe"] = {"path": ref, "sha256": _hash_file(ref)}
     return Configuration(left, center, right, offset)
 
@@ -176,7 +176,7 @@ def cmd_spacetime(args):
     inputs = {}
     spec, system = _resolve_spec(args.spec, inputs)
     code = _resolve_code(args.code, spec, system, inputs)
-    probe = _resolve_probe(args.probe, system, inputs)
+    probe = _resolve_probe(args.probe, spec, system, inputs)
     result = autos.certify_automorphism(spec, code, args.rmax)
     if result.status != "certified":
         raise UsageError(f"code did not certify as an automorphism ({result.status})")

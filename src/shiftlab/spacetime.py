@@ -67,31 +67,23 @@ def rect_complexity(window, n, k):
 def detect_period_vectors(window, bound):
     """All vectors v with |v1|,|v2| <= bound consistent on the whole window.
 
-    Window-level evidence only; vectors are reported in canonical order.
+    v holds when grid[j][i] == grid[j+v2][i+v1] wherever both cells lie in
+    the window: rows cut to those columns i, and to the i+v1, agree over
+    those rows j and j+v2.  Window-level evidence only; canonical order.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     if bound >= min(window.width, window.height):
         raise ValueError("bound must be smaller than both window sides")
+    steps = range(-bound, bound + 1)
+    # the k of 0..n-1 with k+v in 0..n-1, and those k+v, for any n > bound
+    cut = {v: (slice(max(0, -v), min(0, -v) or None), slice(max(0, v), min(0, v) or None))
+           for v in steps}
     found = []
-    for v1 in range(-bound, bound + 1):
-        for v2 in range(-bound, bound + 1):
-            if (v1, v2) == (0, 0):
-                continue
-            consistent = True
-            for j in range(window.height):
-                if not 0 <= j + v2 < window.height:
-                    continue
-                for i in range(window.width):
-                    if not 0 <= i + v1 < window.width:
-                        continue
-                    if window.grid[j][i] != window.grid[j + v2][i + v1]:
-                        consistent = False
-                        break
-                if not consistent:
-                    break
-            if consistent:
-                found.append((v1, v2))
+    for v1 in steps:
+        cells, moved = ([row[ends] for row in window.grid] for ends in cut[v1])
+        found.extend((v1, v2) for v2 in steps
+                     if (v1 or v2) and cells[cut[v2][0]] == moved[cut[v2][1]])
     return tuple(found)
 
 

@@ -301,12 +301,9 @@ class SftSpec(SubshiftSpec):
 
     def __init__(self, alphabet, forbidden):
         super().__init__(alphabet)
-        canon = []
-        for f in forbidden:
-            f = alphabet.check_word(f)
-            if not f:
-                raise ValueError("forbidden words must be nonempty")
-            canon.append(f)
+        canon = [alphabet.check_word(f) for f in forbidden]
+        if () in canon:
+            raise ValueError("forbidden words must be nonempty")
         canon = sorted(set(canon), key=lambda w: (len(w), alphabet.word_key(w)))
         self.forbidden = tuple(canon)
         self.order = max((len(f) for f in self.forbidden), default=1)
@@ -365,12 +362,9 @@ class SparseSpec(SubshiftSpec):
         self.background = background
         canon = set()
         for fam in families:
-            fam = tuple(fam)
-            for a in fam:
-                if a not in alphabet:
-                    raise ValueError(f"marker {a!r} not in alphabet")
-                if a == background:
-                    raise ValueError("marker equal to background rejected")
+            fam = alphabet.check_word(fam)
+            if background in fam:
+                raise ValueError("marker equal to background rejected")
             canon.add(tuple(sorted(fam, key=alphabet.index)))
         canon.discard(())
         self.families = tuple(sorted(canon, key=lambda f: (len(f), alphabet.word_key(f))))
@@ -470,12 +464,14 @@ def _read_json(path):
             return json.load(fh)
     except OSError as exc:
         raise SpecFormatError(f"{path}: cannot read ({exc.strerror})") from None
-    except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError: JSON text is UTF-8
+    except (ValueError, RecursionError) as exc:  # also a UnicodeDecodeError, or nesting too deep
         raise SpecFormatError(f"{path}: invalid JSON ({exc})") from None
 
 
 def _check_keys(obj, keys, where):
-    """Reject an object whose key set is not exactly `keys`."""
+    """Reject anything but an object whose key set is exactly `keys`."""
+    if not isinstance(obj, dict):
+        raise SpecFormatError(f"{where}: expected an object")
     extra = set(obj) - keys
     if extra:
         raise SpecFormatError(f"{where}: unknown keys {sorted(extra)}")
@@ -484,19 +480,31 @@ def _check_keys(obj, keys, where):
         raise SpecFormatError(f"{where}: missing keys {sorted(missing)}")
 
 
-def _parse_word(obj, where):
+def _as_letter(obj):
+    """A letter of a file: a string, or an array (or tuple) of letters as a tuple; else None."""
+    if isinstance(obj, (list, tuple)):
+        return tuple(map(_as_letter, obj))
+    return obj if isinstance(obj, str) else None
+
+
+def _read_word(alphabet, obj, where):
+    """The word an input file names: a list of letters of the alphabet."""
     if not isinstance(obj, list):
         raise SpecFormatError(f"{where}: expected a word as a list of letters")
-    for a in obj:
-        if not isinstance(a, str):
-            raise SpecFormatError(f"{where}: letters must be strings, got {a!r}")
-    return tuple(obj)
+    word = tuple(map(_as_letter, obj))
+    for a, raw in zip(word, obj):
+        if a not in alphabet:
+            raise SpecFormatError(f"{where}: letter {raw!r} not in alphabet")
+    return word
 
 
 def _parse_letters(obj, where):
     if not isinstance(obj, list) or not obj:
         raise SpecFormatError(f"{where}: expected a nonempty list of letters")
-    return _parse_word(obj, where)
+    for a in obj:
+        if not isinstance(a, str):
+            raise SpecFormatError(f"{where}: letters must be strings, got {a!r}")
+    return obj
 
 
 def parse_spec(obj, where="spec"):
@@ -504,7 +512,7 @@ def parse_spec(obj, where="spec"):
     if not isinstance(obj, dict):
         raise SpecFormatError(f"{where}: expected an object")
     kind = obj.get("kind")
-    if kind not in _SPEC_KEYS:
+    if not isinstance(kind, str) or kind not in _SPEC_KEYS:
         raise SpecFormatError(f"{where}.kind: expected one of sft|sparse|product")
     _check_keys(obj, _SPEC_KEYS[kind], where)
     if kind == "product":
@@ -514,22 +522,21 @@ def parse_spec(obj, where="spec"):
         left = parse_spec(factors[0], f"{where}.factors[0]")
         right = parse_spec(factors[1], f"{where}.factors[1]")
         return product(left, right)
-    alphabet = Alphabet(_parse_letters(obj["alphabet"], f"{where}.alphabet"))
     try:
+        alphabet = Alphabet(_parse_letters(obj["alphabet"], f"{where}.alphabet"))
         if kind == "sft":
             if not isinstance(obj["forbidden"], list):
                 raise SpecFormatError(f"{where}.forbidden: expected a list of words")
-            return build_sft(alphabet, [_parse_word(w, f"{where}.forbidden[{i}]")
+            return build_sft(alphabet, [_read_word(alphabet, w, f"{where}.forbidden[{i}]")
                                         for i, w in enumerate(obj["forbidden"])])
-        if not isinstance(obj["background"], str):
-            raise SpecFormatError(f"{where}.background: expected a letter string")
+        background, = _read_word(alphabet, [obj["background"]], f"{where}.background")
         if not isinstance(obj["families"], list):
             raise SpecFormatError(f"{where}.families: expected a list of families")
-        return build_sparse(alphabet, obj["background"],
-                            [_parse_word(f, f"{where}.families[{i}]")
+        return build_sparse(alphabet, background,
+                            [_read_word(alphabet, f, f"{where}.families[{i}]")
                              for i, f in enumerate(obj["families"])])
     except ValueError as exc:
-        # a backend's own check; the SpecFormatErrors above pass through
+        # the alphabet's or a backend's own check; the SpecFormatErrors pass through
         raise SpecFormatError(f"{where}: {exc}") from None
 
 

@@ -49,6 +49,8 @@ target at the centre, where the library reads them off `_centred`.  The
 point-membership oracle keeps the per-backend rules (an SFT window, a
 sparse tail rule, a product projected onto its factors), where the
 library pumps each tail through the compiled automaton on every backend.
+The period-vector oracle tests each vector cell by cell, where the
+library compares row slices.
 They import shiftlab when called, so importing this module loads no
 shiftlab code (the benchmark imports it before its own cold imports).
 """
@@ -774,3 +776,29 @@ def contains_config_oracle(spec, config):
     lo = -config.offset - len(config.left) - q
     hi = len(config.center) - config.offset + len(config.right) + q
     return spec.contains(config.window(lo, hi - lo))
+
+
+def period_vectors_oracle(window, bound):
+    """`spacetime.detect_period_vectors` cell by cell: each vector is tested
+    on every pair of cells v apart inside the window, where the library
+    compares row slices."""
+    found = []
+    for v1 in range(-bound, bound + 1):
+        for v2 in range(-bound, bound + 1):
+            if (v1, v2) == (0, 0):
+                continue
+            consistent = True
+            for j in range(window.height):
+                if not 0 <= j + v2 < window.height:
+                    continue
+                for i in range(window.width):
+                    if not 0 <= i + v1 < window.width:
+                        continue
+                    if window.grid[j][i] != window.grid[j + v2][i + v1]:
+                        consistent = False
+                        break
+                if not consistent:
+                    break
+            if consistent:
+                found.append((v1, v2))
+    return tuple(found)

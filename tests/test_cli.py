@@ -1,10 +1,18 @@
+import contextlib
+import io
 import json
+import tempfile
+import time
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shiftlab import code_to_json, make_example, spec_to_json
 from shiftlab import errors
 from shiftlab.cli import main
+from shiftlab.subshifts import SubshiftSpec
 
 
 def run_cli(capsys, *argv):
@@ -243,8 +251,13 @@ def test_malformed_spec_file_exits_2(tmp_path, capsys):
 
 SFT_OBJ = {"kind": "sft", "alphabet": ["0", "1"], "forbidden": [["1", "1"]]}
 PROBE_OBJ = {"left_period": ["0"], "center": ["1"], "right_period": ["0"], "origin_offset": 0}
-PROBE_KEYS = "['center', 'left_period', 'origin_offset', 'right_period']"
 CODE_OBJ = code_to_json(make_example("hallway").codes["phi_a"])
+PAIR_CODE_OBJ = json.loads(json.dumps(code_to_json(
+    make_example("salo_schraudner").codes["identity"])))
+FULL2_CODE_OBJ = {"range": 0, "alphabet": ["0", "1"], "rule": {"0": "1", "1": "0"}}
+# the builtin spec, code and probe of each system a row runs on, apart from the row's file
+RUNS_ON = {"hallway": ("phi_a", "x3"), "salo_schraudner": ("identity", "zero"),
+           "full2": ("shift", "one")}
 
 
 def _without(obj, key):
@@ -268,14 +281,41 @@ def _without(obj, key):
     pytest.param("code", {**CODE_OBJ, "bogus": 1}, ": unknown keys ['bogus']", id="code-unknown"),
     pytest.param("code", _without(CODE_OBJ, "rule"), ": missing keys ['rule']", id="code-missing"),
     pytest.param("probe", "[\"0\"", None, id="probe-invalid-json"),
-    pytest.param("probe", {**PROBE_OBJ, "bogus": 1}, f": probe must have exactly keys {PROBE_KEYS}",
+    pytest.param("probe", {**PROBE_OBJ, "bogus": 1}, ": unknown keys ['bogus']",
                  id="probe-unknown"),
-    pytest.param("probe", _without(PROBE_OBJ, "center"),
-                 f": probe must have exactly keys {PROBE_KEYS}", id="probe-missing"),
+    pytest.param("probe", _without(PROBE_OBJ, "center"), ": missing keys ['center']",
+                 id="probe-missing"),
     pytest.param("probe", {**PROBE_OBJ, "left_period": []},
                  ".left_period: expected a nonempty list of letters", id="probe-empty-period"),
     pytest.param("probe", {**PROBE_OBJ, "center": "1"},
                  ".center: expected a word as a list of letters", id="probe-center"),
+    # values of the wrong type or outside the alphabet, one per kind of field
+    pytest.param("spec", {**SFT_OBJ, "kind": ["sft"]}, ".kind: expected one of sft|sparse|product",
+                 id="spec-kind-type"),
+    pytest.param("spec", {**SFT_OBJ, "alphabet": ["0", "0"]},
+                 ": alphabet letters must be pairwise distinct", id="spec-duplicate-letter"),
+    pytest.param("spec", {**SFT_OBJ, "forbidden": [["1", "x"]]},
+                 ".forbidden[0]: letter 'x' not in alphabet", id="spec-foreign-letter"),
+    pytest.param("spec", {"kind": "sparse", "alphabet": ["0", "1"], "background": {},
+                          "families": [["1"]]},
+                 ".background: letter {} not in alphabet", id="spec-background-type"),
+    pytest.param("full2:code", {**FULL2_CODE_OBJ, "rule": {"0": {}, "1": "1"}},
+                 ".rule['0']: letter {} not in alphabet", id="code-rule-object"),
+    pytest.param("full2:code", {**FULL2_CODE_OBJ, "rule": {"0": ["1"], "1": "1"}},
+                 ".rule['0']: letter ['1'] not in alphabet", id="code-rule-array"),
+    pytest.param("full2:code", {**FULL2_CODE_OBJ, "range": 10 ** 30, "rule": {}},
+                 ".rule: expected a nonempty object", id="code-rule-empty"),
+    pytest.param("full2:code", {**FULL2_CODE_OBJ, "alphabet": 5},
+                 ".alphabet: expected a word as a list of letters", id="code-alphabet-int"),
+    pytest.param("full2:code", {**FULL2_CODE_OBJ, "alphabet": "01"},
+                 ".alphabet: expected a word as a list of letters", id="code-alphabet-string"),
+    pytest.param("salo_schraudner:code", {**PAIR_CODE_OBJ, "rule": {"[{}]": ["0", "0"]}},
+                 ".rule['[{}]']: letter {} not in alphabet", id="code-pair-key-object"),
+    pytest.param("probe", [PROBE_OBJ], ": expected an object", id="probe-not-object"),
+    pytest.param("probe", {**PROBE_OBJ, "center": ["x"]},
+                 ".center: letter 'x' not in alphabet", id="probe-foreign-letter"),
+    pytest.param("salo_schraudner:probe", {**PROBE_OBJ, "left_period": [["0", "0", "0"]]},
+                 ".left_period: letter ['0', '0', '0'] not in alphabet", id="probe-pair-letter"),
     # None stands for a directory in place of the file
     pytest.param("spec", None, ": cannot read (Is a directory)", id="spec-directory"),
     pytest.param("code", None, ": cannot read (Is a directory)", id="code-directory"),
@@ -284,7 +324,10 @@ def _without(obj, key):
                  "in position 0: invalid start byte)", id="spec-not-utf8"),
 ])
 def test_input_file_error_messages(tmp_path, capsys, role, content, message):
-    # each malformed file is an input error (exit 2) with its exact message on stderr
+    # each malformed file is an input error (exit 2) with its exact message on stderr;
+    # a role "SYSTEM:ROLE" runs on that builtin system, a plain role on hallway
+    system, _, role = role.rpartition(":")
+    system = system or "hallway"
     path = tmp_path / f"{role}.json"
     if content is None:
         path.mkdir()
@@ -297,13 +340,148 @@ def test_input_file_error_messages(tmp_path, capsys, role, content, message):
         message = f": invalid JSON ({exc.value})"
     else:
         path.write_text(json.dumps(content))
-    refs = {"spec": "builtin:hallway", "code": "phi_a", "probe": "x3", role: str(path)}
+    refs = {"spec": f"builtin:{system}", "code": RUNS_ON[system][0], "probe": RUNS_ON[system][1],
+            role: str(path)}
     argv = ["spacetime", "--spec", refs["spec"], "--code", refs["code"], "--probe", refs["probe"],
             "--width", "5", "--height", "3", "--rmax", "1"]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {path}{message}\n"
+
+
+@pytest.mark.parametrize("radius, size", [(40, str(2 ** 81)), (2000, "over 10^99")])
+def test_one_window_code_at_a_large_range_exits_2_at_once(tmp_path, capsys, monkeypatch,
+                                                          radius, size):
+    # the rule's size is compared with |L_2R+1| before any window is listed;
+    # listing L_81 of full2 would exhaust memory, so it fails the test instead.
+    # A size past 10^99 is not written out: str() refuses an int of 4,300 digits
+    words = SubshiftSpec.words
+    monkeypatch.setattr(SubshiftSpec, "words", lambda spec, n: words(spec, n) if n < 20 else None)
+    path = tmp_path / "code.json"
+    span = 2 * radius + 1
+    path.write_text(json.dumps({"range": radius, "alphabet": ["0", "1"],
+                                "rule": {",".join("0" * span): "0"}}))
+    started = time.monotonic()
+    assert main(["autos", "certify", "--spec", "builtin:full2", "--code", str(path),
+                 "--rmax", "0"]) == 2
+    assert time.monotonic() - started < 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: rule table must cover exactly the language windows; "
+        f"it has 1, L_{span} has {size}\n")
+
+
+PAIR_PROBE_OBJ = {"left_period": [["0", "0"]], "center": [["1", "0"], ["0", "1"]],
+                  "right_period": [["0", "0"]], "origin_offset": 1}
+
+
+def test_pair_letter_probe_file_runs_on_a_product(tmp_path, capsys):
+    # a probe names pair letters as code files do; the fixed point (0,0)^Z
+    # written as a file gives the results of the builtin probe `zero`
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps({**PAIR_PROBE_OBJ, "center": [], "origin_offset": 0}))
+    reports = [run_cli(capsys, "spacetime", "--spec", "builtin:salo_schraudner", "--code",
+                       "identity", "--probe", probe, "--width", "4", "--height", "2", "--rmax", "0")
+               for probe in (str(path), "zero")]
+    assert [code for code, _ in reports] == [0, 0]
+    assert reports[0][1]["results"] == reports[1][1]["results"]
+    path.write_text(json.dumps(PAIR_PROBE_OBJ))
+    code, report = run_cli(capsys, "spacetime", "--spec", "builtin:salo_schraudner", "--code",
+                           "identity", "--probe", str(path), "--width", "4", "--height", "1",
+                           "--rmax", "0")
+    assert code == 0
+    assert report["results"]["window"]["grid"] == [
+        [["0", "0"], ["1", "0"], ["0", "1"], ["0", "0"]]]
+
+
+# valid files of every kind: (role, builtin system it runs on, document)
+VALID_FILES = [
+    ("spec", None, spec_to_json(make_example("hallway").spec)),
+    ("spec", None, spec_to_json(make_example("golden_mean").spec)),
+    ("spec", None, spec_to_json(make_example("salo_schraudner").spec)),
+    ("code", "hallway", CODE_OBJ),
+    ("code", "salo_schraudner", PAIR_CODE_OBJ),
+    ("probe", "hallway", {**PROBE_OBJ, "center": ["p", "0", "1"]}),
+    ("probe", "salo_schraudner", PAIR_PROBE_OBJ),
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([10 ** 30, -10 ** 30])
+    | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+def _paths(obj, path=()):
+    """Every node of a JSON document, as the keys and indices leading to it."""
+    yield path
+    if isinstance(obj, (dict, list)):
+        for key, value in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+            yield from _paths(value, path + (key,))
+
+
+def _node(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def _edit(obj, path, edit):
+    """A copy of the document whose node at `path` is `edit(node)`."""
+    if not path:
+        return edit(obj)
+    copy = dict(obj) if isinstance(obj, dict) else list(obj)
+    copy[path[0]] = _edit(obj[path[0]], path[1:], edit)
+    return copy
+
+
+@st.composite
+def malformed_files(draw):
+    """A valid file with one mutation: a node (the whole document included)
+    replaced by a generated JSON value, a key deleted, or a key added."""
+    role, system, document = draw(st.sampled_from(VALID_FILES))
+    paths = list(_paths(document))
+    objects = [p for p in paths if isinstance(_node(document, p), dict)]
+    mutation = draw(st.sampled_from(("replace", "delete", "add")))
+    if mutation == "replace":
+        value = draw(JSON_VALUES)
+        return role, system, _edit(document, draw(st.sampled_from(paths)), lambda _: value)
+    path = draw(st.sampled_from(objects))
+    if mutation == "delete":
+        key = draw(st.sampled_from(sorted(_node(document, path))))
+        return role, system, _edit(document, path,
+                                   lambda o: {k: v for k, v in o.items() if k != key})
+    key, value = draw(st.text(max_size=3)), draw(JSON_VALUES)
+    return role, system, _edit(document, path, lambda o: {**o, key: value})
+
+
+@settings(max_examples=300)
+@given(malformed_files())
+@example(("code", "hallway", {**CODE_OBJ, "rule": {**CODE_OBJ["rule"], "0,0,0": {}}}))
+def test_generated_malformed_files_are_never_internal_errors(case):
+    """Each mutated file ends in exit 0, 1 or 2, never 3; exit 2 prints one
+    `error: ` line.  Arrays hold at most 3 items: a forbidden word of length
+    q builds an SFT graph on up to |A|^(q-1) words, and no budget bounds
+    that yet (ROADMAP item 6), so a long generated word would test the
+    machine, not the reader."""
+    role, system, document = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{role}.json"
+        path.write_text(json.dumps(document))
+        if role == "spec":
+            argv = ["complexity", "--spec", str(path), "--max-n", "3"]
+        elif role == "code":
+            argv = ["autos", "certify", "--spec", f"builtin:{system}", "--code", str(path),
+                    "--rmax", "1"]
+        else:
+            argv = ["spacetime", "--spec", f"builtin:{system}", "--code", RUNS_ON[system][0],
+                    "--probe", str(path), "--width", "4", "--height", "2", "--rmax", "1"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            status = main(argv)
+    assert status in (0, 1, 2), err.getvalue()
+    if status == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_unknown_builtin_exits_2(capsys):

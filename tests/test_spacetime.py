@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftlab import (
     apply_to_config,
@@ -13,8 +15,10 @@ from shiftlab import (
     rect_complexity,
     spacetime_window,
 )
-from shiftlab.spacetime import grid_lines, window_to_json
+from shiftlab.spacetime import SpaceTimeWindow, grid_lines, window_to_json
 from shiftlab.words import Configuration
+
+from oracles import period_vectors_oracle
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +148,24 @@ def test_period_vectors_break_at_nail(systems, hallway_cert_a):
     window = spacetime_window(hallway.spec, hallway_cert_a,
                               hallway.probes["x3"], 9, 4)
     assert detect_period_vectors(window, 3) == ()
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_period_vectors_match_the_cell_oracle(data):
+    # a grid repeating a random tile has period vectors; one changed cell
+    # breaks some of them
+    width, height = data.draw(st.integers(2, 9)), data.draw(st.integers(2, 6))
+    tile_w, tile_h = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    tile = data.draw(st.lists(st.lists(st.sampled_from("ab"), min_size=tile_w, max_size=tile_w),
+                              min_size=tile_h, max_size=tile_h))
+    grid = [[tile[j % tile_h][(i + j) % tile_w] for i in range(width)] for j in range(height)]
+    if data.draw(st.booleans()):
+        i, j = data.draw(st.integers(0, width - 1)), data.draw(st.integers(0, height - 1))
+        grid[j][i] = "c"
+    window = SpaceTimeWindow(None, None, (), width, height, 0, 0, tuple(map(tuple, grid)))
+    bound = data.draw(st.integers(1, min(width, height) - 1))
+    assert detect_period_vectors(window, bound) == period_vectors_oracle(window, bound)
 
 
 def test_periodicity_caps_rectangles(systems, full2_certs):
