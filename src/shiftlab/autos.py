@@ -25,9 +25,9 @@ fixpoint, expanding each key once (`_endomorphism_witness`).
 import functools
 import itertools
 import json
-from dataclasses import dataclass
 from operator import eq, itemgetter
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import (
     InvalidChainError,
@@ -55,9 +55,11 @@ class BlockCode:
     def __init__(self, spec, radius, rule):
         if radius < 0:
             raise ValueError("range must be >= 0")
-        size = spec.count_words(span := 2 * radius + 1)
+        # a count past 10^99 stops there: it keeps no table of big counts, and
+        # str() refuses 4,300+ digits
+        size = spec._count_below(span := 2 * radius + 1, 10 ** 99)
         if len(rule) != size:
-            shown = size if size < 10 ** 99 else "over 10^99"  # str() refuses 4,300+ digits
+            shown = size if size < 10 ** 99 else "over 10^99"
             raise ValueError(f"rule table must cover exactly the language windows; "
                              f"it has {len(rule)}, L_{span} has {shown}")
         domain = spec.words(span)
@@ -272,15 +274,13 @@ def equal_on_shift(spec, a, b):
     return pad(a, radius).outputs == pad(b, radius).outputs
 
 
-@dataclass(frozen=True)
-class AutomorphismCert:
+class AutomorphismCert(NamedTuple):
     code: BlockCode
     inverse: BlockCode
     r_certified: int
 
 
-@dataclass(frozen=True)
-class CertifyResult:
+class CertifyResult(NamedTuple):
     status: str  # "certified" | "unknown" | "not-endomorphism"
     cert: AutomorphismCert | None = None
     witness: tuple | None = None  # (word, image) leaving the language
@@ -459,8 +459,7 @@ def coset_count(spec, radius_n, chain):
     return len(signatures)
 
 
-@dataclass(frozen=True)
-class ClosureResult:
+class ClosureResult(NamedTuple):
     status: str  # "ok" | "cap-exceeded"
     elements: tuple | None  # BlockCodes: identity, the steps, then each sphere
 
@@ -516,8 +515,7 @@ def subgroup_closure(spec, gens, cap):
     return ClosureResult("ok", tuple(elements))
 
 
-@dataclass(frozen=True)
-class FreeSemigroupReport:
+class FreeSemigroupReport(NamedTuple):
     status: str  # "free-to-depth" | "collision"
     depth: int
     words: tuple  # generator words over ("a", "b"), canonical order
@@ -650,7 +648,7 @@ def parse_code(spec, obj, where="code"):
         raise SpecFormatError(f"{where}.alphabet: does not match the subshift alphabet")
     if not isinstance(obj["rule"], dict) or not obj["rule"]:  # an empty rule leaves `range` free
         raise SpecFormatError(f"{where}.rule: expected a nonempty object")
-    strings = _string_letters(spec)
+    strings, letters = _string_letters(spec), set(spec.alphabet.letters)
     rule = {}
     for key, value in obj["rule"].items():
         if strings:
@@ -664,11 +662,10 @@ def parse_code(spec, obj, where="code"):
                 raise SpecFormatError(f"{where}.rule[{key!r}]: expected a JSON array of letters")
         if len(window) != 2 * radius + 1:
             raise SpecFormatError(f"{where}.rule[{key!r}]: window length != 2R+1")
-        if not strings:  # string windows skip it: the loop checks them with no call per letter
+        if not strings:
             window = _read_word(spec.alphabet, window, f"{where}.rule[{key!r}]")
-        for a in window:
-            if a not in spec.alphabet:
-                raise SpecFormatError(f"{where}.rule[{key!r}]: letter {a!r} not in alphabet")
+        elif not letters.issuperset(window):  # a string window's letters, as one set
+            _read_word(spec.alphabet, window, f"{where}.rule[{key!r}]")  # names the letter
         letter = _as_letter(value)
         if letter not in spec.alphabet:
             raise SpecFormatError(f"{where}.rule[{key!r}]: letter {value!r} not in alphabet")

@@ -13,7 +13,7 @@ free of chain words grown one letter at a time.
 import functools
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     CapExceededError,
@@ -108,8 +108,7 @@ def cylinder_has_aperiodic(spec, word):
 
 # -- the removal bound -------------------------------------------------------
 
-@dataclass(frozen=True)
-class RemovalBoundReport:
+class RemovalBoundReport(NamedTuple):
     word: tuple
     rows: tuple  # (n, lhs, rhs, slack) for |w| <= n <= n_max
     violations: tuple  # rows with lhs > rhs
@@ -140,16 +139,14 @@ def verify_removal_bound(spec, word, n_max):
 
 # -- chain construction -------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChainLevel:
+class ChainLevel(NamedTuple):
     subshift: object
     word: tuple        # w_i, |w_i| <= L, extends uniquely >= 2R times
     extended: tuple    # w~_i, the unique extension, |w~_i| = |w_i| + 4R
     aperiodic_cylinder: bool
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(NamedTuple):
     """X_0 > X_1 > ... > X_k with X_{i+1} = X_i(w~_i) and X_k(w~_k) empty.
 
     `levels` holds the k forbidding steps; `terminal` is level k.  The
@@ -261,8 +258,7 @@ def chain_to_json(chain):
 
 # -- shadowing ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ShadowingReport:
+class ShadowingReport(NamedTuple):
     status: str            # "ok" | "cap-exceeded"
     distance: int | None   # minimal D, when status == "ok"
     cap: int
@@ -307,8 +303,7 @@ def shadowing_distance(spec, forbidden_words, u, t_steps, cap):
 
 # -- syndeticity of chain-word occurrences ------------------------------------
 
-@dataclass(frozen=True)
-class SyndeticReport:
+class SyndeticReport(NamedTuple):
     status: str           # "ok" | "cap-exceeded"
     gap: int | None       # minimal G, when status == "ok"
     distance: int         # the D asked for, echoed: it changes no answer

@@ -11,12 +11,12 @@ internal error (an unexpected exception in a command).
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import os
 import sys
 import tempfile
 import time
-import traceback
 
 from . import autos, chains, spacetime, suites
 from .complexity import complexity_table
@@ -265,8 +265,52 @@ def _parser():
     return parser
 
 
+_string = json.encoder.encode_basestring_ascii
+_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _layout(obj, pad):
+    """The text of json.dumps(obj, indent=2) at nesting `pad` (a newline and
+    the indent), with every string through the json module's C encoder.
+    Lists of strings are joined in one call.  Any other value, or a key
+    that is no string, raises TypeError."""
+    if isinstance(obj, str):
+        return _string(obj)
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == {str}:
+            items = map(_string, obj)
+        else:
+            items = map(_layout, obj, itertools.repeat(inner))
+        return f"[{inner}{(',' + inner).join(items)}{pad}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (f"{_string(k)}: {_layout(v, inner)}" for k, v in obj.items())
+        return f"{{{inner}{(',' + inner).join(items)}{pad}}}"
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _FLOATS.get(text, text)
+    raise TypeError(f"{type(obj).__name__} is left to the json module")
+
+
+def _json_text(report):
+    """The bytes of json.dumps(report, indent=2), without the pure-Python
+    encoder that its indent selects."""
+    try:
+        return _layout(report, "\n")
+    except TypeError:  # the json module writes it, or refuses it, itself
+        return json.dumps(report, indent=2)
+
+
 def _emit(report, out_path):
-    text = json.dumps(report, indent=2) + "\n"
+    text = _json_text(report) + "\n"
     if out_path is None:
         sys.stdout.write(text)
         return
@@ -297,6 +341,8 @@ def main(argv=None):
         return 2
     except Exception as exc:
         # exit 1 would claim a verified violation; report the bug instead
+        import traceback  # here alone: with linecache and tokenize it is a slow import
+
         traceback.print_exc()
         sys.stderr.write(f"error: internal: {type(exc).__name__}: {exc}\n")
         return 3

@@ -13,7 +13,7 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EmptySubshiftError, LemmaWindowNotFoundError
 from .subshifts import spec_digest
@@ -31,8 +31,7 @@ def complexity(spec, n):
     return spec.count_words(n)
 
 
-@dataclass(frozen=True)
-class ComplexityTable:
+class ComplexityTable(NamedTuple):
     subshift_id: str
     values: dict  # n -> P_X(n), for 1 <= n <= N
 
@@ -57,8 +56,7 @@ def complexity_table(spec, max_n):
     return ComplexityTable(subshift_id=spec_digest(spec), values=values)
 
 
-@dataclass(frozen=True)
-class MorseHedlundVerdict:
+class MorseHedlundVerdict(NamedTuple):
     kind: str  # "all-periodic" | "consistent-with-aperiodic"
     witness: int | None = None
 
@@ -78,8 +76,7 @@ def morse_hedlund_classify(spec, max_n):
     return MorseHedlundVerdict("consistent-with-aperiodic")
 
 
-@dataclass(frozen=True)
-class ExtensionReport:
+class ExtensionReport(NamedTuple):
     word: tuple
     radius: object  # int, or AT_LEAST_CAP when still unique at the cap
     cap: int

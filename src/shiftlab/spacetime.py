@@ -7,13 +7,12 @@ finite window are window-level evidence, not claims about the infinite
 array.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .autos import _check_inputs, apply_to_config
 
 
-@dataclass(frozen=True)
-class SpaceTimeWindow:
+class SpaceTimeWindow(NamedTuple):
     base: object          # Configuration, row 0 when row0 == 0
     code: object          # the BlockCode generating the rows
     rows: tuple           # Configurations, row j = code^(row0+j) of base
@@ -107,8 +106,7 @@ def orbit_preserving(spec, cert, probes, bound):
     return tuple(results)
 
 
-@dataclass(frozen=True)
-class PowerShiftReport:
+class PowerShiftReport(NamedTuple):
     exponent: int   # M
     shifts: tuple   # per-probe t with code^M probe == sigma^t probe
 

@@ -159,21 +159,40 @@ class SubshiftSpec:
         if n <= 0:
             return 1
         if n not in self._count_cache:
-            # the automaton is deterministic, so paths and words correspond;
             # every length up to the front is cached, so n lies beyond it
-            rows = self._transitions()
-            length, counts = self._count_front or (0, [1] + [0] * (len(rows) - 1))
-            while length < n:
-                nxt = [0] * len(rows)
-                for s, c in enumerate(counts):
-                    if c:
-                        for t in rows[s].values():
-                            nxt[t] += c
-                counts = nxt
-                length += 1
+            for length, counts in self._path_counts():
                 self._count_cache[length] = sum(counts)
+                if length == n:
+                    break
             self._count_front = (length, counts)
         return self._count_cache[n]
+
+    def _count_below(self, n, cap):
+        """|L_n| if it is below cap, else some |L_m| >= cap with m <= n, as
+        |L_n| never decreases in n.  Past the cached lengths it keeps only
+        the DP front, so a huge n costs no memory once the count is large."""
+        if n <= 0 or self.is_empty or n in self._count_cache:
+            return self.count_words(n)
+        for length, counts in self._path_counts():
+            total = sum(counts)
+            if length == n or total >= cap:
+                return total
+
+    def _path_counts(self):
+        """Yield (m, counts) for each m past the cached front: counts[s] is
+        the number of paths of length m from the start state to state s.
+        The automaton is deterministic, so paths and words correspond."""
+        rows = self._transitions()
+        length, counts = self._count_front or (0, [1] + [0] * (len(rows) - 1))
+        while True:
+            nxt = [0] * len(rows)
+            for s, c in enumerate(counts):
+                if c:
+                    for t in rows[s].values():
+                        nxt[t] += c
+            counts = nxt
+            length += 1
+            yield length, counts
 
     def contains(self, word):
         """Whether the word occurs in some bi-infinite point."""
@@ -314,11 +333,13 @@ class SftSpec(SubshiftSpec):
         letters, forbidden = self.alphabet.letters, set(self.forbidden)
         # The clean words of length q, grown in alphabet order, so each level
         # is canonical.  A factor of u+(a,) that is no suffix lies in u, so for
-        # a clean u only the suffixes u[i:]+(a,) can be forbidden.
+        # a clean u only the suffixes of the forbidden lengths can be forbidden
+        # (a cut longer than u+(a,) takes all of it, and its length is a cut).
+        cuts = [slice(-k, None) for k in {len(f) for f in forbidden}]
         verts = [()]
         for _ in range(self.window_len):
-            verts = [u + (a,) for u in verts for a in letters
-                     if not any(u[i:] + (a,) in forbidden for i in range(len(u) + 1))]
+            verts = [v for u in verts for a in letters
+                     if forbidden.isdisjoint(map((v := u + (a,)).__getitem__, cuts))]
         vert_set = set(verts)
         # A proper factor of the window w = u+(a,) lies in u or in w[1:], both
         # clean vertices, so only w itself can be forbidden.
@@ -378,7 +399,7 @@ class SparseSpec(SubshiftSpec):
     def _next(self, state, a):
         if a == self.background:
             return state
-        grown = tuple(sorted(state + (a,), key=self.alphabet.index))
+        grown = tuple(sorted(state + (a,), key=self.alphabet._index.__getitem__))
         return grown if grown in self._downset else None
 
     contains_config = SubshiftSpec.contains_config  # traced per class, see SftSpec

@@ -10,7 +10,9 @@ Departure never touches the nail, and the inverse codes walk left,
 undoing the arrival action on departure.
 """
 
-from dataclasses import dataclass
+from collections.abc import Mapping
+from functools import partial
+from typing import NamedTuple
 
 from .autos import BlockCode, apply_to_config
 from .subshifts import build_sft, build_sparse, product
@@ -21,15 +23,36 @@ SYSTEM_NAMES = ("full2", "golden_mean", "cycle2", "at_most_one_1",
 
 HALLWAY_LETTERS = ("0", "1", "a", "b", "p", "1p", "ap", "bp")
 _PERSON = {"p", "1p", "ap", "bp"}
-_AT_NAIL = {"1p", "ap", "bp"}
 
 
-@dataclass(frozen=True)
-class NamedSystem:
+class NamedSystem(NamedTuple):
     name: str
     spec: object
-    codes: dict    # name -> BlockCode, complete on the spec's language
-    probes: dict   # name -> Configuration inside the spec
+    codes: Mapping   # name -> BlockCode, complete on the spec's language
+    probes: Mapping  # name -> Configuration inside the spec
+
+
+class _Built(Mapping):
+    """A read-only mapping that builds each value on first read and keeps it."""
+
+    __slots__ = ("_builders", "_values")
+
+    def __init__(self, builders):  # name -> function of no arguments
+        self._builders, self._values = builders, {}
+
+    def __getitem__(self, name):
+        if name not in self._values:
+            self._values[name] = self._builders[name]()
+        return self._values[name]
+
+    def __contains__(self, name):  # without building the value
+        return name in self._builders
+
+    def __iter__(self):
+        return iter(self._builders)
+
+    def __len__(self):
+        return len(self._builders)
 
 
 def _hallway_spec():
@@ -85,82 +108,80 @@ def _walk_back_rule(swap):
     return rule
 
 
-def _hallway_probes(spec):
-    probes = {"zero": Configuration.constant("0")}
+def _hallway_probes():
+    probes = {"zero": partial(Configuration.constant, "0")}
     for i in range(1, 9):
-        probes[f"x{i}"] = Configuration.from_markers("0", {-i: "p", 0: "1"})
+        probes[f"x{i}"] = partial(Configuration.from_markers, "0", {-i: "p", 0: "1"})
     for m, label in (("1", "nail_1"), ("a", "nail_a"), ("b", "nail_b"),
                      ("p", "walker"), ("1p", "at_nail_1"),
                      ("ap", "at_nail_a"), ("bp", "at_nail_b")):
-        probes[label] = Configuration.from_markers("0", {0: m})
+        probes[label] = partial(Configuration.from_markers, "0", {0: m})
     return probes
 
 
 def make_example(name):
-    """Construct one of the built-in named systems."""
+    """Construct one of the built-in named systems; each code and probe is
+    built the first time it is read."""
     if name == "full2":
         alphabet = Alphabet(("0", "1"))
         spec = build_sft(alphabet, [])
         codes = {
-            "identity": BlockCode.identity(spec, 0),
-            "flip": BlockCode.letter_map(spec, {"0": "1", "1": "0"}),
-            "shift": BlockCode.shift(spec, 1),
-            "shift_inv": BlockCode.shift(spec, -1),
+            "identity": partial(BlockCode.identity, spec, 0),
+            "flip": partial(BlockCode.letter_map, spec, {"0": "1", "1": "0"}),
+            "shift": partial(BlockCode.shift, spec, 1),
+            "shift_inv": partial(BlockCode.shift, spec, -1),
         }
         probes = {
-            "one": Configuration.from_markers("0", {0: "1"}),
-            "alt": Configuration.periodic(("0", "1")),
-            "zero": Configuration.constant("0"),
+            "one": partial(Configuration.from_markers, "0", {0: "1"}),
+            "alt": partial(Configuration.periodic, ("0", "1")),
+            "zero": partial(Configuration.constant, "0"),
         }
-        return NamedSystem(name, spec, codes, probes)
-    if name == "golden_mean":
+    elif name == "golden_mean":
         alphabet = Alphabet(("0", "1"))
         spec = build_sft(alphabet, [("1", "1")])
-        codes = {"identity": BlockCode.identity(spec, 0)}
+        codes = {"identity": partial(BlockCode.identity, spec, 0)}
         probes = {
-            "zero": Configuration.constant("0"),
-            "one": Configuration.from_markers("0", {0: "1"}),
+            "zero": partial(Configuration.constant, "0"),
+            "one": partial(Configuration.from_markers, "0", {0: "1"}),
         }
-        return NamedSystem(name, spec, codes, probes)
-    if name == "cycle2":
+    elif name == "cycle2":
         alphabet = Alphabet(("0", "1"))
         spec = build_sft(alphabet, [("0", "0"), ("1", "1")])
-        codes = {"identity": BlockCode.identity(spec, 0)}
+        codes = {"identity": partial(BlockCode.identity, spec, 0)}
         probes = {
-            "alt": Configuration.periodic(("0", "1")),
-            "alt_shifted": Configuration.periodic(("1", "0")),
+            "alt": partial(Configuration.periodic, ("0", "1")),
+            "alt_shifted": partial(Configuration.periodic, ("1", "0")),
         }
-        return NamedSystem(name, spec, codes, probes)
-    if name == "at_most_one_1":
+    elif name == "at_most_one_1":
         alphabet = Alphabet(("0", "1"))
         spec = build_sparse(alphabet, "0", [("1",)])
         codes = {
-            "identity": BlockCode.identity(spec, 0),
-            "shift": BlockCode.shift(spec, 1),
-            "shift_inv": BlockCode.shift(spec, -1),
+            "identity": partial(BlockCode.identity, spec, 0),
+            "shift": partial(BlockCode.shift, spec, 1),
+            "shift_inv": partial(BlockCode.shift, spec, -1),
         }
         probes = {
-            "zero": Configuration.constant("0"),
-            "one": Configuration.from_markers("0", {0: "1"}),
+            "zero": partial(Configuration.constant, "0"),
+            "one": partial(Configuration.from_markers, "0", {0: "1"}),
         }
-        return NamedSystem(name, spec, codes, probes)
-    if name == "salo_schraudner":
+    elif name == "salo_schraudner":
         factor = make_example("at_most_one_1").spec
         spec = product(factor, factor)
-        codes = {"identity": BlockCode.identity(spec, 0)}
-        probes = {"zero": Configuration.constant(("0", "0"))}
-        return NamedSystem(name, spec, codes, probes)
-    if name == "hallway":
+        codes = {"identity": partial(BlockCode.identity, spec, 0)}
+        probes = {"zero": partial(Configuration.constant, ("0", "0"))}
+    elif name == "hallway":
         spec = _hallway_spec()
         codes = {
-            "identity": BlockCode.identity(spec, 0),
-            "phi_a": BlockCode.from_function(spec, 1, _walk_rule(swap=False)),
-            "phi_b": BlockCode.from_function(spec, 1, _walk_rule(swap=True)),
-            "phi_a_inv": BlockCode.from_function(spec, 1, _walk_back_rule(swap=False)),
-            "phi_b_inv": BlockCode.from_function(spec, 1, _walk_back_rule(swap=True)),
+            "identity": partial(BlockCode.identity, spec, 0),
+            "phi_a": partial(BlockCode.from_function, spec, 1, _walk_rule(swap=False)),
+            "phi_b": partial(BlockCode.from_function, spec, 1, _walk_rule(swap=True)),
+            "phi_a_inv": partial(BlockCode.from_function, spec, 1, _walk_back_rule(swap=False)),
+            "phi_b_inv": partial(BlockCode.from_function, spec, 1, _walk_back_rule(swap=True)),
         }
-        return NamedSystem(name, spec, codes, _hallway_probes(spec))
-    raise ValueError(f"unknown system name {name!r}")
+        probes = _hallway_probes()
+    else:
+        raise ValueError(f"unknown system name {name!r}")
+    return NamedSystem(name, spec, _Built(codes), _Built(probes))
 
 
 def decode_hallway_product(system, code, max_len=8):

@@ -1,8 +1,12 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -10,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftlab import code_to_json, make_example, spec_to_json
-from shiftlab import errors
+from shiftlab import cli, errors
 from shiftlab.cli import main
 from shiftlab.subshifts import SubshiftSpec
 
@@ -603,3 +607,87 @@ def test_package_error_exits_2(capsys, monkeypatch, error):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {error}\n"
+
+
+# every report-writing command of the README and CI, and each verification suite
+REPORT_COMMANDS = [
+    "complexity --spec builtin:salo_schraudner --max-n 12",
+    "complexity --spec {spec} --max-n 10 --format csv",
+    "chain --spec builtin:hallway --range 1 --maxlen 2 --cap 40",
+    "chain --spec builtin:hallway --range 1 --maxlen 2 --cap 10",
+    "autos enumerate --spec builtin:full2 --range 1",
+    "autos certify --spec builtin:hallway --code phi_a --rmax 1",
+    "autos certify --spec builtin:hallway --code phi_a --rmax 0",
+    "autos enumerate --spec builtin:at_most_one_1 --range 1",
+    "autos certify --spec builtin:salo_schraudner --code identity --rmax 0",
+    "autos enumerate --spec builtin:salo_schraudner --range 0",
+    "certify-free --spec builtin:hallway --gen-a phi_a --gen-b phi_b --depth 5 --rmax 1",
+    "certify-free --spec builtin:hallway --gen-a phi_a --gen-b phi_b --depth 7 --rmax 1",
+    "certify-free --spec builtin:hallway --gen-a phi_a --gen-b phi_a --depth 2 --rmax 1",
+    "spacetime --spec builtin:hallway --code phi_a --probe x3 --width 9 --height 4 "
+    "--detect-periods 3 --rmax 1",
+    "spacetime --spec builtin:full2 --code shift --probe alt --width 6 --height 3 --rmax 1",
+    "spacetime --spec builtin:salo_schraudner --code identity --probe {probe} --width 4 "
+    "--height 2 --rmax 0",
+    "verify-lemmas --suite removal --trials 100 --seed 1",
+    "verify-lemmas --suite removal --seed 2",
+] + [f"verify-lemmas --suite {suite}"
+     for suite in ("chain", "extend", "shadow", "syndetic", "subgroup", "subexp")]
+
+
+@pytest.mark.parametrize("command", REPORT_COMMANDS)
+def test_report_bytes_are_those_of_json_dumps(tmp_path, capsys, monkeypatch, command):
+    # the writer skips json.dumps's pure-Python encoder but keeps its bytes
+    spec, probe = tmp_path / "spec.json", tmp_path / "probe.json"
+    spec.write_text(json.dumps(spec_to_json(make_example("golden_mean").spec)))
+    probe.write_text(json.dumps(PAIR_PROBE_OBJ))
+    reports, write = [], cli._json_text
+    monkeypatch.setattr(cli, "_json_text", lambda report: reports.append(report) or write(report))
+    assert main(command.format(spec=spec, probe=probe).split()) in (0, 1)
+    (report,) = reports
+    assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
+
+
+REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.lists(st.text(), max_size=4),
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(), inner, max_size=4)
+                   | st.dictionaries(st.integers() | st.none(), inner, max_size=2)),
+    max_leaves=24)
+
+
+@given(REPORT_VALUES)
+@example([float("nan"), float("inf"), -float("inf"), -0.0, 1e300, True, 1, None])
+@example({"\x00\u00e9\u2028\U0001f600\"\\": ["\n", "\x7f", ""], "": {}, "[]": []})
+def test_report_writer_matches_json_dumps(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("system, size", [("full2", "over 10^99"), ("cycle2", "2")])
+def test_one_window_code_at_range_16000_counts_in_little_memory(tmp_path, capsys, system,
+                                                                 size):
+    # the size check keeps only the counting front, not |L_n| for every n <= 2R+1
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({"range": 16000, "alphabet": ["0", "1"],
+                                "rule": {",".join("0" * 32001): "0"}}))
+    tracemalloc.start()
+    try:
+        status = main(["autos", "certify", "--spec", f"builtin:{system}", "--code", str(path),
+                       "--rmax", "0"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 2
+    assert peak < 5 * 2 ** 20
+    assert capsys.readouterr().err.endswith(f"it has 1, L_32001 has {size}\n")
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # nor traceback, which only an internal error needs
+    script = ("import sys; before = set(sys.modules); import shiftlab.cli; "
+              "print(sorted({'dataclasses', 'inspect', 'traceback'} & (set(sys.modules) - before)))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout == "[]\n"

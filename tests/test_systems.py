@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from shiftlab import (
@@ -8,6 +10,7 @@ from shiftlab import (
     equal_on_shift,
     make_example,
 )
+from shiftlab.systems import SYSTEM_NAMES
 from shiftlab.autos import product_code
 
 
@@ -95,3 +98,75 @@ def test_probe_decoding_small_products(systems):
 def test_decoding_rejects_non_walk_code(systems):
     hallway = systems["hallway"]
     assert decode_hallway_product(hallway, hallway.codes["identity"]) is None
+
+
+def _eager(name, spec):
+    """The codes and probes of a named system, each built at once."""
+    from shiftlab import BlockCode, Configuration
+    from shiftlab.systems import _walk_back_rule, _walk_rule
+
+    marked = Configuration.from_markers
+    if name == "hallway":
+        walk = functools.partial(BlockCode.from_function, spec, 1)
+        codes = {"identity": BlockCode.identity(spec, 0),
+                 "phi_a": walk(_walk_rule(False)), "phi_b": walk(_walk_rule(True)),
+                 "phi_a_inv": walk(_walk_back_rule(False)),
+                 "phi_b_inv": walk(_walk_back_rule(True))}
+        probes = {"zero": Configuration.constant("0"),
+                  **{f"x{i}": marked("0", {-i: "p", 0: "1"}) for i in range(1, 9)}}
+        for m, label in (("1", "nail_1"), ("a", "nail_a"), ("b", "nail_b"), ("p", "walker"),
+                         ("1p", "at_nail_1"), ("ap", "at_nail_a"), ("bp", "at_nail_b")):
+            probes[label] = marked("0", {0: m})
+        return codes, probes
+    if name == "salo_schraudner":
+        return ({"identity": BlockCode.identity(spec, 0)},
+                {"zero": Configuration.constant(("0", "0"))})
+    codes = {"identity": BlockCode.identity(spec, 0)}
+    if name in ("full2", "at_most_one_1"):
+        if name == "full2":
+            codes["flip"] = BlockCode.letter_map(spec, {"0": "1", "1": "0"})
+        codes["shift"], codes["shift_inv"] = BlockCode.shift(spec, 1), BlockCode.shift(spec, -1)
+    probes = {"zero": Configuration.constant("0"), "one": marked("0", {0: "1"}),
+              "alt": Configuration.periodic(("0", "1")),
+              "alt_shifted": Configuration.periodic(("1", "0"))}
+    keep = {"full2": ("one", "alt", "zero"), "golden_mean": ("zero", "one"),
+            "cycle2": ("alt", "alt_shifted"), "at_most_one_1": ("zero", "one")}[name]
+    return codes, {label: probes[label] for label in keep}
+
+
+@pytest.mark.parametrize("name", ["full2", "golden_mean", "cycle2", "at_most_one_1",
+                                  "salo_schraudner", "hallway"])
+def test_codes_and_probes_are_built_on_first_read(name):
+    system = make_example(name)
+    codes, probes = _eager(name, system.spec)
+    assert list(system.codes) == list(codes) and len(system.codes) == len(codes)
+    assert list(system.probes) == list(probes) and len(system.probes) == len(probes)
+    assert "no such code" not in system.codes and "phi_a" not in system.probes
+    for label, code in codes.items():
+        built = system.codes[label]
+        assert built is system.codes[label]
+        assert (built.spec, built.radius, built.outputs) == (system.spec, code.radius, code.outputs)
+        assert built.rule == code.rule
+    for label, probe in probes.items():
+        built = system.probes[label]
+        assert built is system.probes[label]
+        assert (built.left, built.center, built.right, built.offset) == (
+            probe.left, probe.center, probe.right, probe.offset)
+    with pytest.raises(KeyError):
+        system.codes["no such code"]
+    with pytest.raises(TypeError):
+        system.codes["identity"] = codes["identity"]
+
+
+def test_make_example_builds_no_code_and_no_probe(monkeypatch):
+    from shiftlab import BlockCode, Configuration
+
+    built = []
+    for cls in (BlockCode, Configuration):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, init=init: (
+            built.append(type(self).__name__), init(self, *args))[1])
+    hallway = [make_example(name) for name in SYSTEM_NAMES][-1]
+    assert built == []
+    assert hallway.codes["phi_a"] and hallway.probes["x3"]
+    assert built == ["BlockCode", "Configuration"]
