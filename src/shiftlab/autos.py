@@ -398,19 +398,67 @@ def certify_automorphism(spec, code, r_max):
     return CertifyResult("certified", cert=cert)
 
 
+def _periodic_windows(spec, radius, top):
+    """(p, Per_p, ranks) for each p = 1..top with Per_p, the words u of L_p
+    with u^infinity in X, not empty; `ranks` holds the ranks in L_{2R+1}
+    of the windows of each u^infinity centred at 0..p-1, u after u."""
+    span = 2 * radius + 1
+    rank = {w: k for k, w in enumerate(spec.words(span))}
+    periodic = []
+    for p in range(1, top + 1):
+        points, ranks = set(), []
+        for u in spec.words(p):
+            if spec.contains_config(Configuration.periodic(u)):
+                points.add(u)
+                stretch = tuple(u[c % p] for c in range(-radius, radius + p))  # on -R..R+p-1
+                ranks.extend(rank[stretch[i:i + span]] for i in range(p))
+        if points:  # every table permutes an empty Per_p, and `_gather` needs an index
+            periodic.append((p, points, ranks))
+    return periodic
+
+
 def enumerate_automorphisms(spec, radius, table_cap=1_000_000):
-    """All of Aut_R(X) by brute force over rule tables, canonically ordered."""
+    """All of Aut_R(X) over rule tables, canonically ordered.
+
+    The tables are walked in `itertools.product` order, and a table is
+    certified only when it permutes Per_p, the points of period p, for
+    every p = 1..2R+2 (`_periodic_windows`): the image of u^infinity is
+    v^infinity, v_i the output on its window centred at i, so the test is
+    that the v of Per_p are Per_p.  Nothing certifiable is skipped.  A
+    certified table is an automorphism, as `certify_automorphism` is
+    sound: a bijection phi of X with phi(sigma x) = sigma(phi x).  So
+    sigma^p x = x gives sigma^p phi(x) = phi(x), and phi maps the finite
+    set Per_p one-to-one into itself, onto it.  A table failing the test
+    for some p is no automorphism, and would not have certified.
+
+    Periods past c = |L_{2R+1}| are not listed, as their tests follow from
+    the others.  Only c <= 2R+1 cuts any.  A point of least period q
+    carries at least min(n+1, q) words of length n (Morse-Hedlund: the
+    count grows until it reaches q), so with n = 2R+1 every periodic
+    point has least period q <= c.  Per_p is then the disjoint union of
+    the Q_d, the points of least period d, over d | p with d <= c, and a
+    table that permutes Per_d for every d <= c permutes each such Q_d
+    (Per_d minus the Per_e, e | d, e < d, each permuted), so Per_p too.
+    This keeps a finite shift at a large range from listing Per_p for
+    every p up to 2R+2.
+    """
     if radius < 0:
         raise ValueError("range must be >= 0")
     windows = spec.count_words(2 * radius + 1)
     size = len(spec.alphabet) ** windows
     if size > table_cap:
         raise SearchSpaceError(size, table_cap)
+    periodic = _periodic_windows(spec, radius, min(2 * radius + 2, windows))
+
+    def permutes(values):
+        # the outputs on all windows of Per_p in one gather, cut into the words v
+        return all(set(zip(*[iter(_gather(values, ranks))] * p)) == points
+                   for p, points, ranks in periodic)
+
     certs = []
     # each table holds one alphabet letter per window of L_{2R+1}, by rank: nothing to check
-    for values in itertools.product(spec.alphabet.letters, repeat=windows):
-        code = BlockCode._of(spec, radius, list(values))
-        result = certify_automorphism(spec, code, radius)
+    for values in filter(permutes, itertools.product(spec.alphabet.letters, repeat=windows)):
+        result = certify_automorphism(spec, BlockCode._of(spec, radius, list(values)), radius)
         if result.status == "certified":
             certs.append(result.cert)
     return tuple(certs)

@@ -38,10 +38,15 @@ while `contains`, `count_words` and `contains_config` answer without one.
 """
 
 import hashlib
+import itertools
 import json
 
-from .errors import EmptySubshiftError, SpecFormatError
+from .errors import CapExceededError, EmptySubshiftError, SpecFormatError
 from .words import Alphabet
+
+# the most clean words one level of the SFT graph walk may list: one binary
+# forbidden word of length 18 would list 2^17 (`SftSpec._build_graph`)
+GRAPH_WORD_BUDGET = 10 ** 5
 
 
 class SubshiftSpec:
@@ -313,7 +318,9 @@ class SftSpec(SubshiftSpec):
     avoids every forbidden word.  Iterated removal of vertices without
     in- or out-edges (`_prune`) leaves exactly the graph whose bi-infinite
     paths realize the language; `graph` is its rows, vertex -> {letter:
-    target}, vertices and letters in canonical order.
+    target}, vertices and letters in canonical order.  The clean words
+    are listed level by level, and a level of more than
+    `GRAPH_WORD_BUDGET` words stops the walk with `CapExceededError`.
     """
 
     kind = "sft"
@@ -337,9 +344,16 @@ class SftSpec(SubshiftSpec):
         # (a cut longer than u+(a,) takes all of it, and its length is a cut).
         cuts = [slice(-k, None) for k in {len(f) for f in forbidden}]
         verts = [()]
-        for _ in range(self.window_len):
-            verts = [v for u in verts for a in letters
-                     if forbidden.isdisjoint(map((v := u + (a,)).__getitem__, cuts))]
+        for n in range(1, self.window_len + 1):
+            verts = list(itertools.islice(
+                (v for u in verts for a in letters
+                 if forbidden.isdisjoint(map((v := u + (a,)).__getitem__, cuts))),
+                GRAPH_WORD_BUDGET + 1))
+            if len(verts) > GRAPH_WORD_BUDGET:
+                raise CapExceededError(
+                    f"SFT with forbidden words of length up to {self.order}: over "
+                    f"{GRAPH_WORD_BUDGET} clean words of length {n}, "
+                    f"the graph's word budget")
         vert_set = set(verts)
         # A proper factor of the window w = u+(a,) lies in u or in w[1:], both
         # clean vertices, so only w itself can be forbidden.

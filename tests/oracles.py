@@ -50,7 +50,9 @@ point-membership oracle keeps the per-backend rules (an SFT window, a
 sparse tail rule, a product projected onto its factors), where the
 library pumps each tail through the compiled automaton on every backend.
 The period-vector oracle tests each vector cell by cell, where the
-library compares row slices.
+library compares row slices.  The enumeration oracle certifies every
+rule table, where the library certifies only those that permute the
+periodic points of each period up to 2R+2.
 They import shiftlab when called, so importing this module loads no
 shiftlab code (the benchmark imports it before its own cold imports).
 """
@@ -219,6 +221,27 @@ def range0_automorphism_oracle(letters, language, max_n=6):
         if preserves(table) and preserves(inverse):
             tables.append(table)
     return tables
+
+
+def enumerate_automorphisms_oracle(spec, radius, table_cap=1_000_000):
+    """Aut_R(X) by certifying every rule table, in `itertools.product`
+    order, where the library first skips the tables that do not permute
+    the points of each period p <= 2R+2."""
+    from shiftlab.autos import BlockCode, certify_automorphism
+    from shiftlab.errors import SearchSpaceError
+
+    if radius < 0:
+        raise ValueError("range must be >= 0")
+    windows = spec.count_words(2 * radius + 1)
+    size = len(spec.alphabet) ** windows
+    if size > table_cap:
+        raise SearchSpaceError(size, table_cap)
+    certs = []
+    for values in itertools.product(spec.alphabet.letters, repeat=windows):
+        result = certify_automorphism(spec, BlockCode._of(spec, radius, list(values)), radius)
+        if result.status == "certified":
+            certs.append(result.cert)
+    return tuple(certs)
 
 
 def image_length_bound(spec, code):

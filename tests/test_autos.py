@@ -11,6 +11,7 @@ from oracles import (
 from shiftlab import (
     apply_to_config,
     apply_to_word,
+    autos,
     build_chain,
     certify_automorphism,
     certify_free_semigroup,
@@ -379,6 +380,36 @@ def test_enumerate_full2_range1(systems):
     ]
     for target in expected:
         assert any(equal_on_shift(full2.spec, c.code, target) for c in certs)
+
+
+@pytest.mark.parametrize("name, radius, passed, tables", [
+    ("full2", 1, 6, 256),
+    ("golden_mean", 1, 3, 32),
+    ("at_most_one_1", 1, 8, 16),
+    ("golden_mean", 2, 15, 8_192),
+    # a finite shift: only the periods up to |L_7| = 2 are listed
+    ("cycle2", 3, 2, 4),
+])
+def test_enumerate_certifies_only_tables_permuting_periodic_points(
+        systems, monkeypatch, name, radius, passed, tables):
+    spec = systems[name].spec
+    certified = []
+
+    def counted(spec, code, r_max):
+        certified.append(code)
+        return certify_automorphism(spec, code, r_max)
+
+    monkeypatch.setattr(autos, "certify_automorphism", counted)
+    certs = enumerate_automorphisms(spec, radius)
+    assert len(spec.alphabet) ** spec.count_words(2 * radius + 1) == tables
+    assert len(certified) == passed
+    # each listed map permutes Per_p, the points of period p, as its image points show
+    for p in range(1, 2 * radius + 3):
+        points = [Configuration.periodic(u) for u in spec.words(p)
+                  if spec.contains_config(Configuration.periodic(u))]
+        period = {point.window(0, p) for point in points}
+        for cert in certs:
+            assert {apply_to_config(cert.code, x).window(0, p) for x in points} == period
 
 
 def test_enumerate_search_space_cap(systems):

@@ -35,6 +35,7 @@ them) and targets in and out of the language.
 import itertools
 import json
 from types import MappingProxyType, SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import assume, event, given, settings
@@ -44,6 +45,7 @@ from oracles import (
     apply_to_word_oracle,
     compose_oracle,
     endomorphism_witness_oracle,
+    enumerate_automorphisms_oracle,
     equal_on_shift_oracle,
     find_inverse_oracle,
     free_semigroup_oracle,
@@ -52,14 +54,17 @@ from oracles import (
     reduce_range_oracle,
     subgroup_closure_oracle,
 )
+from shiftlab import autos
 from shiftlab.autos import (
     BlockCode,
     _endomorphism_witness,
+    apply_to_config,
     apply_to_word,
     certify_automorphism,
     certify_free_semigroup,
     code_to_json,
     compose,
+    enumerate_automorphisms,
     equal_on_shift,
     find_inverse,
     parse_code,
@@ -69,7 +74,7 @@ from shiftlab.autos import (
 )
 from shiftlab.errors import RuleIncompleteError
 from shiftlab.subshifts import build_sft
-from shiftlab.words import Alphabet
+from shiftlab.words import Alphabet, Configuration
 from test_language_properties import SETTINGS, product_specs, sft_specs, sparse_specs
 
 # words materialized per oracle call, so that each example stays fast
@@ -422,6 +427,59 @@ def test_certified_maps_long_words_into_language(data):
         for word in _long_words(spec, rng, 60, 20):
             assert spec.contains(apply_to_word(code, word))
             assert spec.contains(apply_to_word(result.cert.inverse, word))
+
+
+def _certs(certs):
+    return [(c.code.radius, c.code.outputs, c.inverse.radius, c.inverse.outputs, c.r_certified)
+            for c in certs]
+
+
+@settings(SETTINGS, max_examples=200)
+@given(st.data())
+def test_enumerate_automorphisms_matches_certify_every_table_oracle(data):
+    spec = data.draw(specs)
+    radius = data.draw(st.integers(0, 1))
+    if len(spec.alphabet) ** spec.count_words(2 * radius + 1) > 4_096:
+        radius = 0
+    assume(len(spec.alphabet) ** spec.count_words(2 * radius + 1) <= 4_096)
+    certs = enumerate_automorphisms(spec, radius)
+    event(f"{len(certs)} automorphisms")
+    assert _certs(certs) == _certs(enumerate_automorphisms_oracle(spec, radius))
+
+
+def _permutes_each_period(spec, code):
+    """Whether the code's images of the points of period p are those
+    points, for every p <= 2R+2, each image read off `apply_to_config`."""
+    for p in range(1, 2 * code.radius + 3):
+        points = [u for u in spec.words(p) if spec.contains_config(Configuration.periodic(u))]
+        images = {apply_to_config(code, Configuration.periodic(u)).window(0, p) for u in points}
+        if images != set(points):
+            return False
+    return True
+
+
+@SETTINGS
+@given(st.data())
+def test_enumerate_certifies_exactly_the_tables_permuting_each_period(data):
+    # ranges up to 3 reach finite shifts, whose periods past |L_{2R+1}| are not listed
+    spec = data.draw(specs)
+    radius = data.draw(st.integers(0, 3))
+    while radius and len(spec.alphabet) ** spec.count_words(2 * radius + 1) > 256:
+        radius -= 1
+    windows = spec.count_words(2 * radius + 1)
+    assume(len(spec.alphabet) ** windows <= 256)
+    event("periods cut" if windows < 2 * radius + 2 else "every period listed")
+    certified = []
+
+    def counted(spec, code, r_max):
+        certified.append(tuple(code.outputs))
+        return certify_automorphism(spec, code, r_max)
+
+    with mock.patch.object(autos, "certify_automorphism", counted):
+        enumerate_automorphisms(spec, radius)
+    tables = itertools.product(spec.alphabet.letters, repeat=windows)
+    assert certified == [values for values in tables if _permutes_each_period(
+        spec, BlockCode._of(spec, radius, list(values)))]
 
 
 FULL2 = build_sft(Alphabet("01"), [])

@@ -375,6 +375,21 @@ def test_one_window_code_at_a_large_range_exits_2_at_once(tmp_path, capsys, monk
         f"it has 1, L_{span} has {size}\n")
 
 
+@pytest.mark.parametrize("q, status", [(14, 0), (18, 2)])
+def test_long_forbidden_word_is_refused_by_the_graph_word_budget(tmp_path, capsys, q, status):
+    # one forbidden word of length q leaves 2^(q-1) clean vertex words:
+    # 8,192 build, and the walk stops on the level past 10^5, before 2^17 are listed
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": "sft", "alphabet": ["0", "1"], "forbidden": [["1"] * q]}))
+    started = time.monotonic()
+    assert main(["complexity", "--spec", str(path), "--max-n", "3"]) == status
+    assert status == 0 or time.monotonic() - started < 1
+    err = capsys.readouterr().err
+    assert err == ("" if status == 0 else
+                   f"error: SFT with forbidden words of length up to {q}: over 100000 clean "
+                   f"words of length 17, the graph's word budget\n")
+
+
 PAIR_PROBE_OBJ = {"left_period": [["0", "0"]], "center": [["1", "0"], ["0", "1"]],
                   "right_period": [["0", "0"]], "origin_offset": 1}
 

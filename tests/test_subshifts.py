@@ -15,8 +15,15 @@ from shiftlab import (
 from shiftlab.autos import enumerate_automorphisms
 from shiftlab.chains import Chain, ChainLevel, build_chain, forbid, syndetic_gap, verify_removal_bound
 from shiftlab.complexity import complexity
-from shiftlab.errors import EmptySubshiftError, SpecFormatError
-from shiftlab.subshifts import ProductSpec, SftSpec, SparseSpec, SubshiftSpec, empty_sft
+from shiftlab.errors import CapExceededError, EmptySubshiftError, SpecFormatError
+from shiftlab.subshifts import (
+    GRAPH_WORD_BUDGET,
+    ProductSpec,
+    SftSpec,
+    SparseSpec,
+    SubshiftSpec,
+    empty_sft,
+)
 from shiftlab.words import Alphabet, Configuration
 
 BIN = Alphabet(("0", "1"))
@@ -69,6 +76,13 @@ def test_sft_needs_biinfinite_extendability():
     assert spec.contains(w("0101"))
     assert not spec.contains(w("011"))
     assert spec.count_words(5) == 2
+
+
+def test_sft_graph_walk_stops_past_its_word_budget():
+    assert GRAPH_WORD_BUDGET == 10 ** 5
+    assert len(build_sft(Alphabet("01"), [w("1" * 14)]).graph) == 2 ** 13
+    with pytest.raises(CapExceededError, match="length up to 18: over 100000 clean words"):
+        build_sft(Alphabet("01"), [w("1" * 18)])
 
 
 def test_build_sparse_at_most_one_1():
