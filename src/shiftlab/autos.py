@@ -18,8 +18,12 @@ rank and the new letter, with no slice and no tuple hash.  One lazy
 prefix pass (`_image_ranks`) yields, length by length, the rank of the
 image of every word: `compose` takes its last level, `find_inverse` the
 level of each range it tries, and the free-semigroup check every other
-level.  The endomorphism check walks the compiled automaton rows to a
-fixpoint, expanding each key once (`_endomorphism_witness`).
+level.  The pass extends each source word by the row of its automaton
+state, and `_centres` counts paths from the states of half-length
+words, so the trie is grown only to the window length and the longest
+image, never to the length of the source words.  The endomorphism
+check walks the compiled automaton rows to a fixpoint, expanding each
+key once (`_endomorphism_witness`).
 """
 
 import functools
@@ -171,40 +175,51 @@ def _check_inputs(spec, codes, r_max=0):
 
 def _image_ranks(code, n):
     """Yield, for m = 2R+1..n, the rank in L_{m-2R} of the image of every
-    word of L_m, by rank, growing the trie one level per table read.  Each
-    word carries the ranks of its last window and of its image so far: a
-    word u+(a,) of the next level has last window ext[tail[j]][a], j the
-    rank of u's last window, and image rank ext'[i][b], i the rank of u's
-    image, b the output on that window and ext' the trie level one longer
-    than u's image.  An image outside the language raises KeyError."""
+    word of L_m, by rank, growing the trie one image level per table read
+    and never past max(2R+1, n-2R).  Each word carries its automaton state
+    and the ranks of its last window and of its image so far.  A word u of
+    state s extends by the letters a of row s, in the order `_levels`
+    ranks u+(a,), to the states row s names; u+(a,) has last window
+    ext[tail[j]][a], j the rank of u's last window, and image rank
+    ext'[i][b], i the rank of u's image, b the output on that window and
+    ext' the trie level one longer than u's image.  An image outside the
+    language raises KeyError."""
+    spec = code.spec
     span = 2 * code.radius + 1
-    levels = code.spec._levels(span)
-    ext, tail, _ = levels[span]
+    levels = spec._levels(span)
+    ext, tail, states = levels[span]
     outputs = code.outputs
     letters = levels[1][0][0]  # letter -> rank in L_1
     last = range(len(outputs))
     image = [letters[b] for b in outputs]
     yield image
+    if n > span:
+        rows = spec._transitions()
+        letters_of = [tuple(row) for row in rows]
+        targets_of = [tuple(row.values()) for row in rows]
     for m in range(span + 1, n + 1):
-        rows = code.spec._levels(m)[m][0]
-        image_ext = levels[m - span + 1][0]
+        image_ext = spec._levels(m - span + 1)[m - span + 1][0]
         grown, grown_image = [], []
-        for j, i, row in zip(last, image, rows):
+        for j, i, row in zip(last, image, map(letters_of.__getitem__, states)):
             windows, images = ext[tail[j]], image_ext[i]
             for a in row:
                 k = windows[a]
                 grown.append(k)
                 grown_image.append(images[outputs[k]])
+        if m < n:
+            states = list(itertools.chain.from_iterable(map(targets_of.__getitem__, states)))
         last, image = grown, grown_image
         yield image
 
 
 def _middles(spec, n):
     """The rank in L_{n-2} of w[1:-1] for each word w of L_n, by rank:
-    w[1:-1] is u[1:] for the parent u = w[:-1], so the tail of u's rank."""
-    levels = spec._levels(n)
-    tail = levels[n - 1][1]
-    return [tail[p] for p, row in enumerate(levels[n][0]) for _ in row]
+    w[1:-1] is u[1:] for the parent u = w[:-1], so the tail of u's rank,
+    once for each letter of the row of u's state.  The trie is read to
+    L_{n-1}."""
+    _, tail, states = spec._levels(n - 1)[n - 1]
+    rows = spec._transitions()
+    return [q for q, s in zip(tail, states) for _ in rows[s]]
 
 
 def compose(outer, inner):
@@ -236,12 +251,26 @@ def pad(code, radius):
 
 
 def _centres(spec):
-    """Yield the centre letter of each word of L_1, L_3, ... by rank: the
-    centre of w in L_n is the centre of w[1:-1] in L_{n-2} (`_middles`)."""
-    centres = list(spec._levels(1)[1][0][0])  # L_1's letters, by rank
-    for n in itertools.count(3, 2):
-        yield centres
-        centres = [centres[j] for j in _middles(spec, n)]
+    """Yield the centre letter of each word of L_1, L_3, ... by rank, the
+    centres of L_{2c+1} read off the trie's L_{c+1} and no longer level.
+
+    The words of L_{2c+1} in canonical order come in blocks, one per word
+    q of L_{c+1} in rank order: the words q+v.  As the automaton is
+    deterministic and a word lies in the language exactly when its run
+    never falls off, the v are the labels of the paths of length c from
+    q's state, one word per path.  Each word q+v has centre letter q[c],
+    the last letter of q, the letter of q's entry in its parent's `ext`
+    row.  So level c is each such letter repeated once per path, and the
+    path counts of length c+1 from each state s are the sums of those of
+    length c over the targets of row s.
+    """
+    rows = spec._transitions()
+    paths = [1] * len(rows)  # paths of length c from each state
+    for c in itertools.count():
+        ext, _, states = spec._levels(c + 1)[c + 1]
+        yield list(itertools.chain.from_iterable(map(
+            itertools.repeat, itertools.chain.from_iterable(ext), map(paths.__getitem__, states))))
+        paths = [sum(map(paths.__getitem__, row.values())) for row in rows]
 
 
 def _forced(keys, letters):
@@ -528,9 +557,9 @@ def subgroup_closure(spec, gens, cap):
     Since the steps are closed under inverses, this reaches exactly the
     subgroup they generate.  Elements come in the order identity, the
     steps in the given order, then each sphere in discovery order.  The
-    step is the outer code: `compose`'s pass over the inner images walks
-    the trie from the inner window length 2R'+1 up to 2(R+R')+1, so only
-    2R+1 levels, R the step's small range, with the element inside.
+    step is the outer code: `compose`'s pass over the inner images takes
+    only 2R steps, from the inner window length 2R'+1 up to 2(R+R')+1, R
+    the step's small range, with the element inside.
     """
     gens = tuple(gens)
     _check_inputs(spec, [code for cert in gens for code in (cert.code, cert.inverse)])

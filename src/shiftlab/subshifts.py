@@ -29,7 +29,10 @@ points ...l l c r r..., by the run of l^N c r^N, N the number of states
 (N copies of a tail pass some state twice).  `_levels` grows the language
 trie from the rows, each word of L_j ranked canonically by its parent in
 L_{j-1} and its letter, with the rank of its tail and its state; block
-codes slide, compose and reduce on these ranks.  `_live` prunes the rows
+codes slide, compose and reduce on these ranks.  A word's state row lists
+its extensions in the order that ranks them, so a slide extends its
+source words by their states and grows the trie only to its window and
+image lengths.  `_live` prunes the rows
 to the states on bi-infinite paths, whose labels are the points, by the
 `_prune` loop that also builds the SFT essential graph.  An SFT whose graph
 prunes away, and a product with an empty factor, is the empty subshift: it

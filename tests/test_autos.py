@@ -22,6 +22,7 @@ from shiftlab import (
     enumerate_automorphisms,
     equal_on_shift,
     find_inverse,
+    make_example,
     pad,
     parse_code,
     preserves_occurrences,
@@ -235,10 +236,43 @@ def test_find_inverse_stops_at_the_first_inverting_range(systems, r_max):
     assert (inv.radius, inv.outputs) == (expected.radius, expected.outputs) == (0, ["1", "0"])
 
 
-def test_find_inverse_grows_the_trie_only_as_far_as_it_reads():
-    full2 = build_sft(Alphabet("01"), [])
-    assert find_inverse(full2, BlockCode.identity(full2), 5).radius == 0
-    assert len(full2._trie) == 2  # L_0 and L_1
+def _identity_inverse(full2):
+    assert find_inverse(full2.spec, full2.codes["identity"], 5).radius == 0
+
+
+def _walks(hallway, word):
+    return product_code({g: hallway.codes[f"phi_{g}"] for g in "ab"}, word)
+
+
+def _certify_aaa(hallway):
+    result = certify_automorphism(hallway.spec, _walks(hallway, "aaa"), 3)
+    assert result.status == "certified" and result.cert.r_certified == 3
+
+
+def _find_inverse_abab(hallway):
+    assert find_inverse(hallway.spec, _walks(hallway, "abab"), 3) is None
+
+
+def _free_to_depth_7(hallway):
+    a, b = (certify_automorphism(hallway.spec, hallway.codes[f"phi_{g}"], 1).cert
+            for g in "ab")
+    assert certify_free_semigroup(hallway.spec, a, b, 7).status == "free-to-depth"
+
+
+@pytest.mark.parametrize("name, run, depth", [
+    # the range-0 search stops at r = 0: L_1 only
+    pytest.param("full2", _identity_inverse, 1, id="full2-identity-inverse"),
+    # range 3, rmax 3: windows of L_7, images of L_13 in L_7, centres of L_13 from L_7
+    pytest.param("hallway", _certify_aaa, 7, id="hallway-certify-aaa"),
+    # range 4, rmax 3: windows of L_9, images of L_15 in L_7, centres of L_15 from L_8
+    pytest.param("hallway", _find_inverse_abab, 9, id="hallway-find-inverse-abab"),
+    # range-1 generators to n = 15: images of L_15 in L_13, centres of L_15 from L_8
+    pytest.param("hallway", _free_to_depth_7, 13, id="hallway-free-depth-7"),
+])
+def test_find_inverse_grows_the_trie_only_as_far_as_it_reads(name, run, depth):
+    system = make_example(name)  # a fresh spec: its trie holds L_0 alone
+    run(system)
+    assert len(system.spec._trie) - 1 == depth  # no level of a source word's length
 
 
 def test_code_on_another_subshift_is_rejected(systems):

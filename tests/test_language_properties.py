@@ -14,7 +14,11 @@ language, and its first step against the `contains`-based oracle.
 The language trie (`SubshiftSpec._levels`), which every block code
 slides by, is checked against the canonical word lists and the end
 states of runs: each `ext` row against the ranks of the one-letter
-extensions, each `tail` against the rank of the word's tail.  The SFT
+extensions, each `tail` against the rank of the word's tail.  The two
+helpers that read the trie below the lengths they describe are checked
+against the word lists too: `autos._centres`, the centre letters of
+L_{2c+1} from L_{c+1} and path counts, and `autos._middles`, the rank of
+each w[1:-1] from the parents of L_n.  The SFT
 essential graph (`SftSpec.graph`, the pruned rows) is checked against a
 brute-force build (`sft_graph_oracle`), and the live part of an SFT's
 compiled automaton (`_live`) against that graph: the same vertices, rows
@@ -50,6 +54,7 @@ from oracles import (
     sparse_language_oracle,
     words_oracle,
 )
+from shiftlab.autos import _centres, _middles
 from shiftlab.complexity import _centred
 from shiftlab.subshifts import _prune, build_sft, build_sparse, product
 from shiftlab.words import Alphabet, Configuration
@@ -388,6 +393,22 @@ def test_language_trie_matches_words_and_run_ends(spec):
         while n < 5 and spec.count_words(n + 1) <= BUDGET // 10:
             n += 1
         _check_levels(spec, n)
+
+
+@SETTINGS
+@given(any_specs)
+def test_centres_and_middles_match_the_word_lists(spec):
+    if spec.is_empty:
+        return
+    n = 1
+    while n < 7 and spec.count_words(n + 1) <= BUDGET // 10:
+        n += 1
+    for c, centres in zip(range((n + 1) // 2), _centres(spec)):
+        assert centres == [u[c] for u in spec.words(2 * c + 1)]
+    for m in range(3, n + 1):
+        rank = {u: k for k, u in enumerate(spec.words(m - 2))}
+        assert _middles(spec, m) == [rank[u[1:-1]] for u in spec.words(m)]
+    assert len(spec._trie) - 1 <= max(1, n - 1)  # neither helper read L_n
 
 
 @pytest.mark.parametrize("spec", [
