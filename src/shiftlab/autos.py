@@ -329,7 +329,11 @@ def find_inverse(spec, code, r_max):
     construction (its value on each image is the centre of every
     preimage), so only code after candidate is checked: on every word of
     L_m, the code applied to the candidate's image must give back the
-    centre letter, an image outside the language failing the range.
+    centre letter, an image outside the language failing the range.  The
+    candidate's image leaves the language for the centre flip of the golden
+    mean, no endomorphism, at r = 0 (000 goes to 111); the back check fails
+    at r = 1 on the SFT without 001 for `u[0] if u[1] == "0" else u[2]`, an
+    endomorphism that is not onto (no image holds 1100).
 
     A key-set failure persists at every higher range, so the search stops
     there: languages extend on both sides, and each image at range r+1

@@ -4,10 +4,10 @@ The hallway system is the centerpiece: a walker `p` moves right along a
 bi-infinite corridor holding one nail that is empty (`1`) or carries
 picture `a` or `b`; the combined letters `1p`, `ap`, `bp` mean the
 walker stands at the nail.  The two walk codes act on arrival at the
-nail: the `a`-walk hangs `a` on an empty nail, removes a hanging `a`,
-and leaves `b` alone; the `b`-walk swaps the roles of `a` and `b`.
-Departure never touches the nail, and the inverse codes walk left,
-undoing the arrival action on departure.
+nail by an involution: the `a`-walk hangs `a` on an empty nail, removes
+a hanging `a`, and leaves `b` alone; the `b`-walk swaps the roles of
+`a` and `b`.  Departure never touches the nail.  The inverse codes walk
+left and act by the same involution on departure, undoing the arrival.
 """
 
 from collections.abc import Mapping
@@ -62,48 +62,22 @@ def _hallway_spec():
     return build_sparse(alphabet, "0", families)
 
 
-def _walk_rule(swap):
-    """Range-1 local rule of the rightward walk; swap exchanges a and b."""
-    hang = "bp" if swap else "ap"
-    on_a = "ap" if swap else "1p"   # arriving at a hanging `a`
-    on_b = "1p" if swap else "bp"   # arriving at a hanging `b`
+def _walk_rule(swap, back=False):
+    """Range-1 local rule of a walk acting by the involution `act` on arrival;
+    swap exchanges a and b, and back walks left, acting on departure."""
+    act = {"1": "b", "b": "1", "a": "a"} if swap else {"1": "a", "a": "1", "b": "b"}
 
     def rule(win):
-        left, here, _right = win
+        here, come = win[1], win[2 if back else 0]
         if here == "p":
             return "0"
         if here == "0":
-            return "p" if left in _PERSON else "0"
-        if here == "1":
-            return hang if left == "p" else "1"
-        if here == "a":
-            return on_a if left == "p" else "a"
-        if here == "b":
-            return on_b if left == "p" else "b"
-        return {"1p": "1", "ap": "a", "bp": "b"}[here]
-
-    return rule
-
-
-def _walk_back_rule(swap):
-    """Inverse walk: move left, undoing the arrival action on departure."""
-    undo_1p = "b" if swap else "a"   # 1p arose from removing a picture
-    undo_ap = "a" if swap else "1"
-    undo_bp = "1" if swap else "b"
-
-    def rule(win):
-        _left, here, right = win
-        if here == "p":
-            return "0"
-        if here == "0":
-            return "p" if right in _PERSON else "0"
-        if here == "1":
-            return "1p" if right == "p" else "1"
-        if here == "a":
-            return "ap" if right == "p" else "a"
-        if here == "b":
-            return "bp" if right == "p" else "b"
-        return {"1p": undo_1p, "ap": undo_ap, "bp": undo_bp}[here]
+            return "p" if come in _PERSON else "0"
+        if here not in act:  # the walker at the nail leaves it
+            return act[here[0]] if back else here[0]
+        if come != "p":
+            return here
+        return here + "p" if back else act[here] + "p"
 
     return rule
 
@@ -173,10 +147,10 @@ def make_example(name):
         spec = _hallway_spec()
         codes = {
             "identity": partial(BlockCode.identity, spec, 0),
-            "phi_a": partial(BlockCode.from_function, spec, 1, _walk_rule(swap=False)),
-            "phi_b": partial(BlockCode.from_function, spec, 1, _walk_rule(swap=True)),
-            "phi_a_inv": partial(BlockCode.from_function, spec, 1, _walk_back_rule(swap=False)),
-            "phi_b_inv": partial(BlockCode.from_function, spec, 1, _walk_back_rule(swap=True)),
+            "phi_a": partial(BlockCode.from_function, spec, 1, _walk_rule(False)),
+            "phi_b": partial(BlockCode.from_function, spec, 1, _walk_rule(True)),
+            "phi_a_inv": partial(BlockCode.from_function, spec, 1, _walk_rule(False, back=True)),
+            "phi_b_inv": partial(BlockCode.from_function, spec, 1, _walk_rule(True, back=True)),
         }
         probes = _hallway_probes()
     else:

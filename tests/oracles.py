@@ -53,6 +53,10 @@ The period-vector oracle tests each vector cell by cell, where the
 library compares row slices.  The enumeration oracle certifies every
 rule table, where the library certifies only those that permute the
 periodic points of each period up to 2R+2.
+The hallway walk oracles spell out each walk's case analysis, the
+forward walks acting on arrival and the back walks undoing that action
+on departure, where the library derives all four walks from one rule
+and the involution a walk applies to the nail.
 They import shiftlab when called, so importing this module loads no
 shiftlab code (the benchmark imports it before its own cold imports).
 """
@@ -825,3 +829,52 @@ def period_vectors_oracle(window, bound):
             if consistent:
                 found.append((v1, v2))
     return tuple(found)
+
+
+_PERSON = {"p", "1p", "ap", "bp"}  # the hallway letters that hold the walker
+
+
+def hallway_walk_oracle(swap):
+    """Range-1 local rule of the rightward walk; swap exchanges a and b."""
+    hang = "bp" if swap else "ap"
+    on_a = "ap" if swap else "1p"   # arriving at a hanging `a`
+    on_b = "1p" if swap else "bp"   # arriving at a hanging `b`
+
+    def rule(win):
+        left, here, _right = win
+        if here == "p":
+            return "0"
+        if here == "0":
+            return "p" if left in _PERSON else "0"
+        if here == "1":
+            return hang if left == "p" else "1"
+        if here == "a":
+            return on_a if left == "p" else "a"
+        if here == "b":
+            return on_b if left == "p" else "b"
+        return {"1p": "1", "ap": "a", "bp": "b"}[here]
+
+    return rule
+
+
+def hallway_walk_back_oracle(swap):
+    """Inverse walk: move left, undoing the arrival action on departure."""
+    undo_1p = "b" if swap else "a"   # 1p arose from removing a picture
+    undo_ap = "a" if swap else "1"
+    undo_bp = "1" if swap else "b"
+
+    def rule(win):
+        _left, here, right = win
+        if here == "p":
+            return "0"
+        if here == "0":
+            return "p" if right in _PERSON else "0"
+        if here == "1":
+            return "1p" if right == "p" else "1"
+        if here == "a":
+            return "ap" if right == "p" else "a"
+        if here == "b":
+            return "bp" if right == "p" else "b"
+        return {"1p": undo_1p, "ap": undo_ap, "bp": undo_bp}[here]
+
+    return rule

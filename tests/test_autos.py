@@ -227,6 +227,33 @@ def test_injective_endomorphism_that_is_not_onto_stays_unknown(r_max):
 
 
 @pytest.mark.parametrize("r_max", range(4))
+def test_endomorphism_whose_candidate_fails_the_back_check_stays_unknown(r_max):
+    # on the SFT without 001, copying the left letter at a 0 and the right one
+    # at a 1 is an endomorphism whose image never holds 1100, so it misses
+    # 1^inf 0^inf.  Its forced table conflicts at r = 0; at r = 1 it is
+    # consistent on all of L_3 and the candidate's pass stays in the language,
+    # so only the back check rejects it; at r = 2 the key set ends the search
+    spec = build_sft(Alphabet("01"), [w("001")])
+    code = BlockCode.from_function(spec, 1, lambda u: u[0] if u[1] == "0" else u[2])
+    assert _endomorphism_witness(spec, code) is None
+    assert find_inverse(spec, code, r_max) is None
+    assert find_inverse_oracle(spec, code, r_max) is None
+    assert certify_automorphism(spec, code, r_max).status == "unknown"
+
+
+@pytest.mark.parametrize("r_max", range(4))
+def test_candidate_whose_pass_leaves_the_language_is_skipped(systems, r_max):
+    # flipping the centre of each window maps 0000 to 11, outside the golden
+    # mean.  At r = 0 the forced table is the flip, consistent and total, but
+    # its own pass maps 000 to 111, so the range is skipped; at r = 1 the
+    # code's pass leaves the language and the search stops
+    gm = systems["golden_mean"].spec
+    code = BlockCode.from_function(gm, 1, lambda u: "1" if u[1] == "0" else "0")
+    assert find_inverse(gm, code, r_max) is None
+    assert find_inverse_oracle(gm, code, r_max) is None
+
+
+@pytest.mark.parametrize("r_max", range(4))
 def test_find_inverse_stops_at_the_first_inverting_range(systems, r_max):
     # the flip maps 00 to 11, outside the golden mean, but its range-0 table
     # is already an inverse, so the search never reads a length-2 image

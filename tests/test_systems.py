@@ -2,6 +2,7 @@ import functools
 
 import pytest
 
+from oracles import hallway_walk_back_oracle, hallway_walk_oracle
 from shiftlab import (
     apply_to_word,
     certify_automorphism,
@@ -103,15 +104,15 @@ def test_decoding_rejects_non_walk_code(systems):
 def _eager(name, spec):
     """The codes and probes of a named system, each built at once."""
     from shiftlab import BlockCode, Configuration
-    from shiftlab.systems import _walk_back_rule, _walk_rule
 
     marked = Configuration.from_markers
     if name == "hallway":
         walk = functools.partial(BlockCode.from_function, spec, 1)
         codes = {"identity": BlockCode.identity(spec, 0),
-                 "phi_a": walk(_walk_rule(False)), "phi_b": walk(_walk_rule(True)),
-                 "phi_a_inv": walk(_walk_back_rule(False)),
-                 "phi_b_inv": walk(_walk_back_rule(True))}
+                 "phi_a": walk(hallway_walk_oracle(False)),
+                 "phi_b": walk(hallway_walk_oracle(True)),
+                 "phi_a_inv": walk(hallway_walk_back_oracle(False)),
+                 "phi_b_inv": walk(hallway_walk_back_oracle(True))}
         probes = {"zero": Configuration.constant("0"),
                   **{f"x{i}": marked("0", {-i: "p", 0: "1"}) for i in range(1, 9)}}
         for m, label in (("1", "nail_1"), ("a", "nail_a"), ("b", "nail_b"), ("p", "walker"),
