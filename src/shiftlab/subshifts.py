@@ -2,12 +2,12 @@
 
 Three finite descriptions are supported:
 
-* SFT: forbidden finite words, answered through the essential part of the
-  de Bruijn-style transition graph of order max(|f|)-1.  Membership in the
+* SFT: forbidden finite words, answered through the Aho-Corasick automaton
+  of the forbidden words, its states with a forbidden suffix dropped and
+  the rest trimmed by `_prune` to the live states.  Membership in the
   language means occurrence in a bi-infinite point; merely avoiding the
-  forbidden words is not enough, which is why the graph is pruned until
-  every vertex has an incoming and an outgoing edge.  The pruned rows
-  are the graph, kept as they are: vertex -> {letter: target vertex}.
+  forbidden words is not enough, which is why the automaton is trimmed
+  until every state has an incoming and an outgoing edge.
 * Sparse: a background letter plus families of marker multisets; points
   are all-background except for finitely many markers forming a
   sub-multiset of one family.
@@ -16,40 +16,34 @@ Three finite descriptions are supported:
 
 Each backend presents its language by one deterministic automaton
 (Lind-Marcus, Symbolic Dynamics and Coding, 3.3-3.4): a word is in the
-language exactly when its run from the start state never falls off.
-The states are the prefixes of the essential vertices, then the vertices
-(SFT); the sorted marker multisets in the downset of the families
-(sparse); pairs of factor states (product).  Compiled once into integer
-rows in alphabet order, the automaton answers `words` by joining runs of
-half the length, which emits canonical order (alphabet index, then
-lexicographic) without sorting; `count_words` by one dynamic program over
-the states, advanced from the longest length counted so far; `contains`
-by a run; and `contains_config`, for every backend's eventually periodic
-points ...l l c r r..., by the run of l^N c r^N, N the number of states
-(N copies of a tail pass some state twice).  `_levels` grows the language
-trie from the rows, each word of L_j ranked canonically by its parent in
-L_{j-1} and its letter, with the rank of its tail and its state; block
-codes slide, compose and reduce on these ranks.  A word's state row lists
-its extensions in the order that ranks them, so a slide extends its
-source words by their states and grows the trie only to its window and
-image lengths.  `_live` prunes the rows
-to the states on bi-infinite paths, whose labels are the points, by the
-`_prune` loop that also builds the SFT essential graph.  An SFT whose graph
+language exactly when its run from the start state never falls off.  The
+states are the sets of live AC states a word can end in (SFT); the sorted
+marker multisets in the downset of the families (sparse); pairs of factor
+states (product).  Compiled once into integer rows in alphabet order, the
+automaton answers `words` by joining runs of half the length, which emits
+canonical order (alphabet index, then lexicographic) without sorting;
+`count_words` by one dynamic program over the states, advanced from the
+longest length counted so far; `contains` by a run; and `contains_config`,
+for every backend's eventually periodic points ...l l c r r..., by the run
+of l^N c r^N, N the number of states (N copies of a tail pass some state
+twice).  `_levels` grows the language trie from the rows, each word of L_j
+ranked canonically by its parent in L_{j-1} and its letter, with the rank
+of its tail and its state; block codes slide, compose and reduce on these
+ranks.  A word's state row lists its extensions in the order that ranks
+them, so a slide extends its source words by their states and grows the
+trie only to its window and image lengths.  `_live` prunes the rows to the
+states on bi-infinite paths, whose labels are the points, by the `_prune`
+loop that also trims the SFT's AC automaton.  An SFT whose AC automaton
 prunes away, and a product with an empty factor, is the empty subshift: it
 has no automaton, so `_transitions` refuses every read of its language,
 while `contains`, `count_words` and `contains_config` answer without one.
 """
 
 import hashlib
-import itertools
 import json
 
-from .errors import CapExceededError, EmptySubshiftError, SpecFormatError
+from .errors import EmptySubshiftError, SpecFormatError
 from .words import Alphabet
-
-# the most clean words one level of the SFT graph walk may list: one binary
-# forbidden word of length 18 would list 2^17 (`SftSpec._build_graph`)
-GRAPH_WORD_BUDGET = 10 ** 5
 
 
 class SubshiftSpec:
@@ -263,27 +257,28 @@ def _runs(rows, memo, state, k):
     return runs
 
 
-def _prune(graph):
-    """(rows, in_degree) of the part of a labelled graph on bi-infinite paths.
+def _prune(automaton):
+    """(rows, in_degree) of the part of a labelled automaton on bi-infinite
+    paths.
 
-    `graph` maps states to rows, letter -> target.  A state with no edge in
-    or no edge out among the kept states is dropped; its edges come off the
-    degrees of its kept neighbours (`sources` lists the edges in), and one
-    left at degree 0 is dropped in turn, so each edge comes off once.
-    `rows` keeps the graph's order and the kept targets, `in_degree` counts
-    the kept edges into each kept state.
+    `automaton` maps states to rows, letter -> target.  A state with no edge
+    in or no edge out among the kept states is dropped; its edges come off
+    the degrees of its kept neighbours (`sources` lists the edges in), and
+    one left at degree 0 is dropped in turn, so each edge comes off once.
+    `rows` keeps the automaton's order and the kept targets, `in_degree`
+    counts the kept edges into each kept state.
     """
-    sources = {s: [] for s in graph}
-    for s, row in graph.items():
+    sources = {s: [] for s in automaton}
+    for s, row in automaton.items():
         for t in row.values():
             sources[t].append(s)
     in_degree = {s: len(edges) for s, edges in sources.items()}
-    out_degree = {s: len(row) for s, row in graph.items()}
-    dead = [s for s in graph if not in_degree[s] or not out_degree[s]]
-    alive = set(graph).difference(dead)
+    out_degree = {s: len(row) for s, row in automaton.items()}
+    dead = [s for s in automaton if not in_degree[s] or not out_degree[s]]
+    alive = set(automaton).difference(dead)
     while dead:
         s = dead.pop()
-        for degree, ends in ((in_degree, graph[s].values()), (out_degree, sources[s])):
+        for degree, ends in ((in_degree, automaton[s].values()), (out_degree, sources[s])):
             for t in ends:
                 if t in alive:
                     degree[t] -= 1
@@ -291,7 +286,7 @@ def _prune(graph):
                         alive.remove(t)
                         dead.append(t)
     rows = {s: {a: t for a, t in row.items() if t in alive}
-            for s, row in graph.items() if s in alive}
+            for s, row in automaton.items() if s in alive}
     return rows, {s: in_degree[s] for s in rows}
 
 
@@ -314,16 +309,36 @@ class CylinderHandle:
 
 
 class SftSpec(SubshiftSpec):
-    """Shift of finite type, backed by its essential transition graph.
+    """Shift of finite type, read through the Aho-Corasick automaton of its
+    forbidden words F (Aho-Corasick, CACM 18(6), 1975), trimmed.
 
-    Vertices are the clean words of length order-1; the edge u -a-> v
-    exists when v = u[1:]+(a,) and the combined window of length `order`
-    avoids every forbidden word.  Iterated removal of vertices without
-    in- or out-edges (`_prune`) leaves exactly the graph whose bi-infinite
-    paths realize the language; `graph` is its rows, vertex -> {letter:
-    target}, vertices and letters in canonical order.  The clean words
-    are listed level by level, and a level of more than
-    `GRAPH_WORD_BUDGET` words stops the walk with `CapExceededError`.
+    The AC states are the prefixes of F; d(p, a) is the longest suffix of
+    p+(a,) that is a prefix, found breadth-first through failure links, so
+    reading a word from p ends in the longest suffix of p+word that is a
+    prefix.  The states with a suffix in F are dropped and `_prune` keeps
+    the live rest, `_live_ac` (state -> {letter: target}); the spec is
+    empty when none survives.  The language is read by the subset
+    construction (Lind-Marcus 3.3): `_start()` is the set of live states,
+    `_next(S, a)` the set of their live a-targets, None when empty.
+
+    (a) Same language.  Reading f in F from any state p ends in a suffix of
+    p+f that is a prefix at least as long as f, so with suffix f: dropped.
+    So kept paths avoid F, and bi-infinite live paths read points of X.
+    For x in X, let s_i be the longest suffix of x(-inf, i] that is a
+    prefix; one of length k > 0 ends a prefix-suffix of x(-inf, i-1] of
+    length k-1, so d(s_{i-1}, x_i) = s_i.  A suffix of s_i in F would
+    occur in x, so the s_i form a bi-infinite kept path reading x, and it
+    is live.  Live paths are stretches of bi-infinite ones, so their
+    labels, the words read from the start set, are L(X).
+
+    (b) Polynomial size.  There are at most 1 + |proper prefixes of F| +
+    |distinct nonempty factors of F| compiled states.  Each is the set S_u
+    read from the start by some word u; its states are the longest
+    suffixes of p+u, p live, that are prefixes.  If u is a factor of no
+    word of F, such a state is shorter than u (else u would be a factor of a prefix), so it
+    is P(u), the longest suffix of u that is a prefix: S_u is {P(u)}, P(u)
+    a live proper prefix, or nothing.  Otherwise u is empty (the start) or
+    one of the nonempty factors.
     """
 
     kind = "sft"
@@ -335,43 +350,27 @@ class SftSpec(SubshiftSpec):
             raise ValueError("forbidden words must be nonempty")
         canon = sorted(set(canon), key=lambda w: (len(w), alphabet.word_key(w)))
         self.forbidden = tuple(canon)
-        self.order = max((len(f) for f in self.forbidden), default=1)
-        self.window_len = self.order - 1  # vertex word length q
-        self._build_graph()
+        letters, forbidden = alphabet.letters, set(canon)
+        prefixes = {()} | {f[:i] for f in canon for i in range(1, len(f) + 1)}
+        rows, fail, kept = {}, {}, set()
+        for p in sorted(prefixes, key=len):  # breadth-first: failure links point shorter
+            back = rows[fail[p]] if p else dict.fromkeys(letters, ())
+            if p not in forbidden and (not p or fail[p] in kept):
+                kept.add(p)  # no suffix of p is forbidden
+            rows[p] = row = dict(back)  # d(p, a) = d(fail(p), a) unless p+(a,) is a prefix
+            for a in letters:
+                if (grown := p + (a,)) in prefixes:
+                    fail[grown], row[a] = back[a], grown
+        self._live_ac, _ = _prune({p: {a: t for a, t in rows[p].items() if t in kept}
+                                   for p in rows if p in kept})
+        self.is_empty = not self._live_ac
 
-    def _build_graph(self):
-        letters, forbidden = self.alphabet.letters, set(self.forbidden)
-        # The clean words of length q, grown in alphabet order, so each level
-        # is canonical.  A factor of u+(a,) that is no suffix lies in u, so for
-        # a clean u only the suffixes of the forbidden lengths can be forbidden
-        # (a cut longer than u+(a,) takes all of it, and its length is a cut).
-        cuts = [slice(-k, None) for k in {len(f) for f in forbidden}]
-        verts = [()]
-        for n in range(1, self.window_len + 1):
-            verts = list(itertools.islice(
-                (v for u in verts for a in letters
-                 if forbidden.isdisjoint(map((v := u + (a,)).__getitem__, cuts))),
-                GRAPH_WORD_BUDGET + 1))
-            if len(verts) > GRAPH_WORD_BUDGET:
-                raise CapExceededError(
-                    f"SFT with forbidden words of length up to {self.order}: over "
-                    f"{GRAPH_WORD_BUDGET} clean words of length {n}, "
-                    f"the graph's word budget")
-        vert_set = set(verts)
-        # A proper factor of the window w = u+(a,) lies in u or in w[1:], both
-        # clean vertices, so only w itself can be forbidden.
-        self.graph, _ = _prune({u: {a: w[1:] for a in letters
-                                    if (w := u + (a,)) not in forbidden and w[1:] in vert_set}
-                                for u in verts})
-        self.is_empty = not self.graph
-        # every language word shorter than q starts some essential vertex
-        self._prefixes = {v[:i] for v in self.graph for i in range(1, len(v) + 1)}
+    def _start(self):
+        return frozenset(self._live_ac)
 
     def _next(self, state, a):
-        if len(state) < self.window_len:
-            grown = state + (a,)
-            return grown if grown in self._prefixes else None
-        return self.graph[state].get(a)
+        rows = self._live_ac
+        return frozenset(t for p in state if (t := rows[p].get(a)) is not None) or None
 
     # bench/tracing.py traces contains_config per backend class; the bindings
     # go once it traces SubshiftSpec.contains_config by name (ROADMAP item 6)

@@ -26,9 +26,10 @@ looks it up in the rule table, reduce through `reduce_range_oracle`,
 which groups the rule table by each window's middle, and compare through
 `equal_on_shift_oracle`, which pads through `compose_oracle`, where the
 library composes and reduces on the trie's window ranks.
-The SFT graph oracle lists every word of length q and scans vertices and
-edge windows for forbidden factors, then sorts the survivors, where the
-library grows clean words letter by letter and tests one suffix set.
+The SFT graph oracle reads the language through the de Bruijn graph of
+the words of length q, listing every one and scanning vertices and edge
+windows for forbidden factors, where the library reads the subsets of the
+trimmed Aho-Corasick automaton of the forbidden words.
 The language-engine oracles walk the compiled rows level by level, rerun
 the count DP from length 0 on every call, and test each two-sided
 extension with `contains`, where the library joins half-length runs,
@@ -122,17 +123,22 @@ def sft_language_oracle(letters, forbidden, n):
 
 
 def sft_graph_oracle(spec):
-    """The SFT spec again, its essential graph built by brute force.
+    """The SFT spec again, read through its essential de Bruijn graph built
+    by brute force: a second engine over the same descriptor.
 
-    Every word of length q is listed and scanned for forbidden factors,
-    every edge window is scanned again, pruning keeps the vertices with
-    an in-edge and an out-edge, and the survivors are sorted.
+    The vertices are the words of length q, the longest forbidden word's
+    length less one.  Every one is listed and scanned for forbidden
+    factors, every edge window is scanned again, pruning keeps the
+    vertices with an in-edge and an out-edge, and the survivors are
+    sorted into `graph`, vertex -> {letter: target}.  The automaton reads
+    a word shorter than q as a prefix of a vertex, then walks the graph.
     """
     from shiftlab.subshifts import SftSpec
 
     class BruteForceSft(SftSpec):
-        def _build_graph(self):
-            q = self.window_len
+        def __init__(self, alphabet, forbidden):
+            super().__init__(alphabet, forbidden)
+            q = self.window_len = max(map(len, self.forbidden), default=1) - 1
             verts = [u for u in itertools.product(self.alphabet.letters, repeat=q)
                      if not _contains_factor(u, self.forbidden)]
             vert_set = set(verts)
@@ -161,6 +167,15 @@ def sft_graph_oracle(spec):
                           for u in sorted(alive, key=self.alphabet.word_key)}
             self.is_empty = not self.graph
             self._prefixes = {v[:i] for v in self.graph for i in range(1, len(v) + 1)}
+
+        def _start(self):
+            return ()
+
+        def _next(self, state, a):
+            if len(state) < self.window_len:
+                grown = state + (a,)
+                return grown if grown in self._prefixes else None
+            return self.graph[state].get(a)
 
     return BruteForceSft(spec.alphabet, spec.forbidden)
 
@@ -273,7 +288,9 @@ def image_length_bound(spec, code):
             if t2 is not None and key not in keys:
                 keys.add(key)
                 todo.append(key)
-    return min(len(keys), spec.order) if spec.kind == "sft" else len(keys)
+    if spec.kind == "sft":
+        return min(len(keys), max(map(len, spec.forbidden), default=1))
+    return len(keys)
 
 
 def endomorphism_witness_oracle(spec, code):
@@ -607,13 +624,13 @@ def shadowing_distance_oracle(spec, forbidden_words, u, t_steps, cap):
     return ShadowingReport("cap-exceeded", None, cap, v, prev_cex)
 
 
-def _forward_adj(spec):
-    return {u: tuple(row.values()) for u, row in spec.graph.items()}
+def _forward_adj(graph):
+    return {u: tuple(row.values()) for u, row in graph.items()}
 
 
-def _backward_adj(spec):
-    rev = {u: [] for u in spec.graph}
-    for u, row in spec.graph.items():
+def _backward_adj(graph):
+    rev = {u: [] for u in graph}
+    for u, row in graph.items():
         for v in row.values():
             rev[v].append(u)
     return {u: tuple(vs) for u, vs in rev.items()}
@@ -729,16 +746,16 @@ def cylinder_has_aperiodic_oracle(spec, word):
     made of a simple path to each side's single cycle is built and tested
     with `Configuration.is_periodic`.  The word must be in the language.
     """
-    word = tuple(word)
-    q = spec.window_len
+    word, ref = tuple(word), sft_graph_oracle(spec)
+    q = ref.window_len
     if q == 0:
         # order-1 SFT: cycles are the allowed self-loops
-        return len(spec.graph[()]) >= 2
+        return len(ref.graph[()]) >= 2
     if len(word) < q:
-        return any(cylinder_has_aperiodic_oracle(spec, u)
-                   for u in spec.words(q) if u[:len(word)] == word)
+        return any(cylinder_has_aperiodic_oracle(ref, u)
+                   for u in ref.words(q) if u[:len(word)] == word)
     wpath = [word[i:i + q] for i in range(len(word) - q + 1)]
-    fwd, bwd = _forward_adj(spec), _backward_adj(spec)
+    fwd, bwd = _forward_adj(ref.graph), _backward_adj(ref.graph)
     many, f_cycles = _cycle_structure(fwd, _reach(fwd, wpath[-1]))
     if many:
         return True
@@ -799,7 +816,7 @@ def contains_config_oracle(spec, config):
     if spec.kind == "sparse":
         return (set(config.left + config.right) == {spec.background}
                 and spec.contains(config.center))
-    q = spec.window_len
+    q = max(map(len, spec.forbidden), default=1) - 1
     lo = -config.offset - len(config.left) - q
     hi = len(config.center) - config.offset + len(config.right) + q
     return spec.contains(config.window(lo, hi - lo))

@@ -19,10 +19,14 @@ helpers that read the trie below the lengths they describe are checked
 against the word lists too: `autos._centres`, the centre letters of
 L_{2c+1} from L_{c+1} and path counts, and `autos._middles`, the rank of
 each w[1:-1] from the parents of L_n.  The SFT
-essential graph (`SftSpec.graph`, the pruned rows) is checked against a
-brute-force build (`sft_graph_oracle`), and the live part of an SFT's
-compiled automaton (`_live`) against that graph: the same vertices, rows
-and in-degrees.  `_prune`, which drops
+language, read through the trimmed Aho-Corasick automaton, is checked
+against a second engine over the same descriptor, the brute-force de
+Bruijn graph (`sft_graph_oracle`): the same `words`, `count_words`,
+`contains` and emptiness.  The live paths of an SFT's compiled automaton
+(`_live`), from every live state, spell exactly L_n, and the compiled
+states stay within the bound the `SftSpec` docstring proves, one start
+set plus one per proper prefix and per distinct nonempty factor of the
+forbidden words, on words of up to 20 letters.  `_prune`, which drops
 dead states from a worklist, is checked against pruning in rounds
 (`prune_oracle`) on random labelled graphs: the same rows, in the same
 order, and the same in-degrees.  `contains_config`, the one pumping rule
@@ -37,7 +41,6 @@ import itertools
 import os
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -129,38 +132,54 @@ def sft_graph_cases(draw):
 # vertex 11 has neither an in-edge nor an out-edge
 @example(build_sft(Alphabet("01"), [("0", "1", "1"), ("1", "1", "0"), ("1", "1", "1")]))
 @example(build_sft(Alphabet("01"), [("0", "0"), ("1", "0")]))  # pruned 0 has an edge into 1
+# AC state 0110 is clean but reached only through the dropped 011
+@example(build_sft(Alphabet("01"), [("1", "1"), ("0", "1", "1", "0", "1")]))
 def test_sft_graph_matches_brute_force_oracle(spec):
-    # the essential graph against a build that lists all |A|^q words,
-    # scans every vertex and edge window for forbidden factors and sorts
+    # the AC automaton's language against that of the de Bruijn graph built
+    # by brute force, a second engine over the same descriptor
     ref = sft_graph_oracle(spec)
-    # the same rows, vertices and letters in the same order
-    assert [(u, list(row.items())) for u, row in spec.graph.items()] == \
-        [(u, list(row.items())) for u, row in ref.graph.items()]
-    assert spec._prefixes == ref._prefixes
     assert spec.is_empty == ref.is_empty
+    assert [spec.count_words(n) for n in range(13)] == [ref.count_words(n) for n in range(13)]
+    for u in itertools.chain.from_iterable(
+            itertools.product(spec.alphabet.letters, repeat=n) for n in range(6)):
+        assert spec.contains(u) == ref.contains(u)
     if not spec.is_empty:
-        assert spec._transitions() == ref._transitions()
+        for n in range(1, 7):
+            assert spec.words(n) == ref.words(n)
 
 
 @settings(SETTINGS, max_examples=150)
 @given(sft_graph_cases().filter(lambda spec: not spec.is_empty))
-@example(build_sft(Alphabet("012"), [("1",)]))  # order 1: the start state is the vertex
+@example(build_sft(Alphabet("012"), [("1",)]))  # order 1: one live state
 @example(build_sft(Alphabet("01"), [("0", "0"), ("1", "0")]))  # pruned 0 has an edge into 1
-def test_live_states_are_the_sft_vertices(spec):
-    # name each compiled state by the shortest word reaching it from the
-    # start, which is the state itself: a prefix of a vertex, or the vertex
-    rows, names, queue = spec._transitions(), {0: ()}, [0]
-    for s in queue:
-        for a, t in rows[s].items():
-            if t not in names:
-                names[t] = names[s] + (a,)
-                queue.append(t)
-    live, in_degree = spec._live()
-    assert sorted(names[s] for s in live) == sorted(spec.graph)
-    for s, row in live.items():
-        assert [(a, names[t]) for a, t in row.items()] == list(spec.graph[names[s]].items())
-    edges_in = Counter(v for row in spec.graph.values() for v in row.values())
-    assert {names[s]: in_degree[s] for s in live} == edges_in
+def test_live_paths_spell_the_language(spec):
+    # the points are the labels of the bi-infinite live paths, so every
+    # word of L_n is read along a live path from some live state
+    letters, forbidden = spec.alphabet.letters, spec.forbidden
+    live, _ = spec._live()
+    paths = {((), s) for s in live}
+    for n in range(1, 6):
+        paths = {(w + (a,), t) for w, s in paths for a, t in live[s].items()}
+        assert {w for w, _ in paths} == set(sft_language_oracle(letters, forbidden, n))
+
+
+@st.composite
+def long_word_sfts(draw):
+    letters = draw(st.permutations("012"))[:draw(st.integers(2, 3))]
+    word = st.lists(st.sampled_from(letters), min_size=1, max_size=20).map(tuple)
+    return build_sft(Alphabet(letters), draw(st.lists(word, min_size=1, max_size=4)))
+
+
+@settings(SETTINGS, max_examples=100)
+@given(long_word_sfts().filter(lambda spec: not spec.is_empty))
+@example(build_sft(Alphabet("01"), [("1",) * 17]))  # 33 states; 2^17 - 1 on a de Bruijn graph
+def test_sft_compiled_states_are_bounded_by_the_forbidden_factors(spec):
+    # bound (b) of the SftSpec docstring: the start, one singleton per
+    # proper prefix and one set per distinct nonempty factor of F
+    prefixes = {f[:i] for f in spec.forbidden for i in range(len(f))}
+    factors = {f[i:j] for f in spec.forbidden
+               for i in range(len(f)) for j in range(i + 1, len(f) + 1)}
+    assert len(spec._transitions()) <= 1 + len(prefixes) + len(factors)
 
 
 @st.composite

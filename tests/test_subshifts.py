@@ -15,9 +15,8 @@ from shiftlab import (
 from shiftlab.autos import enumerate_automorphisms
 from shiftlab.chains import Chain, ChainLevel, build_chain, forbid, syndetic_gap, verify_removal_bound
 from shiftlab.complexity import complexity
-from shiftlab.errors import CapExceededError, EmptySubshiftError, SpecFormatError
+from shiftlab.errors import EmptySubshiftError, SpecFormatError
 from shiftlab.subshifts import (
-    GRAPH_WORD_BUDGET,
     ProductSpec,
     SftSpec,
     SparseSpec,
@@ -78,11 +77,14 @@ def test_sft_needs_biinfinite_extendability():
     assert spec.count_words(5) == 2
 
 
-def test_sft_graph_walk_stops_past_its_word_budget():
-    assert GRAPH_WORD_BUDGET == 10 ** 5
-    assert len(build_sft(Alphabet("01"), [w("1" * 14)]).graph) == 2 ** 13
-    with pytest.raises(CapExceededError, match="length up to 18: over 100000 clean words"):
-        build_sft(Alphabet("01"), [w("1" * 18)])
+@pytest.mark.parametrize("q", [3, 17, 40])
+def test_one_forbidden_word_compiles_2q_minus_1_states(q):
+    # the start set, the sets {1^j..1^(q-1)} after 1^j for 0 < j < q-1, and the
+    # singletons {1^j} after 0 1^j for 0 <= j < q, where the de Bruijn
+    # presentation of `sft_graph_oracle` compiles 2^q - 1
+    spec = build_sft(Alphabet("01"), [w("1" * q)])
+    assert len(spec._transitions()) == 2 * q - 1
+    assert spec.count_words(q) == 2 ** q - 1
 
 
 def test_build_sparse_at_most_one_1():
