@@ -18,12 +18,17 @@ rank and the new letter, with no slice and no tuple hash.  One lazy
 prefix pass (`_image_ranks`) yields, length by length, the rank of the
 image of every word: `compose` takes its last level, `find_inverse` the
 level of each range it tries, and the free-semigroup check every other
-level.  The pass extends each source word by the row of its automaton
-state, and `_centres` counts paths from the states of half-length
-words, so the trie is grown only to the window length and the longest
-image, never to the length of the source words.  The endomorphism
-check walks the compiled automaton rows to a fixpoint, expanding each
-key once (`_endomorphism_witness`).
+level.  A pass is split in two.  The source side, each word's parent
+and last-window rank, depends only on the spec and the window length:
+the spec walks it once per length (`SubshiftSpec._sources`), extending
+each source word by the row of its automaton state, and every pass of
+that range reads it.  The code's side is one fold of its outputs over
+those levels.  With `_centres` counting paths from the states of
+half-length words, the trie is grown only to the window length and the
+longest image, never to the length of the source words.  The
+endomorphism check walks the compiled automaton rows to a fixpoint,
+expanding each key once and keeping keys, not words
+(`_endomorphism_witness`).
 """
 
 import functools
@@ -176,39 +181,24 @@ def _check_inputs(spec, codes, r_max=0):
 def _image_ranks(code, n):
     """Yield, for m = 2R+1..n, the rank in L_{m-2R} of the image of every
     word of L_m, by rank, growing the trie one image level per table read
-    and never past max(2R+1, n-2R).  Each word carries its automaton state
-    and the ranks of its last window and of its image so far.  A word u of
-    state s extends by the letters a of row s, in the order `_levels`
-    ranks u+(a,), to the states row s names; u+(a,) has last window
-    ext[tail[j]][a], j the rank of u's last window, and image rank
-    ext'[i][b], i the rank of u's image, b the output on that window and
-    ext' the trie level one longer than u's image.  An image outside the
-    language raises KeyError."""
+    and never past max(2R+1, n-2R).  The source side is the spec's walk
+    (`SubshiftSpec._sources`), grown as far as this pass reads and shared
+    by every pass of range R: for each word u+(a,) of L_m, the rank p of u
+    in L_{m-1} and the rank k of its last window.  The pass only folds the
+    code's outputs over it: the image of u+(a,) is the image of u extended
+    by outputs[k], of rank ext'[image[p]][outputs[k]], ext' the trie level
+    one longer than u's image.  An image outside the language raises
+    KeyError."""
     spec = code.spec
     span = 2 * code.radius + 1
-    levels = spec._levels(span)
-    ext, tail, states = levels[span]
     outputs = code.outputs
-    letters = levels[1][0][0]  # letter -> rank in L_1
-    last = range(len(outputs))
+    letters = spec._levels(1)[1][0][0]  # letter -> rank in L_1
     image = [letters[b] for b in outputs]
     yield image
-    if n > span:
-        rows = spec._transitions()
-        letters_of = [tuple(row) for row in rows]
-        targets_of = [tuple(row.values()) for row in rows]
     for m in range(span + 1, n + 1):
+        parent, last, _ = spec._sources(span, m)[m - span]
         image_ext = spec._levels(m - span + 1)[m - span + 1][0]
-        grown, grown_image = [], []
-        for j, i, row in zip(last, image, map(letters_of.__getitem__, states)):
-            windows, images = ext[tail[j]], image_ext[i]
-            for a in row:
-                k = windows[a]
-                grown.append(k)
-                grown_image.append(images[outputs[k]])
-        if m < n:
-            states = list(itertools.chain.from_iterable(map(targets_of.__getitem__, states)))
-        last, image = grown, grown_image
+        image = [image_ext[image[p]][outputs[k]] for p, k in zip(parent, last)]
         yield image
 
 
@@ -329,7 +319,9 @@ def find_inverse(spec, code, r_max):
     construction (its value on each image is the centre of every
     preimage), so only code after candidate is checked: on every word of
     L_m, the code applied to the candidate's image must give back the
-    centre letter, an image outside the language failing the range.  The
+    centre letter, an image outside the language failing the range.  At
+    r = R that pass slides over the same words as the code's, so it reads
+    the same source walk and only folds the candidate's outputs.  The
     candidate's image leaves the language for the centre flip of the golden
     mean, no endomorphism, at r = 0 (000 goes to 111); the back check fails
     at r = 1 on the SFT without 001 for `u[0] if u[1] == "0" else u[2]`, an
@@ -381,6 +373,11 @@ def _endomorphism_witness(spec, code):
     reaching it on the first level it appears, and the walk stops when a
     level brings no new key; there are finitely many keys.
 
+    The walk starts from the keys of L_{2R} in rank order, read off the
+    trie, and holds no word: each new key links to the key it was reached
+    from and the letter appended (`links`).  Only a failing word is
+    rebuilt, along its links back to L_{2R} and the word of that rank.
+
     The witness is the canonically first word of the shortest failing
     length, the one a scan of every word would find.  Every prefix of that
     word holds a key new at its level: otherwise a shorter failing word,
@@ -389,27 +386,38 @@ def _endomorphism_witness(spec, code):
     """
     rows = spec._transitions()
     span = 2 * code.radius + 1
-    ext, tail, _ = code.spec._levels(span)[span]
-    frontier = [((), 0)]
-    for _ in range(2 * code.radius):
-        frontier = [(w + (a,), t) for w, s in frontier for a, t in rows[s].items()]
-    # the rows list letters in alphabet order, so the frontier is L_{2R} in canonical order
-    level = {(s, j, 0): w for j, (w, s) in enumerate(frontier)}
-    seen = set(level)
+    levels = code.spec._levels(span)
+    ext, tail, _ = levels[span]
+    outputs = code.outputs
+    level = [(s, j, 0) for j, s in enumerate(levels[span - 1][2])]  # L_{2R} by rank
+    links = dict.fromkeys(level)  # key -> (parent key, letter); None on L_{2R}
     while level:
-        nxt = {}
-        for (s, j, t), w in level.items():
+        nxt = []
+        for key in level:
+            s, j, t = key
+            windows = ext[j]
             for a, s2 in rows[s].items():
-                k = ext[j][a]
-                t2 = rows[t].get(code.outputs[k])
+                k = windows[a]
+                t2 = rows[t].get(outputs[k])
                 if t2 is None:
-                    return w + (a,), apply_to_word(code, w + (a,))
-                key = (s2, tail[k], t2)
-                if key not in seen:
-                    seen.add(key)
-                    nxt[key] = w + (a,)
+                    word = _linked_word(code, links, key, a)
+                    return word, apply_to_word(code, word)
+                grown = (s2, tail[k], t2)
+                if grown not in links:
+                    links[grown] = (key, a)
+                    nxt.append(grown)
         level = nxt
     return None
+
+
+def _linked_word(code, links, key, a):
+    """The source word of the key, by its links back to L_{2R}, then a."""
+    letters = [a]
+    while links[key] is not None:
+        key, b = links[key]
+        letters.append(b)
+    prefix = code.spec.words(2 * code.radius)[key[1]] if code.radius else ()
+    return prefix + tuple(reversed(letters))
 
 
 def certify_automorphism(spec, code, r_max):

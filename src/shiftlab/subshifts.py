@@ -31,15 +31,19 @@ ranked canonically by its parent in L_{j-1} and its letter, with the rank
 of its tail and its state; block codes slide, compose and reduce on these
 ranks.  A word's state row lists its extensions in the order that ranks
 them, so a slide extends its source words by their states and grows the
-trie only to its window and image lengths.  `_live` prunes the rows to the
-states on bi-infinite paths, whose labels are the points, by the `_prune`
-loop that also trims the SFT's AC automaton.  An SFT whose AC automaton
-prunes away, and a product with an empty factor, is the empty subshift: it
-has no automaton, so `_transitions` refuses every read of its language,
-while `contains`, `count_words` and `contains_config` answer without one.
+trie only to its window and image lengths.  `_sources` keeps that source
+side once per window length, grown one level per read: each word's
+parent and the rank of its last window, which every code of that range
+reads.  `_live` prunes the rows to the states on bi-infinite paths,
+whose labels are the points, by the `_prune` loop that also trims the
+SFT's AC automaton.  An SFT whose AC automaton prunes away, and a
+product with an empty factor, is the empty subshift: it has no
+automaton, so `_transitions` refuses every read of its language, while
+`contains`, `count_words` and `contains_config` answer without one.
 """
 
 import hashlib
+import itertools
 import json
 
 from .errors import EmptySubshiftError, SpecFormatError
@@ -63,6 +67,7 @@ class SubshiftSpec:
         self._live_rows = None
         self._word_cache = {}
         self._trie = [(None, None, [0])]  # L_0 = {()}, at the start state
+        self._walks = {}  # span -> `_sources` levels
         self._count_cache = {}
         self._count_front = None  # (length, path counts per state) of the longest count
 
@@ -153,6 +158,45 @@ class SubshiftSpec:
                 ext.append(row)
             levels.append((ext, tail, states))
         return levels
+
+    def _sources(self, span, n):
+        """The source walk of every slide with windows of length `span`, to
+        length n: `walk[m - span]` is (parent, last, states) of L_m for
+        span <= m <= n (the cached list may hold more), read off the trie's
+        L_span and no longer level.
+
+        For the word w of rank k, `parent[k]` is the rank of w[:-1] in
+        L_{m-1} and `last[k]` the rank of its last `span` letters in L_span;
+        `states`, the automaton states, are kept on the longest level only,
+        to grow the next.  At m = span, `parent` is None and `last` the
+        identity.  A word u extends by the letters a of its state's row, in
+        the order `_levels` ranks them, and the last window of u+(a,) is
+        u's with its first letter dropped and a appended: ext[tail[j]][a],
+        j the last-window rank of u and ext, tail the trie's L_span.  The
+        walk depends on the spec and the span alone, so every code of that
+        range reads the same levels.
+        """
+        walk = self._walks.get(span)
+        if walk is None:
+            _, tail, states = self._levels(span)[span]
+            walk = self._walks[span] = [(None, range(len(tail)), states)]
+        if len(walk) + span <= n:
+            rows = self._transitions()
+            ext, tail, _ = self._trie[span]
+            letters_of = [tuple(row) for row in rows]
+            targets_of = [tuple(row.values()) for row in rows]
+        while len(walk) + span <= n:
+            parent_up, last_up, states = walk[-1]
+            walk[-1] = (parent_up, last_up, None)
+            parent, last = [], []
+            for p, (j, s) in enumerate(zip(last_up, states)):
+                windows = ext[tail[j]]
+                for a in letters_of[s]:
+                    parent.append(p)
+                    last.append(windows[a])
+            walk.append((parent, last,
+                         list(itertools.chain.from_iterable(map(targets_of.__getitem__, states)))))
+        return walk
 
     def count_words(self, n):
         """|L_n|; 1 for n <= 0 (the empty word); 0 for the empty subshift."""
@@ -373,7 +417,7 @@ class SftSpec(SubshiftSpec):
         return frozenset(t for p in state if (t := rows[p].get(a)) is not None) or None
 
     # bench/tracing.py traces contains_config per backend class; the bindings
-    # go once it traces SubshiftSpec.contains_config by name (ROADMAP item 6)
+    # go once it traces SubshiftSpec.contains_config by name (ROADMAP item 16)
     contains_config = SubshiftSpec.contains_config
 
     def descriptor(self):

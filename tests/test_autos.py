@@ -4,6 +4,7 @@ import re
 import pytest
 
 from oracles import (
+    endomorphism_witness_oracle,
     find_inverse_oracle,
     preserves_occurrences_oracle,
     range0_automorphism_oracle,
@@ -384,6 +385,38 @@ def test_certify_sparse_flip_rejected_at_every_rmax(r_max):
     result = certify_automorphism(SPARSE_111, flip, r_max)
     assert result.status == "not-endomorphism"
     assert result.witness == (w("0000"), w("1111"))
+
+
+def _spread(u):
+    """On at_most_one_1: write 1 where a 1 lies R cells away, R the range."""
+    return "1" if "1" in (u[0], u[-1]) else "0"
+
+
+def _phi_a_writing_p(hallway):
+    """phi_a, but writing p on the window 0 0 p."""
+    phi_a = hallway.codes["phi_a"]
+    return lambda u: "p" if u == w("00p") else phi_a.rule[u]
+
+
+@pytest.mark.parametrize("name, radius, fn, word, image", [
+    # range 0: the walk starts at L_0, so the word is its links alone
+    pytest.param("hallway", 0, lambda system: lambda u: "p" if u == w("1") else u[0],
+                 "1p", "pp", id="hallway-1-to-p"),
+    # range 1: the word runs two keys past L_2 before its last letter
+    pytest.param("at_most_one_1", 1, lambda system: _spread, "00100", "101", id="spread-1"),
+    pytest.param("hallway", 1, _phi_a_writing_p, "00p00", "p0p", id="hallway-phi-a-writing-p"),
+    # range 2: four keys past L_4
+    pytest.param("at_most_one_1", 2, lambda system: _spread, "000010000", "10001",
+                 id="spread-2"),
+])
+def test_witness_is_rebuilt_from_links(systems, name, radius, fn, word, image):
+    # the walk keeps each key's parent and letter, not its word: the witness
+    # is read back along the links to a word of L_{2R}, letter by letter
+    spec = systems[name].spec
+    code = BlockCode.from_function(spec, radius, fn(systems[name]))
+    witness = _endomorphism_witness(spec, code)
+    assert witness == (w(word), w(image))
+    assert witness == endomorphism_witness_oracle(spec, code)
 
 
 def test_certify_product_flip_rejected(systems):

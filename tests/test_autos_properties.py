@@ -29,7 +29,11 @@ long language words into the language.  `preserves_occurrences`, which
 reads the words with the target at the centre off `complexity._centred`,
 must match the oracle that scans all of L_n for them, in the plain and
 the anchored form, with D in 0-2, codes of range 0-1 (identities among
-them) and targets in and out of the language.
+them) and targets in and out of the language.  Every slide of one span
+reads the spec's one source walk (`SubshiftSpec._sources`), so compose,
+inverse-search and free-semigroup calls on 2-3 codes of mixed ranges,
+run in a drawn order on one spec, must each give what it gives on a
+fresh spec and what the oracle gives.
 """
 
 import itertools
@@ -73,7 +77,7 @@ from shiftlab.autos import (
     subgroup_closure,
 )
 from shiftlab.errors import RuleIncompleteError
-from shiftlab.subshifts import build_sft
+from shiftlab.subshifts import build_sft, parse_spec
 from shiftlab.words import Alphabet, Configuration
 from test_language_properties import SETTINGS, product_specs, sft_specs, sparse_specs
 
@@ -427,6 +431,80 @@ def test_certified_maps_long_words_into_language(data):
         for word in _long_words(spec, rng, 60, 20):
             assert spec.contains(apply_to_word(code, word))
             assert spec.contains(apply_to_word(result.cert.inverse, word))
+
+
+def _slide_calls(data, spec, pool):
+    """A compose, an inverse search and a free-semigroup check for each code
+    of the pool (paired with the next one), within the budget."""
+    calls = []
+    for code, other in zip(pool, pool[1:] + pool[:1]):
+        if spec.count_words(2 * (code.radius + other.radius) + 1) <= BUDGET // 4:
+            calls.append(("compose", (code, other), ()))
+        r_max = _largest(data.draw(st.integers(0, 2)), _inverse_budget(spec, code))
+        calls.append(("inverse", (code,), (r_max,)))
+        radius = max(code.radius, other.radius)
+        depth = _largest(data.draw(st.integers(1, 3)),
+                         lambda d: spec.count_words(2 * d * radius + 1) <= BUDGET // 4)
+        calls.append(("free", (code, other), (depth,)))
+    return calls
+
+
+def _slide_outcome(kind, spec, codes, args):
+    if kind == "compose":
+        return _code_result(compose, *codes)
+    if kind == "inverse":
+        return _table(find_inverse(spec, *codes, *args))
+    gens = [SimpleNamespace(code=code) for code in codes]
+    return _result(certify_free_semigroup, spec, *gens, *args)
+
+
+def _slide_oracle(kind, spec, codes, args):
+    if kind == "compose":
+        return _code_result(compose_oracle, *codes)
+    if kind == "inverse":
+        return _table(find_inverse_oracle(spec, *codes, *args))
+    (depth,) = args
+    n = 2 * depth * max(code.radius for code in codes) + 1
+    for name, code in zip("ab", codes):
+        if any(not spec.contains(apply_to_word_oracle(code, u)) for u in spec.words(n)):
+            # a generator leaving the language is rejected, whatever the oracle makes of it
+            message = f"generator {name} maps a word of L_{n} outside the language"
+            return RuleIncompleteError, message
+    gens = [SimpleNamespace(code=code) for code in codes]
+    return "value", free_semigroup_oracle(spec, *gens, depth)
+
+
+@SETTINGS
+@given(st.data())
+def test_shared_source_walks_match_fresh_specs_and_oracles(data):
+    # every slide of one span reads the spec's one source walk
+    # (`SubshiftSpec._sources`): calls on codes of mixed ranges, in a drawn
+    # order on one spec, must give what each gives on a fresh spec
+    spec = data.draw(specs)
+    pool = data.draw(st.lists(codes(spec), min_size=2, max_size=3))
+    calls = data.draw(st.permutations(_slide_calls(data, spec, pool)))
+    for kind, call_codes, args in calls:
+        got = _slide_outcome(kind, spec, call_codes, args)
+        fresh = parse_spec(spec.descriptor())
+        moved = [BlockCode(fresh, code.radius, dict(code.rule)) for code in call_codes]
+        assert got == _slide_outcome(kind, fresh, moved, args)
+        assert got == _slide_oracle(kind, spec, call_codes, args)
+
+
+def test_passes_at_one_span_read_one_source_walk(systems):
+    # the inverse search of a range-1 code at rmax 1 slides the code and its
+    # range-1 candidate over L_5: both read the walk the compose built
+    spec = parse_spec(systems["hallway"].spec.descriptor())
+    phi_a, phi_b = (BlockCode(spec, 1, dict(systems["hallway"].codes[name].rule))
+                    for name in ("phi_a", "phi_b"))
+    compose(phi_a, phi_b)
+    walk = spec._walks[3]
+    levels = [(parent, last) for parent, last, _ in walk]  # L_3, L_4, L_5
+    assert find_inverse(spec, phi_b, 1) is not None
+    assert spec._walks[3] is walk and len(walk) == 3
+    assert all(old[0] is new[0] and old[1] is new[1] for old, new in zip(levels, walk))
+    # only the longest level keeps its states, to grow the next
+    assert [states is None for _, _, states in walk] == [True, True, False]
 
 
 def _certs(certs):
