@@ -6,12 +6,9 @@ from .subshifts import (
     SftSpec,
     SparseSpec,
     ProductSpec,
-    CylinderHandle,
     build_sft,
     build_sparse,
     product,
-    enumerate_language,
-    contains_word,
     parse_spec,
     load_spec,
     spec_to_json,

@@ -120,12 +120,6 @@ class BlockCode:
         """Range-0 code from a letter-to-letter map (not validated as endo)."""
         return cls.from_function(spec, 0, lambda w: mapping[w[0]])
 
-    def output(self, window):
-        try:
-            return self.rule[window]
-        except KeyError:
-            raise _missing_window(self, window) from None
-
     def __repr__(self):
         return f"<BlockCode range={self.radius} on {type(self.spec).__name__}>"
 
@@ -485,10 +479,14 @@ def enumerate_automorphisms(spec, radius, table_cap=1_000_000):
     """
     if radius < 0:
         raise ValueError("range must be >= 0")
-    windows = spec.count_words(2 * radius + 1)
-    size = len(spec.alphabet) ** windows
-    if size > table_cap:
-        raise SearchSpaceError(size, table_cap)
+    span, letters = 2 * radius + 1, len(spec.alphabet)
+    # 2^W > cap once W > cap.bit_length(): the count refuses a big search before any power
+    windows = spec._count_below(span, table_cap.bit_length() + 1)
+    if (letters > 1 and windows > table_cap.bit_length()) or letters ** windows > table_cap:
+        windows = spec._count_below(span, 10 ** 99)  # str() takes 4,300 digits; 2^15000 has 4,516
+        size = letters ** windows if windows < 15_000 else 10 ** 4300
+        raise SearchSpaceError(size if size < 10 ** 4300 else f"{letters}^" + (
+            str(windows) if windows < 10 ** 99 else "(over 10^99)"), table_cap)
     periodic = _periodic_windows(spec, radius, min(2 * radius + 2, windows))
 
     def permutes(values):
@@ -766,4 +764,4 @@ def parse_code(spec, obj, where="code"):
 
 
 def load_code(spec, path):
-    return parse_code(spec, _read_json(path), where=str(path))
+    return parse_code(spec, _read_json(path)[0], where=str(path))

@@ -5,7 +5,8 @@ Every run emits one report object with fixed key order: command, inputs
 identical inputs and seed the report is byte-identical except for the
 elapsed_ms field.  Exit codes: 0 all checks pass, 1 a verified violation
 (the report names the lemma and witness), 2 usage or input error, 3 an
-internal error (an unexpected exception in a command).
+internal error (an unexpected exception in a command or in writing its
+report).
 """
 
 import argparse
@@ -21,7 +22,7 @@ import time
 from . import autos, chains, spacetime, suites
 from .complexity import complexity_table
 from .errors import NoUniqueExtenderError, ShiftlabError, SpecFormatError
-from .subshifts import _check_keys, _read_json, _read_word, load_spec, spec_digest
+from .subshifts import _check_keys, _read_json, _read_word, parse_spec, spec_digest
 from .systems import SYSTEM_NAMES, make_example
 from .words import Configuration
 
@@ -30,11 +31,14 @@ class UsageError(Exception):
     pass
 
 
-def _hash_file(path):
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        digest.update(fh.read())
-    return digest.hexdigest()
+def _read_input(ref, what, inputs, key):
+    """The JSON value of input file `ref`, read once; inputs[key] gets its
+    path and the sha256 of the bytes parsed."""
+    if not os.path.exists(ref):
+        raise UsageError(f"{what} not found: {ref}")
+    obj, digest = _read_json(ref)
+    inputs[key] = {"path": ref, "sha256": digest}
+    return obj
 
 
 def _resolve_spec(ref, inputs):
@@ -46,11 +50,7 @@ def _resolve_spec(ref, inputs):
         system = make_example(name)
         inputs["spec"] = {"builtin": name, "sha256": spec_digest(system.spec)}
         return system.spec, system
-    if not os.path.exists(ref):
-        raise UsageError(f"spec file not found: {ref}")
-    spec = load_spec(ref)
-    inputs["spec"] = {"path": ref, "sha256": _hash_file(ref)}
-    return spec, None
+    return parse_spec(_read_input(ref, "spec file", inputs, "spec"), where=ref), None
 
 
 def _resolve_code(ref, spec, system, inputs, key="code"):
@@ -62,20 +62,14 @@ def _resolve_code(ref, spec, system, inputs, key="code"):
                            json.dumps(autos.code_to_json(code), sort_keys=True)
                            .encode()).hexdigest()}
         return code
-    if not os.path.exists(ref):
-        raise UsageError(f"code file not found: {ref}")
-    code = autos.load_code(spec, ref)
-    inputs[key] = {"path": ref, "sha256": _hash_file(ref)}
-    return code
+    return autos.parse_code(spec, _read_input(ref, "code file", inputs, key), where=ref)
 
 
 def _resolve_probe(ref, spec, system, inputs):
     if system is not None and ref in system.probes:
         inputs["probe"] = {"builtin": ref}
         return system.probes[ref]
-    if not os.path.exists(ref):
-        raise UsageError(f"probe not found: {ref}")
-    obj = _read_json(ref)
+    obj = _read_input(ref, "probe", inputs, "probe")
     _check_keys(obj, {"left_period", "center", "right_period", "origin_offset"}, ref)
     offset = obj["origin_offset"]
     if not isinstance(offset, int) or isinstance(offset, bool):
@@ -85,7 +79,6 @@ def _resolve_probe(ref, spec, system, inputs):
     if not left or not right:
         side = "right" if left else "left"
         raise SpecFormatError(f"{ref}.{side}_period: expected a nonempty list of letters")
-    inputs["probe"] = {"path": ref, "sha256": _hash_file(ref)}
     return Configuration(left, center, right, offset)
 
 
@@ -94,7 +87,7 @@ def cmd_complexity(args):
     spec, _ = _resolve_spec(args.spec, inputs)
     table = complexity_table(spec, args.max_n)
     if args.format == "csv":
-        return inputs, {"table_csv": table.to_csv()}, []
+        return inputs, {"table_csv": _exactly(table.to_csv)}, []
     return inputs, {"subshift_id": table.subshift_id,
                     "table": {str(n): table.values[n] for n in sorted(table.values)}}, []
 
@@ -309,6 +302,20 @@ def _json_text(report):
         return json.dumps(report, indent=2)
 
 
+def _exactly(write, *args):
+    """write(*args) with no limit on the digits of an int's str(), so big
+    counts are exact.  The limit is restored after: inputs are parsed under
+    it, as it guards json.load from quadratic parsing of huge literals."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return write(*args)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def _emit(report, out_path):
     text = _json_text(report) + "\n"
     if out_path is None:
@@ -335,30 +342,32 @@ def main(argv=None):
     started = time.monotonic()
     seed = getattr(args, "seed", None)
     try:
-        inputs, results, violations = args.handler(args)
-    except (UsageError, ShiftlabError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+        try:
+            inputs, results, violations = args.handler(args)
+        except (UsageError, ShiftlabError, ValueError) as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 2
+        report = {
+            "command": args.command,
+            "inputs": inputs,
+            "seed": seed,
+            "results": results,
+            "violations": violations,
+            "elapsed_ms": int((time.monotonic() - started) * 1000),
+        }
+        try:
+            _exactly(_emit, report, args.out)
+        except OSError as exc:
+            sys.stderr.write(f"error: cannot write report: {args.out}: {exc.strerror}\n")
+            return 2
     except Exception as exc:
-        # exit 1 would claim a verified violation; report the bug instead
+        # in a command or in writing its report: exit 1 would claim a
+        # verified violation, so the bug is reported instead
         import traceback  # here alone: with linecache and tokenize it is a slow import
 
         traceback.print_exc()
         sys.stderr.write(f"error: internal: {type(exc).__name__}: {exc}\n")
         return 3
-    report = {
-        "command": args.command,
-        "inputs": inputs,
-        "seed": seed,
-        "results": results,
-        "violations": violations,
-        "elapsed_ms": int((time.monotonic() - started) * 1000),
-    }
-    try:
-        _emit(report, args.out)
-    except OSError as exc:
-        sys.stderr.write(f"error: cannot write report: {args.out}: {exc.strerror}\n")
-        return 2
     return 1 if violations else 0
 
 

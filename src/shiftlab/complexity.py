@@ -8,10 +8,7 @@ length m pinned down Cn deep on both sides, with C = ln(2)/(4d).  All
 two-sided extensions come from `_centred`, in canonical order as made.
 """
 
-import csv
-import io
 import itertools
-import json
 import math
 from typing import NamedTuple
 
@@ -36,17 +33,7 @@ class ComplexityTable(NamedTuple):
     values: dict  # n -> P_X(n), for 1 <= n <= N
 
     def to_csv(self):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "P"])
-        for n in sorted(self.values):
-            writer.writerow([n, self.values[n]])
-        return buf.getvalue()
-
-    def to_json(self):
-        return json.dumps({"subshift_id": self.subshift_id,
-                           "values": {str(n): self.values[n] for n in sorted(self.values)}},
-                          indent=2, sort_keys=False)
+        return "n,P\n" + "".join(f"{n},{self.values[n]}\n" for n in sorted(self.values))
 
 
 def complexity_table(spec, max_n):

@@ -1,9 +1,11 @@
 """Exception types shared across the package.
 
-Bounded searches that can legitimately run out of room (extension radii,
-shadowing distances, syndetic gaps, subgroup closures) do NOT raise; they
-return explicit "cap" results.  Exceptions are reserved for violated
-preconditions and for searches whose failure signals a broken hypothesis.
+Most bounded searches that run out of room (extension radii, shadowing
+distances, syndetic gaps, subgroup closures) return explicit "cap" results.
+Two raise: `build_chain` past its level cap (CapExceededError), and
+`enumerate_automorphisms` on too many rule tables (SearchSpaceError, before
+it builds any).  The other exceptions mark violated preconditions and
+searches whose failure signals a broken hypothesis.
 """
 
 

@@ -27,8 +27,8 @@ class SpaceTimeWindow(NamedTuple):
         return self.grid[j - self.row0][i - self.col0]
 
 
-def spacetime_window(spec, cert, config, width, height, row0=0, col0=None):
-    """Materialize a width x height window of the space-time array.
+def spacetime_window(spec, cert, config, width, height, row0=0):
+    """Materialize a width x height window of the space-time array, centred on column 0.
 
     Negative iterate indices use the certificate's inverse code.
     """
@@ -37,8 +37,7 @@ def spacetime_window(spec, cert, config, width, height, row0=0, col0=None):
     _check_inputs(spec, (cert.code, cert.inverse))
     if not spec.contains_config(config):
         raise ValueError("base configuration not in the subshift")
-    if col0 is None:
-        col0 = -(width // 2)
+    col0 = -(width // 2)
     base = config
     for _ in range(abs(row0)):
         base = apply_to_config(cert.inverse if row0 < 0 else cert.code, base)

@@ -43,6 +43,7 @@ automaton, so `_transitions` refuses every read of its language, while
 """
 
 import hashlib
+import io
 import itertools
 import json
 
@@ -334,24 +335,6 @@ def _prune(automaton):
     return rows, {s: in_degree[s] for s in rows}
 
 
-class CylinderHandle:
-    """The cylinder [w]_0^+ within a subshift: w pinned at coordinates 0..|w|-1."""
-
-    __slots__ = ("word", "offset")
-
-    def __init__(self, word, offset=0):
-        if offset != 0:
-            raise ValueError("only offset-0 cylinders are used here")
-        self.word = tuple(word)
-        self.offset = 0
-
-    def contains(self, config):
-        return config.window(self.offset, len(self.word)) == self.word
-
-    def __repr__(self):
-        return f"CylinderHandle({self.word!r})"
-
-
 class SftSpec(SubshiftSpec):
     """Shift of finite type, read through the Aho-Corasick automaton of its
     forbidden words F (Aho-Corasick, CACM 18(6), 1975), trimmed.
@@ -520,15 +503,6 @@ def empty_sft(alphabet):
     return SftSpec(alphabet, [(a,) for a in alphabet.letters])
 
 
-def enumerate_language(spec, n):
-    """L_n(X) in canonical order; errors on the empty subshift."""
-    return spec.words(n)
-
-
-def contains_word(spec, word):
-    return spec.contains(word)
-
-
 # -- strict JSON interface ------------------------------------------------
 
 _SPEC_KEYS = {
@@ -539,14 +513,18 @@ _SPEC_KEYS = {
 
 
 def _read_json(path):
-    """The JSON value of an input file; an unreadable file or invalid JSON is a SpecFormatError."""
+    """(JSON value, sha256 of the bytes parsed) of an input file, read once;
+    an unreadable file or invalid JSON is a SpecFormatError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        # decoded as open(path, encoding="utf-8") decodes, so errors name the same positions
+        value = json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     except OSError as exc:
         raise SpecFormatError(f"{path}: cannot read ({exc.strerror})") from None
     except (ValueError, RecursionError) as exc:  # also a UnicodeDecodeError, or nesting too deep
         raise SpecFormatError(f"{path}: invalid JSON ({exc})") from None
+    return value, hashlib.sha256(data).hexdigest()
 
 
 def _check_keys(obj, keys, where):
@@ -626,7 +604,7 @@ def spec_to_json(spec):
 
 
 def load_spec(path):
-    return parse_spec(_read_json(path), where=str(path))
+    return parse_spec(_read_json(path)[0], where=str(path))
 
 
 def spec_digest(spec):

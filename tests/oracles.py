@@ -321,7 +321,7 @@ def free_semigroup_oracle(spec, a_cert, b_cert, depth):
     prints = {}
     for w in words:
         padded = pad(codes[w], top)
-        prints[w] = tuple(padded.output(u) for u in window_order)
+        prints[w] = tuple(map(padded.rule.__getitem__, window_order))
     collision = None
     for i in range(len(words)):
         for j in range(i + 1, len(words)):
@@ -399,13 +399,15 @@ def apply_to_word_oracle(code, word):
 
 
 def compose_oracle(outer, inner):
-    """outer after inner, sliding `inner` over each window through `apply_to_word_oracle`."""
+    """outer after inner, sliding `inner` and then `outer` over each window
+    through `apply_to_word_oracle`."""
     from shiftlab.autos import BlockCode
 
     spec = outer.spec
     radius = outer.radius + inner.radius
-    return BlockCode(spec, radius, {w: outer.output(apply_to_word_oracle(inner, w))
-                                    for w in spec.words(2 * radius + 1)})
+    return BlockCode(spec, radius, {
+        w: apply_to_word_oracle(outer, apply_to_word_oracle(inner, w))[0]
+        for w in spec.words(2 * radius + 1)})
 
 
 def reduce_range_oracle(code):
@@ -430,7 +432,7 @@ def equal_on_shift_oracle(spec, a, b):
     padded = [code if code.radius == radius else
               compose_oracle(code, BlockCode.identity(spec, radius - code.radius))
               for code in (a, b)]
-    return all(padded[0].output(w) == padded[1].output(w) for w in spec.words(2 * radius + 1))
+    return all(padded[0].rule[w] == padded[1].rule[w] for w in spec.words(2 * radius + 1))
 
 
 def find_inverse_oracle(spec, code, r_max):

@@ -511,6 +511,18 @@ def test_enumerate_search_space_cap(systems):
         enumerate_automorphisms(systems["hallway"].spec, 1, table_cap=1000)
 
 
+@pytest.mark.parametrize("name, radius, cap, size", [
+    ("hallway", 0, 1000, 8 ** 8),  # a size of at most 4,300 digits is the exact int
+    ("full2", 7, 10 ** 6, "2^32768"),  # 2^32768 has 9,865 digits: named as a power
+])
+def test_enumerate_refusal_names_the_search_size(systems, name, radius, cap, size):
+    # the count of windows refuses the search before the size is raised to a power
+    with pytest.raises(SearchSpaceError) as exc:
+        enumerate_automorphisms(systems[name].spec, radius, table_cap=cap)
+    assert (exc.value.size, exc.value.cap) == (size, cap)
+    assert str(exc.value) == f"search space of {size} rule tables exceeds cap {cap}"
+
+
 def test_enumerate_rejects_negative_range(systems):
     with pytest.raises(ValueError, match="range must be >= 0"):
         enumerate_automorphisms(systems["full2"].spec, -1)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -39,6 +40,50 @@ def test_complexity_csv_format(capsys):
                            "--max-n", "3", "--format", "csv")
     assert code == 0
     assert report["results"]["table_csv"] == "n,P\n1,2\n2,3\n3,5\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_counts_past_4300_digits_are_written_exactly(tmp_path, capsys, fmt):
+    # P(4301) = 10^4301 on the full shift on ten letters: every digit is written (exit 0),
+    # and the interpreter's limit on int digits is back in force afterwards
+    path = tmp_path / "full10.json"
+    path.write_text(json.dumps({"kind": "sft", "alphabet": list("0123456789"), "forbidden": []}))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert main(["complexity", "--spec", str(path), "--max-n", "4301", "--format", fmt]) == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    out, digits = capsys.readouterr().out, "1" + "0" * 4301
+    if fmt == "json":
+        assert f'\n      "4301": {digits}\n    }}\n' in out
+    else:
+        assert json.loads(out)["results"]["table_csv"].endswith(f"\n4301,{digits}\n")
+
+
+def test_each_input_file_is_read_once(tmp_path, capsys, monkeypatch, systems):
+    # the report's sha256 is of the bytes parsed, not of a second read of the file
+    full2 = systems["full2"]
+    paths = {}
+    for role, obj in (("spec", spec_to_json(full2.spec)),
+                      ("code", code_to_json(full2.codes["shift"])),
+                      ("probe", {"left_period": ["0"], "center": ["1"], "right_period": ["0"],
+                                 "origin_offset": 0})):
+        paths[role] = tmp_path / f"{role}.json"
+        paths[role].write_text(json.dumps(obj))
+    opened, real_open = [], open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    code = main(["spacetime", "--spec", str(paths["spec"]), "--code", str(paths["code"]),
+                 "--probe", str(paths["probe"]), "--width", "5", "--height", "3", "--rmax", "1"])
+    monkeypatch.undo()
+    assert code == 0
+    assert sorted(opened) == sorted(map(str, paths.values()))
+    inputs = json.loads(capsys.readouterr().out)["inputs"]
+    assert inputs == {role: {"path": str(path),
+                             "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+                      for role, path in paths.items()}
 
 
 def test_complexity_spec_file_and_determinism(tmp_path, capsys, systems):
@@ -326,6 +371,10 @@ def _without(obj, key):
     pytest.param("probe", None, ": cannot read (Is a directory)", id="probe-directory"),
     pytest.param("spec", b"\xff{}", ": invalid JSON ('utf-8' codec can't decode byte 0xff "
                  "in position 0: invalid start byte)", id="spec-not-utf8"),
+    # input files are parsed under the interpreter's limit on int digits
+    pytest.param("probe", json.dumps(PROBE_OBJ).replace('"origin_offset": 0',
+                                                        '"origin_offset": 1' + "0" * 4400),
+                 None, id="probe-offset-past-4300-digits"),
 ])
 def test_input_file_error_messages(tmp_path, capsys, role, content, message):
     # each malformed file is an input error (exit 2) with its exact message on stderr;
@@ -339,7 +388,7 @@ def test_input_file_error_messages(tmp_path, capsys, role, content, message):
         path.write_bytes(content)
     elif isinstance(content, str):
         path.write_text(content)
-        with pytest.raises(json.JSONDecodeError) as exc:
+        with pytest.raises(ValueError) as exc:  # a JSONDecodeError, or a too long int
             json.loads(content)
         message = f": invalid JSON ({exc.value})"
     else:
@@ -589,6 +638,18 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.endswith("error: internal: RuntimeError: boom\n")
+
+
+def test_error_in_writing_the_report_exits_3(capsys, monkeypatch):
+    # only an OSError in writing is an input error (exit 2); exit 1 would claim a violation
+    def broken(report, out_path):
+        raise ValueError("boom")
+
+    monkeypatch.setattr("shiftlab.cli._emit", broken)
+    assert main(["complexity", "--spec", "builtin:full2", "--max-n", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: internal: ValueError: boom\n")
 
 
 PACKAGE_ERRORS = [

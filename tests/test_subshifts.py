@@ -6,8 +6,6 @@ from oracles import sft_language_oracle, sparse_language_oracle
 from shiftlab import (
     build_sft,
     build_sparse,
-    contains_word,
-    enumerate_language,
     parse_spec,
     product,
     spec_to_json,
@@ -204,16 +202,16 @@ def test_enumerate_language_examples():
 
 def test_contains_word_examples(systems):
     gm = build_sft(BIN, [w("11")])
-    assert not contains_word(gm, w("11"))
+    assert not gm.contains(w("11"))
     one = build_sparse(BIN, "0", [("1",)])
-    assert not contains_word(one, w("101"))
+    assert not one.contains(w("101"))
     hallway = systems["hallway"].spec
-    assert contains_word(hallway, ("p", "0", "1"))
+    assert hallway.contains(("p", "0", "1"))
 
 
 def test_enumerate_errors_on_empty():
     with pytest.raises(EmptySubshiftError):
-        enumerate_language(empty_sft(BIN), 3)
+        empty_sft(BIN).words(3)
 
 
 @pytest.mark.parametrize("name", ["full2", "golden_mean", "cycle2",
@@ -335,12 +333,3 @@ def test_parse_spec_strictness():
                     "families": [["0"]]})
     with pytest.raises(SpecFormatError):
         parse_spec({"kind": "tiling"})
-
-
-def test_cylinder_handle_membership(systems):
-    from shiftlab import CylinderHandle
-    handle = CylinderHandle(w("01"))
-    assert handle.contains(Configuration.periodic(("0", "1")))
-    assert not handle.contains(Configuration.periodic(("1", "0")))
-    with pytest.raises(ValueError):
-        CylinderHandle(w("01"), offset=1)
