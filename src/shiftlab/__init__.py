@@ -10,14 +10,12 @@ from .subshifts import (
     build_sparse,
     product,
     parse_spec,
-    load_spec,
     spec_to_json,
     spec_digest,
 )
 from .complexity import (
     complexity,
     complexity_table,
-    morse_hedlund_classify,
     extension_radius,
     min_nonextendable_radius,
     find_extension_window,
@@ -50,7 +48,6 @@ from .autos import (
     certify_free_semigroup,
     commutator,
     parse_code,
-    load_code,
     code_to_json,
 )
 from .spacetime import (

@@ -45,7 +45,7 @@ from .errors import (
     SpecFormatError,
 )
 from .complexity import _centred
-from .subshifts import _as_letter, _check_keys, _read_json, _read_word
+from .subshifts import _as_letter, _check_keys, _read_word
 from .words import Configuration, occurrences
 
 
@@ -480,11 +480,10 @@ def enumerate_automorphisms(spec, radius, table_cap=1_000_000):
     if radius < 0:
         raise ValueError("range must be >= 0")
     span, letters = 2 * radius + 1, len(spec.alphabet)
-    # 2^W > cap once W > cap.bit_length(): the count refuses a big search before any power
-    windows = spec._count_below(span, table_cap.bit_length() + 1)
+    # 2^W > cap once W > cap.bit_length(), so a count capped at 10^99 refuses before any power
+    windows = spec._count_below(span, 10 ** 99)
     if (letters > 1 and windows > table_cap.bit_length()) or letters ** windows > table_cap:
-        windows = spec._count_below(span, 10 ** 99)  # str() takes 4,300 digits; 2^15000 has 4,516
-        size = letters ** windows if windows < 15_000 else 10 ** 4300
+        size = letters ** windows if windows < 15_000 else 10 ** 4300  # str() takes 4,300 digits
         raise SearchSpaceError(size if size < 10 ** 4300 else f"{letters}^" + (
             str(windows) if windows < 10 ** 99 else "(over 10^99)"), table_cap)
     periodic = _periodic_windows(spec, radius, min(2 * radius + 2, windows))
@@ -761,7 +760,3 @@ def parse_code(spec, obj, where="code"):
         return BlockCode(spec, radius, rule)
     except ValueError as exc:
         raise SpecFormatError(f"{where}: {exc}") from None
-
-
-def load_code(spec, path):
-    return parse_code(spec, _read_json(path)[0], where=str(path))

@@ -84,6 +84,15 @@ def cylinder_has_aperiodic(spec, word):
        path with a left tail circling some cycle C' into e; by 2 it
        circles C' throughout, and its right tail circles C, so e is C's.
        So each state of C has one edge in, and the walk follows C to s.
+
+    With w = () the cylinder is all of X, and the proof holds as it
+    stands: every point of X is periodic exactly when this is false.  That
+    decides what Morse-Hedlund answers by a scan (P_X(n*) <= n* for some
+    n* forces every point to be periodic; Amer. J. Math. 60, 1938).  When
+    it is false no live state branches, so the live part is disjoint
+    cycles and a live path is fixed by its first state; by 1 each word of
+    L_n labels one, so P_X(n) <= N for every n, N the number of compiled
+    states, and the scan's n* is at most N.
     """
     word = tuple(word)
     if not spec.contains(word):

@@ -43,26 +43,6 @@ def complexity_table(spec, max_n):
     return ComplexityTable(subshift_id=spec_digest(spec), values=values)
 
 
-class MorseHedlundVerdict(NamedTuple):
-    kind: str  # "all-periodic" | "consistent-with-aperiodic"
-    witness: int | None = None
-
-
-def morse_hedlund_classify(spec, max_n):
-    """All-periodic as soon as P_X(n*) <= n* for some n* <= max_n.
-
-    By Morse-Hedlund, complexity bounded by n at some n forces every
-    point to be periodic; otherwise the data stays consistent with the
-    presence of an aperiodic point.
-    """
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
-    for n in range(1, max_n + 1):
-        if spec.count_words(n) <= n:
-            return MorseHedlundVerdict("all-periodic", witness=n)
-    return MorseHedlundVerdict("consistent-with-aperiodic")
-
-
 class ExtensionReport(NamedTuple):
     word: tuple
     radius: object  # int, or AT_LEAST_CAP when still unique at the cap
@@ -157,9 +137,12 @@ def find_extension_window(spec, n, d, cap):
         raise ValueError("d must be >= 1")
     horizon = math.floor(n * math.log(n))
     for j in range(n, horizon + 1):
-        if complexity(spec, j) > j ** d:
+        if (count := complexity(spec, j)) > (bound := j ** d):
+            # str() refuses 4,300+ digits: past them P(j) is named by a bound, j^d as a power
             raise LemmaWindowNotFoundError(
-                f"hypothesis P(n) <= n^{d} fails at n={j}: {complexity(spec, j)} > {j ** d}")
+                f"hypothesis P(n) <= n^{d} fails at n={j}: "
+                f"{count if count < 10 ** 4300 else 'at least 10^4300'} > "
+                f"{bound if bound < 10 ** 4300 else f'{j}^{d}'}")
     threshold = math.log(2) / (4 * d) * n
     if cap + 1 < threshold:
         # finite radii are <= cap and EXCEEDS_CAP only proves k_m >= cap+1

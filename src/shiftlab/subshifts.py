@@ -603,10 +603,6 @@ def spec_to_json(spec):
     return spec.descriptor()
 
 
-def load_spec(path):
-    return parse_spec(_read_json(path)[0], where=str(path))
-
-
 def spec_digest(spec):
     """Stable hash of the canonical JSON description."""
     blob = json.dumps(spec.descriptor(), sort_keys=True, separators=(",", ":"))

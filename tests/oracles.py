@@ -50,6 +50,9 @@ target at the centre, where the library reads them off `_centred`.  The
 point-membership oracle keeps the per-backend rules (an SFT window, a
 sparse tail rule, a product projected onto its factors), where the
 library pumps each tail through the compiled automaton on every backend.
+The Morse-Hedlund oracle scans P_X(n) <= n for n up to a cap, where
+the library decides periodicity on the live automaton
+(`chains.cylinder_has_aperiodic` of the empty word).
 The period-vector oracle tests each vector cell by cell, where the
 library compares row slices.  The enumeration oracle certifies every
 rule table, where the library certifies only those that permute the
@@ -797,6 +800,21 @@ def backend_cylinder_aperiodic_oracle(spec, word):
                 or backend_cylinder_aperiodic_oracle(spec.factor_right,
                                                      tuple(b for _, b in word)))
     return cylinder_has_aperiodic_oracle(spec, word)
+
+
+def morse_hedlund_oracle(spec, max_n):
+    """All-periodic as soon as P_X(n*) <= n* for some n* <= max_n.
+
+    By Morse-Hedlund, complexity bounded by n at some n forces every
+    point to be periodic; returns the least such n*, or None when the
+    scan finds none up to max_n.
+    """
+    if max_n < 1:
+        raise ValueError("max_n must be >= 1")
+    for n in range(1, max_n + 1):
+        if spec.count_words(n) <= n:
+            return n
+    return None
 
 
 def contains_config_oracle(spec, config):

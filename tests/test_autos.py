@@ -61,6 +61,13 @@ def test_block_code_requires_exact_table(systems):
         BlockCode(spec, 0, {("0",): "0"})  # missing the window ("1",)
     with pytest.raises(ValueError):
         BlockCode(spec, 0, {("0",): "0", ("1",): "1", ("1", "1"): "0"})
+    # as many windows as L_3, but 111 in place of 101: refused by the windows themselves
+    rule = {u: u[1] for u in spec.words(3)}
+    rule[w("111")] = rule.pop(w("101"))
+    with pytest.raises(ValueError, match="missing 1, extra 1$"):
+        BlockCode(spec, 1, rule)
+    with pytest.raises(ValueError, match="^rule output 'x' not in alphabet$"):
+        BlockCode(spec, 0, {("0",): "0", ("1",): "x"})
 
 
 def test_apply_to_word_shift(systems):
@@ -854,6 +861,19 @@ def test_parse_code_strictness(systems):
     wrong_alpha["alphabet"] = ["0", "1", "2"]
     with pytest.raises(SpecFormatError):
         parse_code(full2.spec, wrong_alpha)
+    # the spec's letters in another order are another alphabet
+    with pytest.raises(SpecFormatError, match=r"^code\.alphabet: does not match the subshift"):
+        parse_code(full2.spec, {**good, "alphabet": ["1", "0"]})
+    shift = code_to_json(full2.codes["shift"])
+    foreign = {**shift, "rule": {**shift["rule"], "0,2,1": "0"}}
+    with pytest.raises(SpecFormatError, match=r"^code\.rule\['0,2,1'\]: letter '2' not in alph"):
+        parse_code(full2.spec, foreign)
+
+
+def test_code_to_json_refuses_a_letter_holding_a_comma():
+    spec = build_sft(Alphabet(("a,b", "c")), [])
+    with pytest.raises(SpecFormatError, match=r"^letter 'a,b' not serializable in rule keys$"):
+        code_to_json(BlockCode.identity(spec, 0))
 
 
 def test_product_code_composition_order(systems, hallway_certs):

@@ -22,7 +22,11 @@ product rule (either projected cylinder).  Both must agree on every word
 up to a budgeted length of generated SFT, sparse and product specs,
 SFT x sparse products among them, including order-1 shifts, dense
 forbidden sets and an empty family list, whose cylinders are often
-periodic-only.
+periodic-only, and on the empty word, whose cylinder is all of X.  On
+the same specs every point is periodic exactly when the empty word's
+cylinder holds no aperiodic point and exactly when
+`oracles.morse_hedlund_oracle` finds some n* <= N with P_X(n*) <= n*,
+N the number of compiled states.
 
 `chains.shadowing_distance` extends the words carrying u once per
 distance; `oracles.shadowing_distance_oracle` rebuilds them from u for
@@ -42,6 +46,7 @@ import pytest
 from oracles import (
     backend_cylinder_aperiodic_oracle,
     has_qualifying_occurrence,
+    morse_hedlund_oracle,
     shadowing_distance_oracle,
     syndetic_gap_oracle,
     unique_extension_oracle,
@@ -167,6 +172,8 @@ def dense_sfts(draw):
 @example(product(make_example("cycle2").spec, make_example("cycle2").spec))
 @example(product(make_example("golden_mean").spec, make_example("at_most_one_1").spec))
 def test_cylinder_has_aperiodic_matches_oracle(spec):
+    # the empty word's cylinder is all of X
+    assert cylinder_has_aperiodic(spec, ()) == backend_cylinder_aperiodic_oracle(spec, ())
     n, checked = 1, 0
     while n <= 8 and checked + spec.count_words(n) <= BUDGET // 10:
         for word in spec.words(n):
@@ -174,6 +181,31 @@ def test_cylinder_has_aperiodic_matches_oracle(spec):
             assert cylinder_has_aperiodic(spec, word) == expected
         checked += spec.count_words(n)
         n += 1
+
+
+@settings(SETTINGS, max_examples=80)
+@given(st.one_of(dense_sfts(), specs).filter(lambda spec: not spec.is_empty))
+@example(make_example("cycle2").spec)
+@example(make_example("golden_mean").spec)
+@example(build_sparse(Alphabet(("0",)), "0", []))  # one letter, no family: only 0^inf
+def test_every_point_periodic_exactly_when_morse_hedlund_scan_finds_a_witness(spec):
+    # with no aperiodic point P_X(n) never exceeds the number of compiled states,
+    # so the scan up to that number finds its n* whenever one exists
+    states = len(spec._transitions())
+    witness = morse_hedlund_oracle(spec, states)
+    assert (not cylinder_has_aperiodic(spec, ())) == (witness is not None)
+
+
+def test_periodicity_examples():
+    cycle2, golden_mean = make_example("cycle2").spec, make_example("golden_mean").spec
+    assert not cylinder_has_aperiodic(cycle2, ()) and morse_hedlund_oracle(cycle2, 3) == 2
+    assert cylinder_has_aperiodic(golden_mean, ())
+    assert morse_hedlund_oracle(golden_mean, 10) is None
+    single = build_sparse(Alphabet(("0",)), "0", [])
+    assert not cylinder_has_aperiodic(single, ()) and morse_hedlund_oracle(single, 1) == 1
+    # the empty subshift refuses () as it refuses any word outside the language
+    with pytest.raises(ValueError, match=r"word \(\) not in the language"):
+        cylinder_has_aperiodic(empty_sft(Alphabet(("0", "1"))), ())
 
 
 @st.composite

@@ -127,14 +127,18 @@ def test_autos_certify_builtin_code(capsys):
     assert report["results"]["status"] == "certified"
 
 
-def test_autos_certify_rejects_non_endomorphism(tmp_path, capsys, systems):
+def _flip_file(tmp_path, systems):
+    """A code file of the letter swap on golden_mean, which maps 010 to 101."""
     from shiftlab.autos import BlockCode
-    gm = systems["golden_mean"].spec
-    flip = BlockCode.letter_map(gm, {"0": "1", "1": "0"})
     path = tmp_path / "flip.json"
+    flip = BlockCode.letter_map(systems["golden_mean"].spec, {"0": "1", "1": "0"})
     path.write_text(json.dumps(code_to_json(flip)))
+    return str(path)
+
+
+def test_autos_certify_rejects_non_endomorphism(tmp_path, capsys, systems):
     code, report = run_cli(capsys, "autos", "certify", "--spec",
-                           "builtin:golden_mean", "--code", str(path),
+                           "builtin:golden_mean", "--code", _flip_file(tmp_path, systems),
                            "--rmax", "1")
     assert code == 1
     assert report["results"]["status"] == "not-endomorphism"
@@ -148,6 +152,33 @@ def test_certify_free_hallway(capsys):
     assert code == 0
     assert report["results"]["status"] == "free-to-depth"
     assert report["results"]["products"] == 30
+
+
+def test_certify_free_refuses_a_generator_that_is_no_endomorphism(tmp_path, capsys, systems):
+    code, report = run_cli(capsys, "certify-free", "--spec", "builtin:golden_mean",
+                           "--gen-a", "identity", "--gen-b", _flip_file(tmp_path, systems),
+                           "--depth", "1", "--rmax", "0")
+    assert code == 1
+    assert report["results"] == {"status": "generators-not-certified"}
+    assert report["violations"] == [{"lemma": "automorphism-certification",
+                                     "generator": "gen_b", "status": "not-endomorphism"}]
+
+
+def test_spacetime_refuses_a_code_that_does_not_certify(tmp_path, capsys, systems):
+    assert main(["spacetime", "--spec", "builtin:golden_mean", "--code",
+                 _flip_file(tmp_path, systems), "--probe", "zero", "--width", "3",
+                 "--height", "2", "--rmax", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: code did not certify as an automorphism (not-endomorphism)\n"
+
+
+def test_missing_spec_file_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    assert main(["complexity", "--spec", missing, "--max-n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: spec file not found: {missing}\n"
 
 
 def test_certify_free_collision(capsys):

@@ -9,7 +9,6 @@ from shiftlab import (
     extension_radius,
     find_extension_window,
     min_nonextendable_radius,
-    morse_hedlund_classify,
     slow_growth_window,
 )
 from shiftlab.chains import unique_extension
@@ -57,24 +56,6 @@ def test_complexity_monotone_and_bounded(systems):
         for n in range(1, 8):
             assert spec.count_words(n) <= spec.count_words(n + 1)
             assert spec.count_words(n + 1) <= size * spec.count_words(n)
-
-
-def test_morse_hedlund_examples(systems):
-    verdict = morse_hedlund_classify(systems["cycle2"].spec, 3)
-    assert (verdict.kind, verdict.witness) == ("all-periodic", 2)
-    verdict = morse_hedlund_classify(systems["golden_mean"].spec, 10)
-    assert verdict.kind == "consistent-with-aperiodic"
-    single = build_sparse(Alphabet(("0",)), "0", [])
-    assert morse_hedlund_classify(single, 1).witness == 1
-    verdict = morse_hedlund_classify(empty_sft(BIN), 3)
-    assert (verdict.kind, verdict.witness) == ("all-periodic", 1)
-
-
-def test_morse_hedlund_flat_growth_direction(systems):
-    # P(n*) = P(n*+1) forces an all-periodic verdict by n*+1 on these backends
-    cycle2 = systems["cycle2"].spec
-    assert cycle2.count_words(1) == cycle2.count_words(2)
-    assert morse_hedlund_classify(cycle2, 2).kind == "all-periodic"
 
 
 def test_extension_radius_golden_mean():
@@ -143,6 +124,8 @@ def test_min_nonextendable_radius_examples():
     assert min_nonextendable_radius(one, 1, 50) == EXCEEDS_CAP
     full = build_sft(BIN, [])
     assert min_nonextendable_radius(full, 3, 10) == 1
+    # no word extends even once in the empty subshift
+    assert min_nonextendable_radius(empty_sft(BIN), 3, 10) == 1
 
 
 def test_doubling_property(systems):
@@ -166,6 +149,19 @@ def test_find_extension_window_examples(systems):
     # EXCEEDS_CAP at cap 1 proves only k_m >= 2, short of C*n = 40*ln2/8
     with pytest.raises(LemmaWindowNotFoundError, match="cap 1"):
         find_extension_window(systems["at_most_one_1"].spec, 40, 2, 1)
+
+
+@pytest.mark.parametrize("n, d, message", [
+    (5, 1, "fails at n=5: 100000 > 5"),
+    # str() refuses ints of 4,300+ digits: P(4301) = 10^4301, and 4400^1181 > 10^4302
+    (4301, 1, "fails at n=4301: at least 10^4300 > 4301"),
+    (4400, 1181, "fails at n=4400: at least 10^4300 > 4400^1181"),
+])
+def test_find_extension_window_names_a_failing_count(n, d, message):
+    full10 = build_sft(Alphabet(tuple("0123456789")), [])
+    with pytest.raises(LemmaWindowNotFoundError) as exc:
+        find_extension_window(full10, n, d, 5)
+    assert str(exc.value) == f"hypothesis P(n) <= n^{d} {message}"
 
 
 def test_slow_growth_window_examples():

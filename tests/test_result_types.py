@@ -10,7 +10,7 @@ from shiftlab.chains import (
     ShadowingReport,
     SyndeticReport,
 )
-from shiftlab.complexity import ComplexityTable, ExtensionReport, MorseHedlundVerdict
+from shiftlab.complexity import ComplexityTable, ExtensionReport
 from shiftlab.spacetime import PowerShiftReport, SpaceTimeWindow
 from shiftlab.systems import NamedSystem
 
@@ -34,7 +34,6 @@ RESULT_TYPES = [
     (SyndeticReport, {"status": "ok", "gap": 2, "distance": 0, "cap": 5,
                       "counterexample": ("0",)}, {}),
     (ComplexityTable, {"subshift_id": "ab", "values": {1: 2}}, {}),
-    (MorseHedlundVerdict, {"kind": "all-periodic", "witness": 1}, {"witness": None}),
     (ExtensionReport, {"word": ("1",), "radius": 2, "cap": 3, "extension": ("0", "1", "0")},
      {}),
     (SpaceTimeWindow, {"base": "x", "code": "c", "rows": ("x",), "width": 1, "height": 1,
