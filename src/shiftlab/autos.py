@@ -607,27 +607,12 @@ class FreeSemigroupReport(NamedTuple):
     words: tuple  # generator words over ("a", "b"), canonical order
     collision: tuple | None  # the first equal pair, when not free
 
-    @property
-    def distinct(self):
-        """Pairwise-distinctness matrix of the words when free, else None."""
-        if self.collision is not None:
-            return None
-        return tuple(tuple(u != v for v in self.words) for u in self.words)
-
 
 def semigroup_words(depth):
     out = []
     for n in range(1, depth + 1):
         out.extend(itertools.product("ab", repeat=n))
     return tuple(out)
-
-
-def product_code(gens, word):
-    """The composed code of a generator word; leftmost factor acts last."""
-    code = gens[word[-1]]
-    for letter in reversed(word[:-1]):
-        code = compose(gens[letter], code)
-    return code
 
 
 def _gather(table, index):

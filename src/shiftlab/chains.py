@@ -122,10 +122,6 @@ class RemovalBoundReport(NamedTuple):
     rows: tuple  # (n, lhs, rhs, slack) for |w| <= n <= n_max
     violations: tuple  # rows with lhs > rhs
 
-    @property
-    def ok(self):
-        return not self.violations
-
 
 def verify_removal_bound(spec, word, n_max):
     """Check P_{X(w)}(n) <= P_X(n) - (n-|w|+1) on |w| <= n <= n_max."""

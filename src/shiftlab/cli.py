@@ -176,7 +176,7 @@ def cmd_spacetime(args):
     window = spacetime.spacetime_window(spec, result.cert, probe,
                                         args.width, args.height)
     results = {"window": spacetime.window_to_json(window),
-               "text_grid": list(spacetime.grid_lines(window, sep=" "))}
+               "text_grid": [" ".join(map(str, row)) for row in window.grid]}
     if args.detect_periods is not None:
         vectors = spacetime.detect_period_vectors(window, args.detect_periods)
         results["period_vectors"] = [list(v) for v in vectors]

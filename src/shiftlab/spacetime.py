@@ -88,7 +88,7 @@ def detect_period_vectors(window, bound):
 def _shift_exponent(image, probe, bound):
     """t with image == sigma^t probe and |t| <= bound, smallest |t| first."""
     for size in range(bound + 1):
-        for t in ((size,) if size == 0 else (size, -size)):
+        for t in dict.fromkeys((size, -size)):  # 0 once, then size before -size
             if image == probe.shift(t):
                 return t
     return None
@@ -127,11 +127,6 @@ def power_is_shift(spec, cert, probes, m_max, shift_bound):
         if all(t is not None for t in shifts):
             return PowerShiftReport(exponent, tuple(shifts))
     return None
-
-
-def grid_lines(window, sep=""):
-    """Plain-text rendering, one row per line, top row = smallest iterate."""
-    return tuple(sep.join(str(a) for a in row) for row in window.grid)
 
 
 def window_to_json(window):

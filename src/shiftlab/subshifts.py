@@ -42,6 +42,7 @@ automaton, so `_transitions` refuses every read of its language, while
 `contains`, `count_words` and `contains_config` answer without one.
 """
 
+import collections
 import hashlib
 import io
 import itertools
@@ -67,7 +68,7 @@ class SubshiftSpec:
         self._rows = None
         self._live_rows = None
         self._word_cache = {}
-        self._trie = [(None, None, [0])]  # L_0 = {()}, at the start state
+        self._trie = [([dict.fromkeys(alphabet.letters, 0)], [0], [0])]  # L_0, see `_levels`
         self._walks = {}  # span -> `_sources` levels
         self._count_cache = {}
         self._count_front = None  # (length, path counts per state) of the longest count
@@ -131,19 +132,18 @@ class SubshiftSpec:
         """The language trie to length n: `levels[j]` is (ext, tail, states)
         of L_j for j <= n (the cached list may hold more).
 
-        `ext[p][a]` is the rank of u+(a,) for u of rank p in L_{j-1} (L_0 =
-        {()}), `tail[k]` the rank of w[1:] in L_{j-1} and `states[k]` the
-        automaton state of w, for w of rank k.  L_j is the words of L_{j-1}
-        extended by the letters of their states' rows, made in parent order
-        and then row (alphabet) order, so the ranks are canonical.  For
-        w = u+(a,), w[1:] = u[1:]+(a,), so tail[k] is read off the level
-        below as ext_{j-1}[tail_{j-1}[p]][a].
+        `ext[p][a]` is the rank of u+(a,) for u of rank p in L_{j-1}, `tail[k]`
+        the rank of w[1:] in L_{j-1} and `states[k]` the automaton state of
+        w, for w of rank k.  L_j is the words of L_{j-1} extended by the
+        letters of their states' rows, made in parent order and then row
+        (alphabet) order, so the ranks are canonical.  For w = u+(a,),
+        w[1:] = u[1:]+(a,), so tail[k] is read off the level below as
+        ext_{j-1}[tail_{j-1}[p]][a].  L_0 = {()}, at the start state, is its
+        own tail, and its one ext row, a sentinel, maps every letter to 0,
+        the rank of (); so L_1 is built by the same step.
         """
         levels = self._trie
         rows = self._transitions()
-        if len(levels) == 1:
-            first = dict(zip(rows[0], range(len(rows[0]))))
-            levels.append(([first], [0] * len(first), list(rows[0].values())))
         while len(levels) <= n:
             up_ext, up_tail, up_states = levels[-1]
             ext, tail, states = [], [], []
@@ -433,11 +433,10 @@ class SparseSpec(SubshiftSpec):
         canon.discard(())
         self.families = tuple(sorted(canon, key=lambda f: (len(f), alphabet.word_key(f))))
         # the downset: dropping one marker from a sorted multiset keeps it sorted
-        downset, frontier = set(self.families), set(self.families)
+        self._downset, frontier = set(), set(self.families)
         while frontier:
-            frontier = {f[:i] + f[i + 1:] for f in frontier for i in range(len(f))} - downset
-            downset |= frontier
-        self._downset = downset
+            self._downset |= frontier
+            frontier = {f[:i] + f[i + 1:] for f in frontier for i in range(len(f))} - self._downset
 
     def _next(self, state, a):
         if a == self.background:
@@ -514,12 +513,22 @@ _SPEC_KEYS = {
 
 def _read_json(path):
     """(JSON value, sha256 of the bytes parsed) of an input file, read once;
-    an unreadable file or invalid JSON is a SpecFormatError."""
+    an unreadable file, invalid JSON or a key repeated in an object (the
+    file would say two things) is a SpecFormatError."""
+
+    def unique(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            key = next(k for k, n in collections.Counter(k for k, _ in pairs).items() if n > 1)
+            raise SpecFormatError(f"{path}: repeated key {key!r}")
+        return obj
+
     try:
         with open(path, "rb") as fh:
             data = fh.read()
         # decoded as open(path, encoding="utf-8") decodes, so errors name the same positions
-        value = json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        value = json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"),
+                          object_pairs_hook=unique)
     except OSError as exc:
         raise SpecFormatError(f"{path}: cannot read ({exc.strerror})") from None
     except (ValueError, RecursionError) as exc:  # also a UnicodeDecodeError, or nesting too deep

@@ -158,16 +158,14 @@ def make_example(name):
     return NamedSystem(name, spec, _Built(codes), _Built(probes))
 
 
-def decode_hallway_product(system, code, max_len=8):
+def decode_hallway_product(system, code):
     """Recover the generator word of a composed walk code from probes alone.
 
-    The probe with the walker arriving exactly at the nail reveals the
-    word length; the nail state of each earlier probe's image then spells
-    the letters.  Returns None when the images do not decode.
+    The probe of x1..x8 with the walker arriving exactly at the nail
+    reveals the word length; the nail state of each earlier probe's image
+    then spells the letters.  Returns None when the images do not decode.
     """
-    images = []
-    for i in range(1, max_len + 1):
-        images.append(apply_to_config(code, system.probes[f"x{i}"]))
+    images = [apply_to_config(code, system.probes[f"x{i}"]) for i in range(1, 9)]
     at_origin = [i + 1 for i, y in enumerate(images) if y.get(0) in _PERSON]
     if len(at_origin) != 1:
         return None

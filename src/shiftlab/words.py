@@ -67,11 +67,6 @@ class Alphabet:
         return word
 
 
-def subwords(word, n):
-    """All length-n factors of `word`, in order of occurrence."""
-    return [word[i:i + n] for i in range(len(word) - n + 1)]
-
-
 def occurrences(word, factor):
     """Start positions of `factor` inside `word`."""
     k = len(factor)
@@ -157,13 +152,6 @@ class Configuration:
         period, so one comparison decides.
         """
         return self.shift(len(self.left)) == self
-
-    def least_period(self):
-        """Minimal p >= 1 with sigma^p x = x, or None if aperiodic."""
-        for p in range(1, len(self.left) + 1):
-            if self.shift(p) == self:
-                return p
-        return None
 
     def __repr__(self):
         return (f"Configuration(left={self.left!r}, center={self.center!r}, "

@@ -311,8 +311,9 @@ def endomorphism_witness_oracle(spec, code):
 
 
 def free_semigroup_oracle(spec, a_cert, b_cert, depth):
-    """Composed, padded rule tables of every generator word, pairwise scan."""
-    from shiftlab.autos import FreeSemigroupReport, pad, semigroup_words
+    """Rule tables of every generator word, composed and padded to the top
+    range through `compose_oracle`, then a pairwise scan."""
+    from shiftlab.autos import BlockCode, FreeSemigroupReport, semigroup_words
 
     gens = {"a": a_cert.code, "b": b_cert.code}
     words = semigroup_words(depth)
@@ -323,8 +324,10 @@ def free_semigroup_oracle(spec, a_cert, b_cert, depth):
     window_order = spec.words(2 * top + 1)
     prints = {}
     for w in words:
-        padded = pad(codes[w], top)
-        prints[w] = tuple(map(padded.rule.__getitem__, window_order))
+        code = codes[w]
+        if code.radius < top:
+            code = compose_oracle(code, BlockCode.identity(spec, top - code.radius))
+        prints[w] = tuple(map(code.rule.__getitem__, window_order))
     collision = None
     for i in range(len(words)):
         for j in range(i + 1, len(words)):

@@ -6,6 +6,7 @@ oracles.py or from exhaustively checked small cases; nothing is tuned to
 the implementation under test.
 """
 
+import functools
 import time
 from contextlib import contextmanager
 
@@ -34,7 +35,7 @@ from shiftlab import (
     shadowing_distance,
     spacetime_window,
 )
-from shiftlab.autos import product_code, semigroup_words
+from shiftlab.autos import semigroup_words
 from shiftlab.chains import unique_extension
 from shiftlab.complexity import EXCEEDS_CAP
 from shiftlab.errors import LemmaWindowNotFoundError
@@ -125,12 +126,10 @@ def test_criterion_07_hallway_free_semigroup(systems):
         report = certify_free_semigroup(hallway.spec, res_a.cert, res_b.cert, 5)
         assert report.status == "free-to-depth"
         assert len(report.words) == 62
-        for i in range(62):
-            for j in range(62):
-                assert report.distinct[i][j] == (i != j)
+        assert report.collision is None
         gens = {"a": res_a.cert.code, "b": res_b.cert.code}
         for word in semigroup_words(5):
-            code = product_code(gens, word)
+            code = functools.reduce(compose, map(gens.__getitem__, word))
             assert decode_hallway_product(hallway, code) == word
 
 

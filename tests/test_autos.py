@@ -1,3 +1,4 @@
+import functools
 import json
 import re
 
@@ -29,7 +30,7 @@ from shiftlab import (
     preserves_occurrences,
     subgroup_closure,
 )
-from shiftlab.autos import BlockCode, _endomorphism_witness, product_code, reduce_range
+from shiftlab.autos import BlockCode, _endomorphism_witness, reduce_range
 from shiftlab.chains import Chain, ChainLevel
 from shiftlab.errors import (
     InvalidChainError,
@@ -68,6 +69,8 @@ def test_block_code_requires_exact_table(systems):
         BlockCode(spec, 1, rule)
     with pytest.raises(ValueError, match="^rule output 'x' not in alphabet$"):
         BlockCode(spec, 0, {("0",): "0", ("1",): "x"})
+    with pytest.raises(ValueError, match="^range must be >= 0$"):
+        BlockCode(spec, -1, {})
 
 
 def test_apply_to_word_shift(systems):
@@ -193,6 +196,8 @@ def test_reduce_range_inverts_padding(systems):
     assert reduce_range(pad(ident, 3)).radius == 0
     sigma = systems["full2"].codes["shift"]
     assert reduce_range(sigma).radius == 1
+    with pytest.raises(ValueError, match="^cannot pad to a smaller range$"):
+        pad(sigma, 0)
 
 
 # -- inverses and certification ------------------------------------------------
@@ -276,7 +281,7 @@ def _identity_inverse(full2):
 
 
 def _walks(hallway, word):
-    return product_code({g: hallway.codes[f"phi_{g}"] for g in "ab"}, word)
+    return functools.reduce(compose, (hallway.codes[f"phi_{g}"] for g in word))
 
 
 def _certify_aaa(hallway):
@@ -667,6 +672,10 @@ def test_coset_count_invalid_chain(systems):
     empty = Chain(levels=(), terminal=None, range_r=1, max_len=1, effective_len=5)
     with pytest.raises(InvalidChainError):
         coset_count(systems["at_most_one_1"].spec, 0, empty)
+    one = systems["at_most_one_1"].spec
+    chain = build_chain(one, 1, 1, cap=10)
+    with pytest.raises(ValueError, match="^n must embed into the chain's range$"):
+        coset_count(one, 2, chain)
 
 
 def test_coset_count_bounded_by_image_counts(systems):
@@ -743,9 +752,9 @@ def test_free_semigroup_hallway_depth2(systems, hallway_certs):
     assert report.status == "free-to-depth"
     assert report.words == (("a",), ("b",), ("a", "a"), ("a", "b"),
                             ("b", "a"), ("b", "b"))
-    for i in range(6):
-        for j in range(6):
-            assert report.distinct[i][j] == (i != j)
+    assert report.collision is None
+    with pytest.raises(ValueError, match="^depth must be >= 1$"):
+        certify_free_semigroup(spec, hallway_certs["a"], hallway_certs["b"], 0)
 
 
 def test_free_semigroup_shift_powers_collide(systems):
@@ -874,13 +883,3 @@ def test_code_to_json_refuses_a_letter_holding_a_comma():
     spec = build_sft(Alphabet(("a,b", "c")), [])
     with pytest.raises(SpecFormatError, match=r"^letter 'a,b' not serializable in rule keys$"):
         code_to_json(BlockCode.identity(spec, 0))
-
-
-def test_product_code_composition_order(systems, hallway_certs):
-    # the leftmost generator of a word acts last
-    gens = {"a": hallway_certs["a"].code, "b": hallway_certs["b"].code}
-    code = product_code(gens, ("a", "b"))
-    x2 = systems["hallway"].probes["x2"]
-    by_hand = apply_to_config(gens["a"], apply_to_config(gens["b"], x2))
-    assert apply_to_config(code, x2) == by_hand
-    assert by_hand.get(0) == "ap"

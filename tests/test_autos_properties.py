@@ -214,7 +214,6 @@ def test_single_window_language_collides_at_first_pair(radius):
         report = certify_free_semigroup(spec, ident, ident, depth)
         assert report == free_semigroup_oracle(spec, ident, ident, depth)
         assert report.collision == (("a",), ("b",))
-        assert report.distinct is None
 
 
 def test_off_language_windows_raise_in_library_and_oracles(systems):

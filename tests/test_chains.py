@@ -114,7 +114,7 @@ def test_cylinder_skew_phase_point_is_caught():
 
 def test_removal_bound_full2(systems):
     report = verify_removal_bound(systems["full2"].spec, w("11"), 3)
-    assert report.ok
+    assert not report.violations
     assert report.rows == ((2, 3, 3, 0), (3, 5, 6, 1))
 
 
@@ -126,7 +126,7 @@ def test_removal_bound_tight_at_n2(systems):
 def test_removal_bound_emptying_the_shift(systems):
     # forbidding 0 in the golden mean shift leaves no point: P_{X(w)}(n) = 0
     report = verify_removal_bound(systems["golden_mean"].spec, w("0"), 4)
-    assert report.ok
+    assert not report.violations
     assert report.rows == ((1, 0, 1, 1), (2, 0, 1, 1), (3, 0, 2, 2), (4, 0, 4, 4))
 
 
@@ -145,7 +145,7 @@ def test_removal_bound_randomized_instances():
         for n in range(1, 4):
             for word in spec.words(n):
                 if cylinder_has_aperiodic(spec, word):
-                    assert verify_removal_bound(spec, word, 10).ok
+                    assert not verify_removal_bound(spec, word, 10).violations
                     checked += 1
     assert checked > 100
 
@@ -191,6 +191,9 @@ def test_chain_hallway_full_construction(systems):
 def test_chain_cap_guard(systems):
     with pytest.raises(CapExceededError):
         build_chain(systems["hallway"].spec, 1, 2, cap=3)
+    for radius, max_len in ((0, 2), (1, 0)):
+        with pytest.raises(ValueError, match="^radius and max_len must be >= 1$"):
+            build_chain(systems["hallway"].spec, radius, max_len, cap=3)
 
 
 def test_chain_cap_bounds_the_levels_before_the_terminal_one(systems):

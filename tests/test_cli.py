@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftlab import code_to_json, make_example, spec_to_json
-from shiftlab import cli, errors
+from shiftlab import chains, cli, errors, suites
 from shiftlab.cli import main
 from shiftlab.subshifts import SubshiftSpec
 
@@ -104,6 +104,21 @@ def test_chain_builtin(capsys):
     assert code == 0
     assert report["results"]["k"] == 1
     assert report["results"]["bound"]["holds"] is True
+
+
+def test_chain_reports_a_failed_length_bound(capsys, monkeypatch):
+    # no builtin chain fails k*L' < P(2L'-1); a chain that does is a verified violation
+    def failing(spec, radius, max_len, cap):
+        return chains.Chain(levels=(), terminal=None, range_r=radius, max_len=max_len,
+                            effective_len=max_len + 4 * radius, bound_value=3)
+
+    monkeypatch.setattr(chains, "build_chain", failing)
+    code, report = run_cli(capsys, "chain", "--spec", "builtin:at_most_one_1",
+                           "--range", "1", "--maxlen", "1", "--cap", "10")
+    assert code == 1
+    assert report["results"]["bound"] == {"P(2L'-1)": 3, "holds": False}
+    assert report["violations"] == [{"lemma": "chain-bound", "k": 0, "P(2L'-1)": 3,
+                                     "L_prime": 5}]
 
 
 def test_chain_reports_missing_extender(capsys):
@@ -210,6 +225,8 @@ def test_spacetime_probe_file(tmp_path, capsys):
                            "--detect-periods", "2", "--rmax", "1")
     assert code == 0
     assert [1, -1] in report["results"]["period_vectors"]
+    # each row of the grid as text: its letters joined by one space
+    assert report["results"]["text_grid"] == ["0 0 1 0 0", "0 1 0 0 0", "1 0 0 0 0"]
 
 
 @pytest.mark.parametrize("field, value", [
@@ -236,6 +253,9 @@ def test_verify_lemmas_trials_zero_is_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: trials must be >= 1\n"
+    # the parser admits only suite names; the library refuses any other
+    with pytest.raises(ValueError, match="^unknown suite 'bogus'$"):
+        suites.run_suite("bogus", 1, 1)
 
 
 def test_verify_lemmas_removal(capsys):
@@ -434,6 +454,29 @@ def test_input_file_error_messages(tmp_path, capsys, role, content, message):
     assert captured.err == f"error: {path}{message}\n"
 
 
+@pytest.mark.parametrize("role, text, key", [
+    pytest.param("spec", '{"kind": "sft", "alphabet": ["0", "1"], "forbidden": [["1", "1"]], '
+                 '"forbidden": []}', "forbidden", id="spec"),
+    pytest.param("code", '{"range": 0, "alphabet": ["0", "1"], '
+                 '"rule": {"0": "0", "0": "1", "1": "1"}}', "0", id="code-rule"),
+    pytest.param("probe", '{"left_period": ["0"], "center": ["1"], "right_period": ["0"], '
+                 '"origin_offset": 0, "origin_offset": 1}', "origin_offset", id="probe"),
+])
+def test_a_repeated_key_is_refused(tmp_path, capsys, role, text, key):
+    # a file repeating a key says two things; json alone would keep the last
+    path = tmp_path / f"{role}.json"
+    path.write_text(text)
+    refs = {"spec": "builtin:full2", "code": "shift", "probe": "one", role: str(path)}
+    argv = ["spacetime", "--spec", refs["spec"], "--code", refs["code"], "--probe", refs["probe"],
+            "--width", "5", "--height", "3", "--rmax", "1"]
+    if role == "spec":
+        argv = ["complexity", "--spec", str(path), "--max-n", "3"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: repeated key {key!r}\n"
+
+
 @pytest.mark.parametrize("radius, size", [(40, str(2 ** 81)), (2000, "over 10^99")])
 def test_one_window_code_at_a_large_range_exits_2_at_once(tmp_path, capsys, monkeypatch,
                                                           radius, size):
@@ -489,6 +532,7 @@ def test_pair_letter_probe_file_runs_on_a_product(tmp_path, capsys):
     assert code == 0
     assert report["results"]["window"]["grid"] == [
         [["0", "0"], ["1", "0"], ["0", "1"], ["0", "0"]]]
+    assert report["results"]["text_grid"] == ["('0', '0') ('1', '0') ('0', '1') ('0', '0')"]
 
 
 # valid files of every kind: (role, builtin system it runs on, document)

@@ -35,6 +35,8 @@ def test_complexity_examples(systems):
 def test_complexity_errors_on_empty():
     with pytest.raises(EmptySubshiftError):
         complexity(empty_sft(BIN), 1)
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        complexity(build_sft(BIN, []), 0)
 
 
 def test_complexity_table_formats(systems):
@@ -83,6 +85,8 @@ def test_extension_radius_requires_language_word():
     gm = build_sft(BIN, [w("11")])
     with pytest.raises(ValueError):
         extension_radius(gm, w("11"), 3)
+    with pytest.raises(ValueError, match="^cap must be >= 1$"):
+        extension_radius(gm, w("1"), 0)
 
 
 def test_extension_step_rejects_foreign_letters(systems):
@@ -149,6 +153,10 @@ def test_find_extension_window_examples(systems):
     # EXCEEDS_CAP at cap 1 proves only k_m >= 2, short of C*n = 40*ln2/8
     with pytest.raises(LemmaWindowNotFoundError, match="cap 1"):
         find_extension_window(systems["at_most_one_1"].spec, 40, 2, 1)
+    with pytest.raises(ValueError, match="^n must be >= 2$"):
+        find_extension_window(systems["at_most_one_1"].spec, 1, 2, 50)
+    with pytest.raises(ValueError, match="^d must be >= 1$"):
+        find_extension_window(systems["at_most_one_1"].spec, 10, 0, 50)
 
 
 @pytest.mark.parametrize("n, d, message", [
@@ -177,6 +185,10 @@ def test_slow_growth_window_validation():
         slow_growth_window([0, 1, 2], 1, 0.5)
     with pytest.raises(ValueError):
         slow_growth_window([1, 2, 3], 1, 0)
+    with pytest.raises(ValueError, match="^k must be >= 1$"):
+        slow_growth_window([1, 2, 3], 0, 0.5)
+    with pytest.raises(ValueError, match=r"^table must cover at least 0\.\.k$"):
+        slow_growth_window([1, 2, 3], 3, 0.5)
 
 
 def test_slow_growth_none_means_every_window_fails():

@@ -15,7 +15,7 @@ from shiftlab import (
     rect_complexity,
     spacetime_window,
 )
-from shiftlab.spacetime import SpaceTimeWindow, grid_lines, window_to_json
+from shiftlab.spacetime import SpaceTimeWindow, window_to_json
 from shiftlab.words import Configuration
 
 from oracles import period_vectors_oracle
@@ -79,6 +79,13 @@ def test_window_rejects_foreign_point(systems, full2_certs):
     with pytest.raises(ValueError):
         spacetime_window(systems["at_most_one_1"].spec, full2_certs["identity"],
                          bad, 4, 4)
+    one = systems["at_most_one_1"]
+    ident = certify_automorphism(one.spec, one.codes["identity"], 0).cert
+    with pytest.raises(ValueError, match="^base configuration not in the subshift$"):
+        spacetime_window(one.spec, ident, bad, 4, 4)
+    for width, height in ((0, 4), (4, 0)):
+        with pytest.raises(ValueError, match="^width and height must be >= 1$"):
+            spacetime_window(one.spec, ident, one.probes["one"], width, height)
 
 
 def test_negative_rows_use_inverse(systems, full2_certs):
@@ -117,6 +124,12 @@ def test_rect_complexity_examples(systems, full2_certs):
     zero_window = spacetime_window(spec, full2_certs["identity"],
                                    systems["full2"].probes["zero"], 6, 6)
     assert rect_complexity(zero_window, 3, 2) == 1
+    for n, k in ((0, 2), (2, 0)):
+        with pytest.raises(ValueError, match="^rectangle sides must be >= 1$"):
+            rect_complexity(zero_window, n, k)
+    for n, k in ((7, 2), (2, 7)):
+        with pytest.raises(ValueError, match="^rectangle exceeds the window$"):
+            rect_complexity(zero_window, n, k)
 
 
 def test_rect_complexity_monotone(systems, full2_certs):
@@ -141,6 +154,10 @@ def test_period_vectors_identity(systems, full2_certs):
     vectors = detect_period_vectors(window, 2)
     assert (0, 1) in vectors
     assert (2, 0) in vectors
+    with pytest.raises(ValueError, match="^bound must be >= 1$"):
+        detect_period_vectors(window, 0)
+    with pytest.raises(ValueError, match="^bound must be smaller than both window sides$"):
+        detect_period_vectors(window, 9)
 
 
 def test_period_vectors_break_at_nail(systems, hallway_cert_a):
@@ -206,6 +223,11 @@ def test_orbit_preserving_examples(systems, full2_certs):
     one = systems["at_most_one_1"]
     ident = certify_automorphism(one.spec, one.codes["identity"], 0).cert
     assert orbit_preserving(one.spec, ident, [one.probes["one"]], 2) == (0,)
+    two_ones = Configuration.from_markers("0", {0: "1", 2: "1"})
+    for call in (lambda: orbit_preserving(one.spec, ident, [two_ones], 2),
+                 lambda: power_is_shift(one.spec, ident, [two_ones], 2, 2)):
+        with pytest.raises(ValueError, match="^probe not in the subshift$"):
+            call()
 
 
 def test_power_is_shift_sigma(systems, full2_certs):
@@ -239,7 +261,5 @@ def test_power_is_shift_rejects_periodic_probe(systems, full2_certs):
 def test_grid_exports(systems, full2_certs):
     window = spacetime_window(systems["full2"].spec, full2_certs["shift"],
                               systems["full2"].probes["one"], 5, 2)
-    lines = grid_lines(window)
-    assert len(lines) == 2 and all(len(line) == 5 for line in lines)
     blob = window_to_json(window)
     assert blob["width"] == 5 and len(blob["grid"]) == 2

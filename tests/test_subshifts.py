@@ -1,4 +1,6 @@
+import math
 import random
+import re
 
 import pytest
 
@@ -48,6 +50,8 @@ def test_build_sft_full_shift():
     spec = build_sft(BIN, [])
     assert spec.count_words(3) == 8
     assert list(spec.words(1)) == [("0",), ("1",)]
+    with pytest.raises(ValueError, match="^word length must be >= 1$"):
+        spec.words(0)
 
 
 def test_count_words_of_nonpositive_length_is_the_empty_word(systems):
@@ -93,6 +97,20 @@ def test_build_sparse_at_most_one_1():
         assert spec.count_words(n) == n + 1
 
 
+def test_sparse_spec_with_a_long_family_of_repeated_markers():
+    # the downset is the distinct sub-multisets of a family (41 and 16 * 16
+    # here), not its 2^40 or 2^30 index subsets
+    ones = parse_spec({"kind": "sparse", "alphabet": ["0", "1"], "background": "0",
+                       "families": [["1"] * 40]})
+    assert ones.count_words(40) == 2 ** 40
+    assert ones.count_words(42) == sum(math.comb(42, i) for i in range(41))
+    mixed = parse_spec({"kind": "sparse", "alphabet": ["0", "1", "2"], "background": "0",
+                        "families": [["1", "2"] * 15]})
+    n = 33
+    assert mixed.count_words(n) == sum(
+        math.comb(n, i) * math.comb(n - i, j) for i in range(16) for j in range(16))
+
+
 def test_build_sparse_single_fixed_point():
     spec = build_sparse(Alphabet(("0",)), "0", [])
     assert spec.count_words(5) == 1
@@ -102,6 +120,8 @@ def test_build_sparse_single_fixed_point():
 def test_build_sparse_rejects_background_marker():
     with pytest.raises(ValueError):
         build_sparse(BIN, "0", [("0",)])
+    with pytest.raises(ValueError, match="^background letter not in alphabet$"):
+        build_sparse(BIN, "x", [("1",)])
 
 
 def test_product_salo_schraudner_complexity():
@@ -187,7 +207,7 @@ def test_forbidding_the_empty_word_empties_every_backend(systems, name):
 def test_removal_bound_for_the_empty_word(systems, name):
     # each has an aperiodic point, so P(n) >= n+1, and forbidding () leaves P = 0
     report = verify_removal_bound(systems[name].spec, (), 6)
-    assert report.ok
+    assert not report.violations
     assert [row[1] for row in report.rows] == [0] * 7
 
 
@@ -333,3 +353,12 @@ def test_parse_spec_strictness():
                     "families": [["0"]]})
     with pytest.raises(SpecFormatError):
         parse_spec({"kind": "tiling"})
+    sft = {"kind": "sft", "alphabet": ["0", "1"], "forbidden": []}
+    sparse = {"kind": "sparse", "alphabet": ["0", "1"], "background": "0", "families": []}
+    for obj, message in (
+            ({"kind": "product", "factors": {"0": sft, "1": sft}},
+             "spec.factors: expected exactly two factor specs"),
+            ({**sft, "forbidden": "11"}, "spec.forbidden: expected a list of words"),
+            ({**sparse, "families": {"1": 1}}, "spec.families: expected a list of families")):
+        with pytest.raises(SpecFormatError, match=f"^{re.escape(message)}$"):
+            parse_spec(obj)

@@ -4,15 +4,16 @@ import pytest
 
 from oracles import hallway_walk_back_oracle, hallway_walk_oracle
 from shiftlab import (
+    BlockCode,
     apply_to_word,
     certify_automorphism,
     certify_free_semigroup,
+    compose,
     decode_hallway_product,
     equal_on_shift,
     make_example,
 )
 from shiftlab.systems import SYSTEM_NAMES
-from shiftlab.autos import product_code
 
 
 def test_unknown_name_rejected():
@@ -69,7 +70,6 @@ def test_walk_codes_map_language_into_language(systems):
 
 def test_inverse_codes_invert(systems):
     hallway = systems["hallway"]
-    from shiftlab import compose
     ident = hallway.codes["identity"]
     for name in ("a", "b"):
         walk = hallway.codes[f"phi_{name}"]
@@ -92,18 +92,20 @@ def test_probe_decoding_small_products(systems):
     gens = {"a": hallway.codes["phi_a"], "b": hallway.codes["phi_b"]}
     for word in (("a",), ("b",), ("a", "b"), ("b", "a"), ("a", "b", "b"),
                  ("b", "a", "b")):
-        code = product_code(gens, word)
+        code = functools.reduce(compose, map(gens.__getitem__, word))
         assert decode_hallway_product(hallway, code) == word
 
 
 def test_decoding_rejects_non_walk_code(systems):
     hallway = systems["hallway"]
     assert decode_hallway_product(hallway, hallway.codes["identity"]) is None
+    # only x3's image has the walker at the origin, and that bare p names no generator
+    assert decode_hallway_product(hallway, BlockCode.shift(hallway.spec, -3)) is None
 
 
 def _eager(name, spec):
     """The codes and probes of a named system, each built at once."""
-    from shiftlab import BlockCode, Configuration
+    from shiftlab import Configuration
 
     marked = Configuration.from_markers
     if name == "hallway":
@@ -160,7 +162,7 @@ def test_codes_and_probes_are_built_on_first_read(name):
 
 
 def test_make_example_builds_no_code_and_no_probe(monkeypatch):
-    from shiftlab import BlockCode, Configuration
+    from shiftlab import Configuration
 
     built = []
     for cls in (BlockCode, Configuration):

@@ -1,6 +1,6 @@
 import pytest
 
-from shiftlab.words import Alphabet, Configuration, occurrences, subwords
+from shiftlab.words import Alphabet, Configuration, occurrences
 
 
 def test_alphabet_rejects_duplicates_and_empty():
@@ -19,7 +19,6 @@ def test_alphabet_canonical_order():
 
 
 def test_subwords_and_occurrences():
-    assert subwords(("0", "1", "1"), 2) == [("0", "1"), ("1", "1")]
     assert occurrences(("0", "1", "0", "1"), ("0", "1")) == [0, 2]
     assert occurrences(("0",), ("0", "1")) == []
 
@@ -28,6 +27,8 @@ def test_window_single_marker():
     x = Configuration.from_markers("0", {0: "1"})
     assert x.window(-1, 3) == ("0", "1", "0")
     assert x.window(5, 2) == ("0", "0")
+    # no marker: the constant point
+    assert Configuration.from_markers("0", {}) == Configuration.constant("0")
 
 
 def test_window_periodic_point():
@@ -66,7 +67,7 @@ def test_periodicity_detection():
     assert not skew.is_periodic()
 
 
-def test_least_period():
-    assert Configuration.periodic(("0", "1")).least_period() == 2
-    assert Configuration(("0", "1", "0", "1"), (), ("0", "1", "0", "1"), 0).least_period() == 2
-    assert Configuration.from_markers("0", {0: "1"}).least_period() is None
+def test_configuration_needs_both_tails():
+    for left, right in (((), ("0",)), (("0",), ())):
+        with pytest.raises(ValueError, match="^periodic tails must have length >= 1$"):
+            Configuration(left, ("1",), right)
