@@ -6,11 +6,7 @@ from .subshifts import (
     SftSpec,
     SparseSpec,
     ProductSpec,
-    build_sft,
-    build_sparse,
-    product,
     parse_spec,
-    spec_to_json,
     spec_digest,
 )
 from .complexity import (
@@ -54,7 +50,6 @@ from .spacetime import (
     spacetime_window,
     rect_complexity,
     detect_period_vectors,
-    orbit_preserving,
     power_is_shift,
 )
 from .systems import NamedSystem, SYSTEM_NAMES, make_example, decode_hallway_product

@@ -118,6 +118,9 @@ class BlockCode:
     @classmethod
     def letter_map(cls, spec, mapping):
         """Range-0 code from a letter-to-letter map (not validated as endo)."""
+        for (a,) in spec.words(1):
+            if a not in mapping:
+                raise ValueError(f"letter map misses letter {a!r}")
         return cls.from_function(spec, 0, lambda w: mapping[w[0]])
 
     def __repr__(self):

@@ -23,7 +23,7 @@ from .errors import (
     NoUniqueExtenderError,
 )
 from .complexity import _centred, _extend_while_unique
-from .subshifts import SftSpec, SparseSpec, build_sft, build_sparse, empty_sft
+from .subshifts import SftSpec, SparseSpec, empty_sft
 
 
 # -- forbidding a word -----------------------------------------------------
@@ -46,14 +46,14 @@ def forbid(spec, word):
     if not word:
         return empty_sft(spec.alphabet)
     if isinstance(spec, SftSpec):
-        return build_sft(spec.alphabet, spec.forbidden + (word,))
+        return SftSpec(spec.alphabet, spec.forbidden + (word,))
     if isinstance(spec, SparseSpec):
         markers = Counter(a for a in word if a != spec.background)
         if not markers:
             return empty_sft(spec.alphabet)
         keep = [f for f in spec.families
                 if not all(Counter(f)[a] >= k for a, k in markers.items())]
-        return build_sparse(spec.alphabet, spec.background, keep)
+        return SparseSpec(spec.alphabet, spec.background, keep)
     raise ValueError(f"forbid is not supported for {type(spec).__name__} specs")
 
 
@@ -346,6 +346,8 @@ def syndetic_gap(spec, chain, dist, cap):
     anchors = chain.anchors()
     if not anchors:
         raise InvalidChainError("chain has no levels")
+    if dist < 0:
+        raise ValueError("anchor distance must be >= 0")
     if cap < 1:
         return SyndeticReport("cap-exceeded", None, dist, cap, None)
     rows, anchor_set = spec._transitions(), set(anchors)

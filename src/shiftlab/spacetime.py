@@ -13,13 +13,13 @@ from .autos import _check_inputs, apply_to_config
 
 
 class SpaceTimeWindow(NamedTuple):
-    base: object          # Configuration, row 0 when row0 == 0
+    base: object          # Configuration, row 0
     code: object          # the BlockCode generating the rows
-    rows: tuple           # Configurations, row j = code^(row0+j) of base
+    rows: tuple           # Configurations, row j = code^j of base
     width: int
     height: int
     col0: int             # leftmost column coordinate
-    row0: int             # smallest iterate index
+    row0: int             # smallest iterate index, always 0
     grid: tuple           # grid[j][i] = letter at (col0+i, row0+j)
 
     def entry(self, i, j):
@@ -27,26 +27,21 @@ class SpaceTimeWindow(NamedTuple):
         return self.grid[j - self.row0][i - self.col0]
 
 
-def spacetime_window(spec, cert, config, width, height, row0=0):
-    """Materialize a width x height window of the space-time array, centred on column 0.
-
-    Negative iterate indices use the certificate's inverse code.
-    """
+def spacetime_window(spec, cert, config, width, height):
+    """Materialize a width x height window of the space-time array, centred
+    on column 0, rows 0..height-1."""
     if width < 1 or height < 1:
         raise ValueError("width and height must be >= 1")
     _check_inputs(spec, (cert.code, cert.inverse))
     if not spec.contains_config(config):
         raise ValueError("base configuration not in the subshift")
     col0 = -(width // 2)
-    base = config
-    for _ in range(abs(row0)):
-        base = apply_to_config(cert.inverse if row0 < 0 else cert.code, base)
-    rows = [base]
+    rows = [config]
     for _ in range(height - 1):
         rows.append(apply_to_config(cert.code, rows[-1]))
     grid = tuple(tuple(row.get(col0 + i) for i in range(width)) for row in rows)
     return SpaceTimeWindow(config, cert.code, tuple(rows), width, height,
-                           col0, row0, grid)
+                           col0, 0, grid)
 
 
 def rect_complexity(window, n, k):
@@ -92,17 +87,6 @@ def _shift_exponent(image, probe, bound):
             if image == probe.shift(t):
                 return t
     return None
-
-
-def orbit_preserving(spec, cert, probes, bound):
-    """Per-probe shift exponent realizing the code on that probe, or None."""
-    _check_inputs(spec, (cert.code, cert.inverse))
-    results = []
-    for probe in probes:
-        if not spec.contains_config(probe):
-            raise ValueError("probe not in the subshift")
-        results.append(_shift_exponent(apply_to_config(cert.code, probe), probe, bound))
-    return tuple(results)
 
 
 class PowerShiftReport(NamedTuple):

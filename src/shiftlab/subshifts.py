@@ -482,21 +482,6 @@ class ProductSpec(SubshiftSpec):
                             self.factor_right.descriptor()]}
 
 
-# -- constructors (the public build operations) --------------------------
-
-def build_sft(alphabet, forbidden):
-    """SFT from forbidden words; the empty subshift is a valid, flagged result."""
-    return SftSpec(alphabet, forbidden)
-
-
-def build_sparse(alphabet, background, families):
-    return SparseSpec(alphabet, background, families)
-
-
-def product(left, right):
-    return ProductSpec(left, right)
-
-
 def empty_sft(alphabet):
     """Canonical empty subshift over the alphabet (all letters forbidden)."""
     return SftSpec(alphabet, [(a,) for a in alphabet.letters])
@@ -589,27 +574,23 @@ def parse_spec(obj, where="spec"):
             raise SpecFormatError(f"{where}.factors: expected exactly two factor specs")
         left = parse_spec(factors[0], f"{where}.factors[0]")
         right = parse_spec(factors[1], f"{where}.factors[1]")
-        return product(left, right)
+        return ProductSpec(left, right)
     try:
         alphabet = Alphabet(_parse_letters(obj["alphabet"], f"{where}.alphabet"))
         if kind == "sft":
             if not isinstance(obj["forbidden"], list):
                 raise SpecFormatError(f"{where}.forbidden: expected a list of words")
-            return build_sft(alphabet, [_read_word(alphabet, w, f"{where}.forbidden[{i}]")
-                                        for i, w in enumerate(obj["forbidden"])])
+            return SftSpec(alphabet, [_read_word(alphabet, w, f"{where}.forbidden[{i}]")
+                                      for i, w in enumerate(obj["forbidden"])])
         background, = _read_word(alphabet, [obj["background"]], f"{where}.background")
         if not isinstance(obj["families"], list):
             raise SpecFormatError(f"{where}.families: expected a list of families")
-        return build_sparse(alphabet, background,
-                            [_read_word(alphabet, f, f"{where}.families[{i}]")
-                             for i, f in enumerate(obj["families"])])
+        return SparseSpec(alphabet, background,
+                          [_read_word(alphabet, f, f"{where}.families[{i}]")
+                           for i, f in enumerate(obj["families"])])
     except ValueError as exc:
         # the alphabet's or a backend's own check; the SpecFormatErrors pass through
         raise SpecFormatError(f"{where}: {exc}") from None
-
-
-def spec_to_json(spec):
-    return spec.descriptor()
 
 
 def spec_digest(spec):

@@ -11,7 +11,7 @@ from . import chains
 from .autos import certify_automorphism, subgroup_closure
 from .complexity import find_extension_window, slow_growth_window
 from .errors import LemmaWindowNotFoundError, NoAperiodicPointError
-from .subshifts import build_sft
+from .subshifts import SftSpec
 from .systems import make_example
 from .words import Alphabet, occurrences
 
@@ -24,7 +24,7 @@ def random_sft(rng):
     for _ in range(rng.randint(1, 3)):
         length = rng.randint(1, 3)
         forbidden.append(tuple(rng.choice(letters) for _ in range(length)))
-    return build_sft(alphabet, forbidden)
+    return SftSpec(alphabet, forbidden)
 
 
 def suite_removal(trials, seed):

@@ -15,7 +15,7 @@ from functools import partial
 from typing import NamedTuple
 
 from .autos import BlockCode, apply_to_config
-from .subshifts import build_sft, build_sparse, product
+from .subshifts import ProductSpec, SftSpec, SparseSpec
 from .words import Alphabet, Configuration
 
 SYSTEM_NAMES = ("full2", "golden_mean", "cycle2", "at_most_one_1",
@@ -59,7 +59,7 @@ def _hallway_spec():
     alphabet = Alphabet(HALLWAY_LETTERS)
     families = [(m,) for m in ("1", "a", "b", "p", "1p", "ap", "bp")]
     families += [("p", m) for m in ("1", "a", "b")]
-    return build_sparse(alphabet, "0", families)
+    return SparseSpec(alphabet, "0", families)
 
 
 def _walk_rule(swap, back=False):
@@ -98,7 +98,7 @@ def make_example(name):
     built the first time it is read."""
     if name == "full2":
         alphabet = Alphabet(("0", "1"))
-        spec = build_sft(alphabet, [])
+        spec = SftSpec(alphabet, [])
         codes = {
             "identity": partial(BlockCode.identity, spec, 0),
             "flip": partial(BlockCode.letter_map, spec, {"0": "1", "1": "0"}),
@@ -112,7 +112,7 @@ def make_example(name):
         }
     elif name == "golden_mean":
         alphabet = Alphabet(("0", "1"))
-        spec = build_sft(alphabet, [("1", "1")])
+        spec = SftSpec(alphabet, [("1", "1")])
         codes = {"identity": partial(BlockCode.identity, spec, 0)}
         probes = {
             "zero": partial(Configuration.constant, "0"),
@@ -120,7 +120,7 @@ def make_example(name):
         }
     elif name == "cycle2":
         alphabet = Alphabet(("0", "1"))
-        spec = build_sft(alphabet, [("0", "0"), ("1", "1")])
+        spec = SftSpec(alphabet, [("0", "0"), ("1", "1")])
         codes = {"identity": partial(BlockCode.identity, spec, 0)}
         probes = {
             "alt": partial(Configuration.periodic, ("0", "1")),
@@ -128,7 +128,7 @@ def make_example(name):
         }
     elif name == "at_most_one_1":
         alphabet = Alphabet(("0", "1"))
-        spec = build_sparse(alphabet, "0", [("1",)])
+        spec = SparseSpec(alphabet, "0", [("1",)])
         codes = {
             "identity": partial(BlockCode.identity, spec, 0),
             "shift": partial(BlockCode.shift, spec, 1),
@@ -140,7 +140,7 @@ def make_example(name):
         }
     elif name == "salo_schraudner":
         factor = make_example("at_most_one_1").spec
-        spec = product(factor, factor)
+        spec = ProductSpec(factor, factor)
         codes = {"identity": partial(BlockCode.identity, spec, 0)}
         probes = {"zero": partial(Configuration.constant, ("0", "0"))}
     elif name == "hallway":

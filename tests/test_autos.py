@@ -38,7 +38,7 @@ from shiftlab.errors import (
     SearchSpaceError,
     SpecFormatError,
 )
-from shiftlab.subshifts import build_sft, build_sparse, product
+from shiftlab.subshifts import ProductSpec, SftSpec, SparseSpec
 from shiftlab.words import Alphabet, Configuration
 
 
@@ -71,6 +71,11 @@ def test_block_code_requires_exact_table(systems):
         BlockCode(spec, 0, {("0",): "0", ("1",): "x"})
     with pytest.raises(ValueError, match="^range must be >= 0$"):
         BlockCode(spec, -1, {})
+
+
+def test_letter_map_requires_every_letter(systems):
+    with pytest.raises(ValueError, match="^letter map misses letter '1'$"):
+        BlockCode.letter_map(systems["full2"].spec, {"0": "1"})
 
 
 def test_apply_to_word_shift(systems):
@@ -231,7 +236,7 @@ def test_injective_endomorphism_that_is_not_onto_stays_unknown(r_max):
     # 0^inf 1^k 2^inf to 0^inf 1^(k+1) 2^inf, so the code is injective but misses
     # 0^inf 2^inf.  The forced table conflicts at r = 0, and at r = 1 the window
     # 0 0 2 is no image, so the key-set check ends the search
-    spec = build_sft(Alphabet("012"), [w("10"), w("20"), w("21")])
+    spec = SftSpec(Alphabet("012"), [w("10"), w("20"), w("21")])
     code = BlockCode.from_function(spec, 1, lambda u: "1" if u[1] == "0" != u[2] else u[1])
     assert _endomorphism_witness(spec, code) is None
     assert find_inverse(spec, code, r_max) is None
@@ -246,7 +251,7 @@ def test_endomorphism_whose_candidate_fails_the_back_check_stays_unknown(r_max):
     # 1^inf 0^inf.  Its forced table conflicts at r = 0; at r = 1 it is
     # consistent on all of L_3 and the candidate's pass stays in the language,
     # so only the back check rejects it; at r = 2 the key set ends the search
-    spec = build_sft(Alphabet("01"), [w("001")])
+    spec = SftSpec(Alphabet("01"), [w("001")])
     code = BlockCode.from_function(spec, 1, lambda u: u[0] if u[1] == "0" else u[2])
     assert _endomorphism_witness(spec, code) is None
     assert find_inverse(spec, code, r_max) is None
@@ -319,7 +324,7 @@ def test_code_on_another_subshift_is_rejected(systems):
     # the full2 table 00000111 read on the shift without 00: its windows
     # would be ranked in full2 and walked on the other automaton
     full2 = systems["full2"]
-    no00 = build_sft(Alphabet("01"), [w("00")])
+    no00 = SftSpec(Alphabet("01"), [w("00")])
     code = BlockCode(full2.spec, 1, dict(zip(full2.spec.words(3), "00000111")))
     flip = certify_automorphism(full2.spec, full2.codes["flip"], 0).cert
     calls = (lambda: certify_automorphism(no00, code, 1),
@@ -332,7 +337,7 @@ def test_code_on_another_subshift_is_rejected(systems):
     # the same table rebuilt on that spec certifies, and an equal spec is accepted
     rebuilt = BlockCode(no00, 1, {u: code.rule[u] for u in no00.words(3)})
     assert certify_automorphism(no00, rebuilt, 1).status == "certified"
-    twin = build_sft(Alphabet("01"), [w("00")])
+    twin = SftSpec(Alphabet("01"), [w("00")])
     assert certify_automorphism(twin, rebuilt, 1).status == "certified"
 
 
@@ -345,7 +350,7 @@ def test_equality_and_occurrence_checks_reject_codes_on_another_subshift(systems
     for call in calls:
         with pytest.raises(ValueError, match="code lives on a different subshift"):
             call()
-    twin = build_sft(Alphabet("01"), [w("11")])
+    twin = SftSpec(Alphabet("01"), [w("11")])
     assert equal_on_shift(twin, BlockCode.identity(golden), BlockCode.identity(twin, 1))
     assert preserves_occurrences(twin, BlockCode.identity(golden), w("0"))
 
@@ -378,7 +383,7 @@ def test_certify_flip_not_endomorphism_on_golden_mean(systems):
 
 def test_certify_checks_images_up_to_the_sft_order():
     # 00000 is in the language, its flip 11111 is not; length 5 > 2*0+3
-    spec = build_sft(Alphabet("01"), [tuple("11111")])
+    spec = SftSpec(Alphabet("01"), [tuple("11111")])
     flip = BlockCode.letter_map(spec, {"0": "1", "1": "0"})
     result = certify_automorphism(spec, flip, 0)
     assert result.status == "not-endomorphism"
@@ -386,7 +391,7 @@ def test_certify_checks_images_up_to_the_sft_order():
     assert apply_to_word(flip, word) == image and not spec.contains(image)
 
 
-SPARSE_111 = build_sparse(Alphabet("01"), "0", [w("111")])
+SPARSE_111 = SparseSpec(Alphabet("01"), "0", [w("111")])
 FLIP = {"0": "1", "1": "0"}
 
 
@@ -432,7 +437,7 @@ def test_witness_is_rebuilt_from_links(systems, name, radius, fn, word, image):
 
 
 def test_certify_product_flip_rejected(systems):
-    spec = product(SPARSE_111, systems["golden_mean"].spec)
+    spec = ProductSpec(SPARSE_111, systems["golden_mean"].spec)
     flip = BlockCode.from_function(spec, 0, lambda u: (FLIP[u[0][0]], u[0][1]))
     result = certify_automorphism(spec, flip, 0)
     assert result.status == "not-endomorphism"
@@ -706,7 +711,7 @@ def test_closure_shift_exceeds_cap(systems):
 
 def _letter_map_certs(letters, images):
     """The full shift on `letters` and the certified letter maps with these images."""
-    spec = build_sft(Alphabet(letters), [])
+    spec = SftSpec(Alphabet(letters), [])
     return spec, [certify_automorphism(spec, BlockCode.letter_map(spec, dict(zip(letters, im))),
                                        0).cert for im in images]
 
@@ -825,7 +830,7 @@ def test_product_codes_round_trip_through_json(systems):
         assert parse_code(spec, blob).outputs == cert.code.outputs
     swap = code_to_json(certs[1].code)
     assert swap["rule"]['[["0","1"]]'] == ("1", "0")
-    nested = product(spec, build_sft(Alphabet("01"), []))
+    nested = ProductSpec(spec, SftSpec(Alphabet("01"), []))
     blob = json.loads(json.dumps(code_to_json(BlockCode.identity(nested, 1))))
     assert next(iter(blob["rule"])) == '[[["0","0"],"0"],[["0","0"],"0"],[["0","0"],"0"]]'
     assert parse_code(nested, blob).outputs == BlockCode.identity(nested, 1).outputs
@@ -880,6 +885,6 @@ def test_parse_code_strictness(systems):
 
 
 def test_code_to_json_refuses_a_letter_holding_a_comma():
-    spec = build_sft(Alphabet(("a,b", "c")), [])
+    spec = SftSpec(Alphabet(("a,b", "c")), [])
     with pytest.raises(SpecFormatError, match=r"^letter 'a,b' not serializable in rule keys$"):
         code_to_json(BlockCode.identity(spec, 0))

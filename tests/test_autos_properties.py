@@ -77,7 +77,7 @@ from shiftlab.autos import (
     subgroup_closure,
 )
 from shiftlab.errors import RuleIncompleteError
-from shiftlab.subshifts import build_sft, parse_spec
+from shiftlab.subshifts import SftSpec, parse_spec
 from shiftlab.words import Alphabet, Configuration
 from test_language_properties import SETTINGS, product_specs, sft_specs, sparse_specs
 
@@ -181,7 +181,7 @@ def test_hallway_walks_match_free_oracle(systems, gen_b, top, collision):
 def _endomorphisms(systems):
     """Automorphisms by system; every ordered pair is checked."""
     hallway, full2 = systems["hallway"], systems["full2"]
-    full3 = build_sft(Alphabet("012"), [])
+    full3 = SftSpec(Alphabet("012"), [])
     salo = systems["salo_schraudner"].spec
     names = ("identity", "phi_a", "phi_b", "phi_a_inv", "phi_b_inv")
     return {"hallway": (hallway.spec, [hallway.codes[n] for n in names]),
@@ -208,7 +208,7 @@ def test_endomorphism_pairs_match_free_oracle(systems, name):
 
 @pytest.mark.parametrize("radius", [0, 1])
 def test_single_window_language_collides_at_first_pair(radius):
-    spec = build_sft(Alphabet(["0"]), [])
+    spec = SftSpec(Alphabet(["0"]), [])
     ident = SimpleNamespace(code=BlockCode.identity(spec, radius))
     for depth in range(1, 4):
         report = certify_free_semigroup(spec, ident, ident, depth)
@@ -559,8 +559,8 @@ def test_enumerate_certifies_exactly_the_tables_permuting_each_period(data):
         spec, BlockCode._of(spec, radius, list(values)))]
 
 
-FULL2 = build_sft(Alphabet("01"), [])
-FULL3 = build_sft(Alphabet("012"), [])
+FULL2 = SftSpec(Alphabet("01"), [])
+FULL3 = SftSpec(Alphabet("012"), [])
 LETTER_MAPS = [BlockCode.letter_map(FULL3, dict(zip("012", perm)))
                for perm in itertools.permutations("012")]
 # ranges add up over the rounds: the closure of the square of the shift

@@ -4,9 +4,10 @@ import pytest
 
 from oracles import has_qualifying_occurrence
 from shiftlab import (
+    ProductSpec,
+    SftSpec,
+    SparseSpec,
     build_chain,
-    build_sft,
-    build_sparse,
     cylinder_has_aperiodic,
     forbid,
     shadowing_distance,
@@ -76,7 +77,7 @@ def test_cylinder_examples(systems):
     assert not cylinder_has_aperiodic(systems["cycle2"].spec, w("01"))
     assert cylinder_has_aperiodic(systems["at_most_one_1"].spec, w("00"))
     # 0^inf 1^inf: the cycles {0} and {1} lie on the two sides of 01
-    assert cylinder_has_aperiodic(build_sft(BIN, [w("10")]), w("01"))
+    assert cylinder_has_aperiodic(SftSpec(BIN, [w("10")]), w("01"))
 
 
 def test_cylinder_requires_language_word(systems):
@@ -85,20 +86,20 @@ def test_cylinder_requires_language_word(systems):
 
 
 def test_cylinder_sparse_single_point():
-    single = build_sparse(BIN, "0", [])
+    single = SparseSpec(BIN, "0", [])
     assert not cylinder_has_aperiodic(single, w("00"))
 
 
 def test_cylinder_order_one_sft():
-    spec = build_sft(BIN, [w("1")])
+    spec = SftSpec(BIN, [w("1")])
     assert not cylinder_has_aperiodic(spec, w("0"))
 
 
 def test_cylinder_product(systems):
     ss = systems["salo_schraudner"].spec
     assert cylinder_has_aperiodic(ss, ((("0", "0")),) * 1)
-    cycle_pair = build_sft(BIN, [w("00"), w("11")])
-    both_periodic = __import__("shiftlab").product(cycle_pair, cycle_pair)
+    cycle_pair = SftSpec(BIN, [w("00"), w("11")])
+    both_periodic = ProductSpec(cycle_pair, cycle_pair)
     word = ((("0", "0")), (("1", "1")))
     assert not cylinder_has_aperiodic(both_periodic, word)
 
@@ -106,7 +107,7 @@ def test_cylinder_product(systems):
 def test_cylinder_skew_phase_point_is_caught():
     # the SCC {00, 01, 10} has 4 edges (10 -> 00 and 10 -> 01), so it holds
     # two distinct cycles and a tail that is not eventually periodic
-    spec = build_sft(BIN, [w("11"), w("000")])
+    spec = SftSpec(BIN, [w("11"), w("000")])
     assert cylinder_has_aperiodic(spec, w("00"))
 
 
@@ -320,6 +321,14 @@ def test_syndetic_invalid_chain(systems):
     empty = Chain(levels=(), terminal=None, range_r=0, max_len=1, effective_len=1)
     with pytest.raises(InvalidChainError):
         syndetic_gap(systems["cycle2"].spec, empty, 0, 5)
+
+
+def test_syndetic_rejects_negative_distance(systems):
+    one = systems["at_most_one_1"].spec
+    chain = build_chain(one, 1, 1, cap=10)
+    for cap in (50, 0):  # refused before the cap is read
+        with pytest.raises(ValueError, match="^anchor distance must be >= 0$"):
+            syndetic_gap(one, chain, -5, cap)
 
 
 def test_syndetic_cap_exceeded(systems):

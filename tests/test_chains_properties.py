@@ -63,7 +63,7 @@ from shiftlab.chains import (
 )
 from shiftlab.complexity import AT_LEAST_CAP, extension_radius
 from shiftlab.errors import EmptySubshiftError, HypothesisError
-from shiftlab.subshifts import build_sft, build_sparse, empty_sft, product
+from shiftlab.subshifts import ProductSpec, SftSpec, SparseSpec, empty_sft
 from shiftlab.systems import make_example
 from shiftlab.words import Alphabet, occurrences
 from test_autos_properties import specs
@@ -157,20 +157,20 @@ def dense_sfts(draw):
     block = list(itertools.product(letters, repeat=draw(st.integers(1, 3))))
     dense = draw(st.lists(st.sampled_from(block), unique=True, max_size=len(block)))
     word = st.lists(st.sampled_from(letters), min_size=1, max_size=4).map(tuple)
-    return build_sft(Alphabet(letters), dense + draw(st.lists(word, max_size=2)))
+    return SftSpec(Alphabet(letters), dense + draw(st.lists(word, max_size=2)))
 
 
 @settings(SETTINGS, max_examples=80)  # about half the draws are SFTs from dense_sfts
 @given(st.one_of(dense_sfts(), specs).filter(lambda spec: not spec.is_empty))
-@example(build_sft(Alphabet("012"), [("1",)]))  # order 1: two loops at one vertex
-@example(build_sft(Alphabet("01"), [("1",)]))  # order 1: one loop, only 0^inf
-@example(build_sparse(Alphabet("01"), "0", []))  # no family: only 0^inf
+@example(SftSpec(Alphabet("012"), [("1",)]))  # order 1: two loops at one vertex
+@example(SftSpec(Alphabet("01"), [("1",)]))  # order 1: one loop, only 0^inf
+@example(SparseSpec(Alphabet("01"), "0", []))  # no family: only 0^inf
 # 2 is a fixed point apart from the full shift on 0, 1: [2] holds only 2^inf
-@example(build_sft(Alphabet("012"), [("0", "2"), ("2", "0"), ("1", "2"), ("2", "1")]))
+@example(SftSpec(Alphabet("012"), [("0", "2"), ("2", "0"), ("1", "2"), ("2", "1")]))
 # the corridor 0 -> 2 -> 1 -> 0 has one edge in and out at 2 and 1, but 0 branches
-@example(build_sft(Alphabet("012"), [("0", "1"), ("1", "1"), ("1", "2"), ("2", "0"), ("2", "2")]))
-@example(product(make_example("cycle2").spec, make_example("cycle2").spec))
-@example(product(make_example("golden_mean").spec, make_example("at_most_one_1").spec))
+@example(SftSpec(Alphabet("012"), [("0", "1"), ("1", "1"), ("1", "2"), ("2", "0"), ("2", "2")]))
+@example(ProductSpec(make_example("cycle2").spec, make_example("cycle2").spec))
+@example(ProductSpec(make_example("golden_mean").spec, make_example("at_most_one_1").spec))
 def test_cylinder_has_aperiodic_matches_oracle(spec):
     # the empty word's cylinder is all of X
     assert cylinder_has_aperiodic(spec, ()) == backend_cylinder_aperiodic_oracle(spec, ())
@@ -187,7 +187,7 @@ def test_cylinder_has_aperiodic_matches_oracle(spec):
 @given(st.one_of(dense_sfts(), specs).filter(lambda spec: not spec.is_empty))
 @example(make_example("cycle2").spec)
 @example(make_example("golden_mean").spec)
-@example(build_sparse(Alphabet(("0",)), "0", []))  # one letter, no family: only 0^inf
+@example(SparseSpec(Alphabet(("0",)), "0", []))  # one letter, no family: only 0^inf
 def test_every_point_periodic_exactly_when_morse_hedlund_scan_finds_a_witness(spec):
     # with no aperiodic point P_X(n) never exceeds the number of compiled states,
     # so the scan up to that number finds its n* whenever one exists
@@ -201,7 +201,7 @@ def test_periodicity_examples():
     assert not cylinder_has_aperiodic(cycle2, ()) and morse_hedlund_oracle(cycle2, 3) == 2
     assert cylinder_has_aperiodic(golden_mean, ())
     assert morse_hedlund_oracle(golden_mean, 10) is None
-    single = build_sparse(Alphabet(("0",)), "0", [])
+    single = SparseSpec(Alphabet(("0",)), "0", [])
     assert not cylinder_has_aperiodic(single, ()) and morse_hedlund_oracle(single, 1) == 1
     # the empty subshift refuses () as it refuses any word outside the language
     with pytest.raises(ValueError, match=r"word \(\) not in the language"):

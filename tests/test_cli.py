@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shiftlab import code_to_json, make_example, spec_to_json
+from shiftlab import code_to_json, make_example
 from shiftlab import chains, cli, errors, suites
 from shiftlab.cli import main
 from shiftlab.subshifts import SubshiftSpec
@@ -62,7 +62,7 @@ def test_each_input_file_is_read_once(tmp_path, capsys, monkeypatch, systems):
     # the report's sha256 is of the bytes parsed, not of a second read of the file
     full2 = systems["full2"]
     paths = {}
-    for role, obj in (("spec", spec_to_json(full2.spec)),
+    for role, obj in (("spec", full2.spec.descriptor()),
                       ("code", code_to_json(full2.codes["shift"])),
                       ("probe", {"left_period": ["0"], "center": ["1"], "right_period": ["0"],
                                  "origin_offset": 0})):
@@ -88,7 +88,7 @@ def test_each_input_file_is_read_once(tmp_path, capsys, monkeypatch, systems):
 
 def test_complexity_spec_file_and_determinism(tmp_path, capsys, systems):
     path = tmp_path / "gm.json"
-    path.write_text(json.dumps(spec_to_json(systems["golden_mean"].spec)))
+    path.write_text(json.dumps(systems["golden_mean"].spec.descriptor()))
     code1, report1 = run_cli(capsys, "complexity", "--spec", str(path), "--max-n", "4")
     code2, report2 = run_cli(capsys, "complexity", "--spec", str(path), "--max-n", "4")
     assert code1 == code2 == 0
@@ -537,9 +537,9 @@ def test_pair_letter_probe_file_runs_on_a_product(tmp_path, capsys):
 
 # valid files of every kind: (role, builtin system it runs on, document)
 VALID_FILES = [
-    ("spec", None, spec_to_json(make_example("hallway").spec)),
-    ("spec", None, spec_to_json(make_example("golden_mean").spec)),
-    ("spec", None, spec_to_json(make_example("salo_schraudner").spec)),
+    ("spec", None, make_example("hallway").spec.descriptor()),
+    ("spec", None, make_example("golden_mean").spec.descriptor()),
+    ("spec", None, make_example("salo_schraudner").spec.descriptor()),
     ("code", "hallway", CODE_OBJ),
     ("code", "salo_schraudner", PAIR_CODE_OBJ),
     ("probe", "hallway", {**PROBE_OBJ, "center": ["p", "0", "1"]}),
@@ -660,7 +660,7 @@ def test_out_write_failure_exits_2(tmp_path, capsys, monkeypatch, target, reason
 def test_certify_free_with_json_files(tmp_path, capsys, systems):
     hallway = systems["hallway"]
     spec_path = tmp_path / "hallway.json"
-    spec_path.write_text(json.dumps(spec_to_json(hallway.spec)))
+    spec_path.write_text(json.dumps(hallway.spec.descriptor()))
     a_path = tmp_path / "phi_a.json"
     a_path.write_text(json.dumps(code_to_json(hallway.codes["phi_a"])))
     b_path = tmp_path / "phi_b.json"
@@ -676,7 +676,7 @@ def test_certify_free_with_json_files(tmp_path, capsys, systems):
 
 def test_complexity_product_spec_file(tmp_path, capsys, systems):
     path = tmp_path / "salo.json"
-    path.write_text(json.dumps(spec_to_json(systems["salo_schraudner"].spec)))
+    path.write_text(json.dumps(systems["salo_schraudner"].spec.descriptor()))
     code, report = run_cli(capsys, "complexity", "--spec", str(path), "--max-n", "6")
     assert code == 0
     assert report["results"]["table"] == {
@@ -787,7 +787,7 @@ REPORT_COMMANDS = [
 def test_report_bytes_are_those_of_json_dumps(tmp_path, capsys, monkeypatch, command):
     # the writer skips json.dumps's pure-Python encoder but keeps its bytes
     spec, probe = tmp_path / "spec.json", tmp_path / "probe.json"
-    spec.write_text(json.dumps(spec_to_json(make_example("golden_mean").spec)))
+    spec.write_text(json.dumps(make_example("golden_mean").spec.descriptor()))
     probe.write_text(json.dumps(PAIR_PROBE_OBJ))
     reports, write = [], cli._json_text
     monkeypatch.setattr(cli, "_json_text", lambda report: reports.append(report) or write(report))

@@ -2,8 +2,8 @@ import pytest
 
 from oracles import sparse_language_oracle, unique_extension_oracle
 from shiftlab import (
-    build_sft,
-    build_sparse,
+    SftSpec,
+    SparseSpec,
     complexity,
     complexity_table,
     extension_radius,
@@ -36,7 +36,7 @@ def test_complexity_errors_on_empty():
     with pytest.raises(EmptySubshiftError):
         complexity(empty_sft(BIN), 1)
     with pytest.raises(ValueError, match="^n must be >= 1$"):
-        complexity(build_sft(BIN, []), 0)
+        complexity(SftSpec(BIN, []), 0)
 
 
 def test_complexity_table_formats(systems):
@@ -61,28 +61,28 @@ def test_complexity_monotone_and_bounded(systems):
 
 
 def test_extension_radius_golden_mean():
-    gm = build_sft(BIN, [w("11")])
+    gm = SftSpec(BIN, [w("11")])
     report = extension_radius(gm, w("1"), 5)
     assert report.radius == 1
     assert report.extension == w("010")
 
 
 def test_extension_radius_sparse_unbounded():
-    one = build_sparse(BIN, "0", [("1",)])
+    one = SparseSpec(BIN, "0", [("1",)])
     report = extension_radius(one, w("1"), 100)
     assert report.radius == AT_LEAST_CAP
     assert report.extension == ("0",) * 100 + ("1",) + ("0",) * 100
 
 
 def test_extension_radius_full_shift():
-    full = build_sft(BIN, [])
+    full = SftSpec(BIN, [])
     report = extension_radius(full, w("0"), 5)
     assert report.radius == 0
     assert report.extension == w("0")
 
 
 def test_extension_radius_requires_language_word():
-    gm = build_sft(BIN, [w("11")])
+    gm = SftSpec(BIN, [w("11")])
     with pytest.raises(ValueError):
         extension_radius(gm, w("11"), 3)
     with pytest.raises(ValueError, match="^cap must be >= 1$"):
@@ -110,7 +110,7 @@ def test_unique_extension_of_a_word_outside_the_language(systems, extend):
 
 
 def test_extension_radius_antitone_under_extension():
-    gm = build_sft(BIN, [w("11")])
+    gm = SftSpec(BIN, [w("11")])
     for word in gm.words(1):
         base = extension_radius(gm, word, 8)
         for pad_steps in (1, 2):
@@ -122,11 +122,11 @@ def test_extension_radius_antitone_under_extension():
 
 
 def test_min_nonextendable_radius_examples():
-    gm = build_sft(BIN, [w("11")])
+    gm = SftSpec(BIN, [w("11")])
     assert min_nonextendable_radius(gm, 1, 10) == 2
-    one = build_sparse(BIN, "0", [("1",)])
+    one = SparseSpec(BIN, "0", [("1",)])
     assert min_nonextendable_radius(one, 1, 50) == EXCEEDS_CAP
-    full = build_sft(BIN, [])
+    full = SftSpec(BIN, [])
     assert min_nonextendable_radius(full, 3, 10) == 1
     # no word extends even once in the empty subshift
     assert min_nonextendable_radius(empty_sft(BIN), 3, 10) == 1
@@ -166,7 +166,7 @@ def test_find_extension_window_examples(systems):
     (4400, 1181, "fails at n=4400: at least 10^4300 > 4400^1181"),
 ])
 def test_find_extension_window_names_a_failing_count(n, d, message):
-    full10 = build_sft(Alphabet(tuple("0123456789")), [])
+    full10 = SftSpec(Alphabet(tuple("0123456789")), [])
     with pytest.raises(LemmaWindowNotFoundError) as exc:
         find_extension_window(full10, n, d, 5)
     assert str(exc.value) == f"hypothesis P(n) <= n^{d} {message}"

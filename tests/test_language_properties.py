@@ -59,7 +59,7 @@ from oracles import (
 )
 from shiftlab.autos import _centres, _middles
 from shiftlab.complexity import _centred
-from shiftlab.subshifts import _prune, build_sft, build_sparse, product
+from shiftlab.subshifts import ProductSpec, SftSpec, SparseSpec, _prune
 from shiftlab.words import Alphabet, Configuration
 
 SETTINGS = settings(max_examples=40, deadline=None,
@@ -74,7 +74,7 @@ def sft_specs(draw, max_letters=3):
     letters = draw(st.permutations("012"))[:draw(st.integers(1, max_letters))]
     word = st.lists(st.sampled_from(letters), min_size=1, max_size=3).map(tuple)
     forbidden = draw(st.lists(word, max_size=4))
-    spec = build_sft(Alphabet(letters), forbidden)
+    spec = SftSpec(Alphabet(letters), forbidden)
     return spec, lambda n: sft_language_oracle(letters, forbidden, n)
 
 
@@ -84,7 +84,7 @@ def sparse_specs(draw, max_markers=3):
     letters = draw(st.permutations(("0",) + tuple(markers)))
     family = st.lists(st.sampled_from(markers), max_size=3) if markers else st.just([])
     families = draw(st.lists(family, max_size=3))
-    spec = build_sparse(Alphabet(letters), "0", families)
+    spec = SparseSpec(Alphabet(letters), "0", families)
     return spec, lambda n: sparse_language_oracle("0", families, n)
 
 
@@ -93,7 +93,7 @@ def product_specs(draw):
     # a product with an empty factor is empty, as the oracle's product of languages is
     factor = st.one_of(sft_specs(max_letters=2), sparse_specs(max_markers=1))
     (left, left_oracle), (right, right_oracle) = draw(factor), draw(factor)
-    return product(left, right), lambda n: [
+    return ProductSpec(left, right), lambda n: [
         tuple(zip(u, v)) for u in left_oracle(n) for v in right_oracle(n)]
 
 
@@ -122,18 +122,18 @@ def test_sft_language_matches_oracle(case):
 def sft_graph_cases(draw):
     letters = draw(st.permutations("012"))[:draw(st.integers(1, 3))]
     word = st.lists(st.sampled_from(letters), min_size=1, max_size=5).map(tuple)
-    return build_sft(Alphabet(letters), draw(st.lists(word, max_size=5)))
+    return SftSpec(Alphabet(letters), draw(st.lists(word, max_size=5)))
 
 
 @settings(SETTINGS, max_examples=300)
 @given(sft_graph_cases())
-@example(build_sft(Alphabet("01"), [("0",), ("1",)]))  # empty
-@example(build_sft(Alphabet("012"), [("1",)]))  # order 1: one vertex ()
+@example(SftSpec(Alphabet("01"), [("0",), ("1",)]))  # empty
+@example(SftSpec(Alphabet("012"), [("1",)]))  # order 1: one vertex ()
 # vertex 11 has neither an in-edge nor an out-edge
-@example(build_sft(Alphabet("01"), [("0", "1", "1"), ("1", "1", "0"), ("1", "1", "1")]))
-@example(build_sft(Alphabet("01"), [("0", "0"), ("1", "0")]))  # pruned 0 has an edge into 1
+@example(SftSpec(Alphabet("01"), [("0", "1", "1"), ("1", "1", "0"), ("1", "1", "1")]))
+@example(SftSpec(Alphabet("01"), [("0", "0"), ("1", "0")]))  # pruned 0 has an edge into 1
 # AC state 0110 is clean but reached only through the dropped 011
-@example(build_sft(Alphabet("01"), [("1", "1"), ("0", "1", "1", "0", "1")]))
+@example(SftSpec(Alphabet("01"), [("1", "1"), ("0", "1", "1", "0", "1")]))
 def test_sft_graph_matches_brute_force_oracle(spec):
     # the AC automaton's language against that of the de Bruijn graph built
     # by brute force, a second engine over the same descriptor
@@ -150,8 +150,8 @@ def test_sft_graph_matches_brute_force_oracle(spec):
 
 @settings(SETTINGS, max_examples=150)
 @given(sft_graph_cases().filter(lambda spec: not spec.is_empty))
-@example(build_sft(Alphabet("012"), [("1",)]))  # order 1: one live state
-@example(build_sft(Alphabet("01"), [("0", "0"), ("1", "0")]))  # pruned 0 has an edge into 1
+@example(SftSpec(Alphabet("012"), [("1",)]))  # order 1: one live state
+@example(SftSpec(Alphabet("01"), [("0", "0"), ("1", "0")]))  # pruned 0 has an edge into 1
 def test_live_paths_spell_the_language(spec):
     # the points are the labels of the bi-infinite live paths, so every
     # word of L_n is read along a live path from some live state
@@ -167,12 +167,12 @@ def test_live_paths_spell_the_language(spec):
 def long_word_sfts(draw):
     letters = draw(st.permutations("012"))[:draw(st.integers(2, 3))]
     word = st.lists(st.sampled_from(letters), min_size=1, max_size=20).map(tuple)
-    return build_sft(Alphabet(letters), draw(st.lists(word, min_size=1, max_size=4)))
+    return SftSpec(Alphabet(letters), draw(st.lists(word, min_size=1, max_size=4)))
 
 
 @settings(SETTINGS, max_examples=100)
 @given(long_word_sfts().filter(lambda spec: not spec.is_empty))
-@example(build_sft(Alphabet("01"), [("1",) * 17]))  # 33 states; 2^17 - 1 on a de Bruijn graph
+@example(SftSpec(Alphabet("01"), [("1",) * 17]))  # 33 states; 2^17 - 1 on a de Bruijn graph
 def test_sft_compiled_states_are_bounded_by_the_forbidden_factors(spec):
     # bound (b) of the SftSpec docstring: the start, one singleton per
     # proper prefix and one set per distinct nonempty factor of F
@@ -229,11 +229,11 @@ def _rebuilt(draw, spec):
     words or the families permuted, one repeated, each family's markers
     shuffled; an SFT may come back as `sft_graph_oracle`'s subclass."""
     if spec.kind == "product":
-        return product(_rebuilt(draw, spec.factor_left), _rebuilt(draw, spec.factor_right))
+        return ProductSpec(_rebuilt(draw, spec.factor_left), _rebuilt(draw, spec.factor_right))
     if spec.kind == "sparse":
         families = [draw(st.permutations(f)) for f in spec.families + spec.families[:1]]
-        return build_sparse(spec.alphabet, spec.background, draw(st.permutations(families)))
-    rebuilt = build_sft(spec.alphabet, draw(st.permutations(spec.forbidden + spec.forbidden[:1])))
+        return SparseSpec(spec.alphabet, spec.background, draw(st.permutations(families)))
+    rebuilt = SftSpec(spec.alphabet, draw(st.permutations(spec.forbidden + spec.forbidden[:1])))
     return sft_graph_oracle(rebuilt) if draw(st.booleans()) else rebuilt
 
 
@@ -245,12 +245,12 @@ def spec_pairs(draw):
 
 @settings(SETTINGS, max_examples=150)
 @given(spec_pairs())
-@example((build_sft(Alphabet("01"), [("1", "1"), ("0", "0", "0")]),
-          sft_graph_oracle(build_sft(Alphabet("01"), [("0", "0", "0"), ("1", "1")]))))
-@example((build_sparse(Alphabet("0ab"), "0", [("a", "b"), ("b",)]),
-          build_sparse(Alphabet("0ab"), "0", [("b",), ("b", "a"), ()])))
-@example((build_sft(Alphabet("01"), [("1",)]), build_sparse(Alphabet("01"), "0", [])))
-@example((build_sft(Alphabet("01"), []), build_sft(Alphabet("10"), [])))  # letter order counts
+@example((SftSpec(Alphabet("01"), [("1", "1"), ("0", "0", "0")]),
+          sft_graph_oracle(SftSpec(Alphabet("01"), [("0", "0", "0"), ("1", "1")]))))
+@example((SparseSpec(Alphabet("0ab"), "0", [("a", "b"), ("b",)]),
+          SparseSpec(Alphabet("0ab"), "0", [("b",), ("b", "a"), ()])))
+@example((SftSpec(Alphabet("01"), [("1",)]), SparseSpec(Alphabet("01"), "0", [])))
+@example((SftSpec(Alphabet("01"), []), SftSpec(Alphabet("10"), [])))  # letter order counts
 def test_equality_and_hash_follow_the_descriptor(pair):
     a, b = pair
     same = a.descriptor() == b.descriptor()
@@ -325,7 +325,7 @@ _factor_specs = st.one_of(sft_specs(max_letters=2), sparse_specs(max_markers=1))
 # product of a product and a factor, on either side
 nested_products = st.tuples(product_specs().map(lambda case: case[0]), _factor_specs,
                              st.booleans()).map(
-    lambda t: product(t[0], t[1]) if t[2] else product(t[1], t[0]))
+    lambda t: ProductSpec(t[0], t[1]) if t[2] else ProductSpec(t[1], t[0]))
 
 
 def _point(data, spec):
@@ -362,8 +362,8 @@ def _membership(rule, spec, config):
         return str(exc)
 
 
-EMPTY_SFTS = [build_sft(Alphabet("01"), [("0",), ("1",)]),  # order 1
-              build_sft(Alphabet("01"), [("0", "0"), ("0", "1"), ("1", "1")])]
+EMPTY_SFTS = [SftSpec(Alphabet("01"), [("0",), ("1",)]),  # order 1
+              SftSpec(Alphabet("01"), [("0", "0"), ("0", "1"), ("1", "1")])]
 
 
 @settings(SETTINGS, max_examples=200)
@@ -431,11 +431,11 @@ def test_centres_and_middles_match_the_word_lists(spec):
 
 
 @pytest.mark.parametrize("spec", [
-    pytest.param(build_sft(Alphabet("0"), []), id="one-letter"),
-    pytest.param(build_sft(Alphabet("01"), [("1", "1")]), id="golden-mean"),
-    pytest.param(build_sparse(Alphabet("0ab"), "0", [("a", "b")]), id="sparse"),
-    pytest.param(product(build_sft(Alphabet("01"), [("1", "1")]),
-                         build_sparse(Alphabet("0a"), "0", [("a",)])), id="product"),
+    pytest.param(SftSpec(Alphabet("0"), []), id="one-letter"),
+    pytest.param(SftSpec(Alphabet("01"), [("1", "1")]), id="golden-mean"),
+    pytest.param(SparseSpec(Alphabet("0ab"), "0", [("a", "b")]), id="sparse"),
+    pytest.param(ProductSpec(SftSpec(Alphabet("01"), [("1", "1")]),
+                             SparseSpec(Alphabet("0a"), "0", [("a",)])), id="product"),
 ])
 @pytest.mark.parametrize("span", [1, 2, 3])
 def test_window_tables_on_fixed_specs(spec, span):

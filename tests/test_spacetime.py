@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 from shiftlab import (
     apply_to_config,
     certify_automorphism,
-    compose,
     detect_period_vectors,
     enumerate_automorphisms,
-    orbit_preserving,
     power_is_shift,
     rect_complexity,
     spacetime_window,
@@ -40,7 +38,6 @@ def test_certificate_on_another_subshift_is_rejected(systems, full2_certs):
     golden, flip = systems["golden_mean"].spec, full2_certs["flip"]
     probe = Configuration(("0",), ("1",), ("0",))
     calls = (lambda: spacetime_window(golden, flip, Configuration.constant("0"), 3, 3),
-             lambda: orbit_preserving(golden, flip, [probe], 2),
              lambda: power_is_shift(golden, flip, [probe], 2, 2))
     for call in calls:
         with pytest.raises(ValueError, match="code lives on a different subshift"):
@@ -86,15 +83,6 @@ def test_window_rejects_foreign_point(systems, full2_certs):
     for width, height in ((0, 4), (4, 0)):
         with pytest.raises(ValueError, match="^width and height must be >= 1$"):
             spacetime_window(one.spec, ident, one.probes["one"], width, height)
-
-
-def test_negative_rows_use_inverse(systems, full2_certs):
-    probe = systems["full2"].probes["one"]
-    window = spacetime_window(systems["full2"].spec, full2_certs["shift"],
-                              probe, 7, 5, row0=-2)
-    # row index j carries sigma^j of the probe, so the marker sits at -j
-    for j in range(-2, 3):
-        assert window.entry(-j, j) == "1"
 
 
 def test_eta_identity_cross_check(systems, full2_certs):
@@ -207,27 +195,12 @@ def test_periodicity_caps_rectangles(systems, full2_certs):
                         assert rect_complexity(window, n, k) <= cap
 
 
-def test_orbit_preserving_examples(systems, full2_certs):
-    spec = systems["full2"].spec
-    sigma2_code = compose(full2_certs["shift"].code, full2_certs["shift"].code)
-    sigma2 = certify_automorphism(spec, sigma2_code, 2).cert
-    assert orbit_preserving(spec, sigma2,
-                            [systems["full2"].probes["one"]], 3) == (2,)
-    # on a periodic probe the witness exponent is not unique; the reported
-    # one must still realize the map
-    alt = systems["full2"].probes["alt"]
-    (k,) = orbit_preserving(spec, sigma2, [alt], 3)
-    assert apply_to_config(sigma2.code, alt) == alt.shift(k)
-    assert orbit_preserving(spec, full2_certs["flip"],
-                            [systems["full2"].probes["one"]], 4) == (None,)
+def test_power_is_shift_rejects_probe_outside_the_subshift(systems):
     one = systems["at_most_one_1"]
     ident = certify_automorphism(one.spec, one.codes["identity"], 0).cert
-    assert orbit_preserving(one.spec, ident, [one.probes["one"]], 2) == (0,)
     two_ones = Configuration.from_markers("0", {0: "1", 2: "1"})
-    for call in (lambda: orbit_preserving(one.spec, ident, [two_ones], 2),
-                 lambda: power_is_shift(one.spec, ident, [two_ones], 2, 2)):
-        with pytest.raises(ValueError, match="^probe not in the subshift$"):
-            call()
+    with pytest.raises(ValueError, match="^probe not in the subshift$"):
+        power_is_shift(one.spec, ident, [two_ones], 2, 2)
 
 
 def test_power_is_shift_sigma(systems, full2_certs):

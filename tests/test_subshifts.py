@@ -5,13 +5,7 @@ import re
 import pytest
 
 from oracles import sft_language_oracle, sparse_language_oracle
-from shiftlab import (
-    build_sft,
-    build_sparse,
-    parse_spec,
-    product,
-    spec_to_json,
-)
+from shiftlab import parse_spec
 from shiftlab.autos import enumerate_automorphisms
 from shiftlab.chains import Chain, ChainLevel, build_chain, forbid, syndetic_gap, verify_removal_bound
 from shiftlab.complexity import complexity
@@ -33,21 +27,21 @@ def w(text):
 
 
 def test_build_sft_golden_mean_matches_oracle():
-    spec = build_sft(BIN, [w("11")])
+    spec = SftSpec(BIN, [w("11")])
     assert not spec.is_empty
     for n in range(1, 7):
         assert list(spec.words(n)) == sft_language_oracle("01", [w("11")], n)
 
 
 def test_build_sft_all_letters_forbidden_is_empty():
-    spec = build_sft(BIN, [w("0"), w("1")])
+    spec = SftSpec(BIN, [w("0"), w("1")])
     assert spec.is_empty
     with pytest.raises(EmptySubshiftError):
         spec.words(1)
 
 
 def test_build_sft_full_shift():
-    spec = build_sft(BIN, [])
+    spec = SftSpec(BIN, [])
     assert spec.count_words(3) == 8
     assert list(spec.words(1)) == [("0",), ("1",)]
     with pytest.raises(ValueError, match="^word length must be >= 1$"):
@@ -65,15 +59,15 @@ def test_count_words_of_nonpositive_length_is_the_empty_word(systems):
 
 def test_build_sft_rejects_empty_word_and_foreign_letters():
     with pytest.raises(ValueError):
-        build_sft(BIN, [()])
+        SftSpec(BIN, [()])
     with pytest.raises(ValueError):
-        build_sft(BIN, [("2",)])
+        SftSpec(BIN, [("2",)])
 
 
 def test_sft_needs_biinfinite_extendability():
     # avoiding the forbidden words is not enough: with 00 and 11 forbidden
     # over {0,1}, the word 010 survives but 0110 does not even appear.
-    spec = build_sft(BIN, [w("00"), w("11")])
+    spec = SftSpec(BIN, [w("00"), w("11")])
     assert spec.contains(w("0101"))
     assert not spec.contains(w("011"))
     assert spec.count_words(5) == 2
@@ -84,13 +78,13 @@ def test_one_forbidden_word_compiles_2q_minus_1_states(q):
     # the start set, the sets {1^j..1^(q-1)} after 1^j for 0 < j < q-1, and the
     # singletons {1^j} after 0 1^j for 0 <= j < q, where the de Bruijn
     # presentation of `sft_graph_oracle` compiles 2^q - 1
-    spec = build_sft(Alphabet("01"), [w("1" * q)])
+    spec = SftSpec(Alphabet("01"), [w("1" * q)])
     assert len(spec._transitions()) == 2 * q - 1
     assert spec.count_words(q) == 2 ** q - 1
 
 
 def test_build_sparse_at_most_one_1():
-    spec = build_sparse(BIN, "0", [("1",)])
+    spec = SparseSpec(BIN, "0", [("1",)])
     for n in range(1, 8):
         oracle = sparse_language_oracle("0", [("1",)], n)
         assert list(spec.words(n)) == oracle
@@ -112,29 +106,29 @@ def test_sparse_spec_with_a_long_family_of_repeated_markers():
 
 
 def test_build_sparse_single_fixed_point():
-    spec = build_sparse(Alphabet(("0",)), "0", [])
+    spec = SparseSpec(Alphabet(("0",)), "0", [])
     assert spec.count_words(5) == 1
     assert spec.words(2) == (("0", "0"),)
 
 
 def test_build_sparse_rejects_background_marker():
     with pytest.raises(ValueError):
-        build_sparse(BIN, "0", [("0",)])
+        SparseSpec(BIN, "0", [("0",)])
     with pytest.raises(ValueError, match="^background letter not in alphabet$"):
-        build_sparse(BIN, "x", [("1",)])
+        SparseSpec(BIN, "x", [("1",)])
 
 
 def test_product_salo_schraudner_complexity():
-    one = build_sparse(BIN, "0", [("1",)])
-    spec = product(one, one)
+    one = SparseSpec(BIN, "0", [("1",)])
+    spec = ProductSpec(one, one)
     for n in range(1, 9):
         assert spec.count_words(n) == (n + 1) ** 2
 
 
 def test_product_identity_factor():
-    single = build_sft(Alphabet(("z",)), [])
-    gm = build_sft(BIN, [w("11")])
-    spec = product(single, gm)
+    single = SftSpec(Alphabet(("z",)), [])
+    gm = SftSpec(BIN, [w("11")])
+    spec = ProductSpec(single, gm)
     for n in range(1, 6):
         assert spec.count_words(n) == gm.count_words(n)
         projected = [tuple(b for _, b in u) for u in spec.words(n)]
@@ -142,25 +136,25 @@ def test_product_identity_factor():
 
 
 def test_product_golden_mean_squared():
-    gm = build_sft(BIN, [w("11")])
-    spec = product(gm, gm)
+    gm = SftSpec(BIN, [w("11")])
+    spec = ProductSpec(gm, gm)
     assert spec.count_words(2) == 9
 
 
 def test_product_of_empty_factor_is_empty():
-    gm = build_sft(BIN, [w("11")])
-    for spec in (product(gm, empty_sft(BIN)), product(empty_sft(BIN), gm)):
+    gm = SftSpec(BIN, [w("11")])
+    for spec in (ProductSpec(gm, empty_sft(BIN)), ProductSpec(empty_sft(BIN), gm)):
         assert spec.is_empty
         assert spec.alphabet.letters == tuple((a, b) for a in "01" for b in "01")
 
 
 def _empty_specs():
-    full2 = build_sft(BIN, [])
-    order2 = build_sft(BIN, [w("00"), w("01"), w("10"), w("11")])
-    nested = product(build_sparse(BIN, "0", [("1",)]), product(full2, empty_sft(BIN)))
+    full2 = SftSpec(BIN, [])
+    order2 = SftSpec(BIN, [w("00"), w("01"), w("10"), w("11")])
+    nested = ProductSpec(SparseSpec(BIN, "0", [("1",)]), ProductSpec(full2, empty_sft(BIN)))
     return [pytest.param(empty_sft(BIN), id="order-1"),
             pytest.param(order2, id="order-2"),
-            pytest.param(product(full2, empty_sft(BIN)), id="product"),
+            pytest.param(ProductSpec(full2, empty_sft(BIN)), id="product"),
             pytest.param(nested, id="product-of-products")]
 
 
@@ -212,18 +206,18 @@ def test_removal_bound_for_the_empty_word(systems, name):
 
 
 def test_enumerate_language_examples():
-    gm = build_sft(BIN, [w("11")])
+    gm = SftSpec(BIN, [w("11")])
     assert list(gm.words(2)) == [w("00"), w("01"), w("10")]
-    full = build_sft(BIN, [])
+    full = SftSpec(BIN, [])
     assert len(full.words(3)) == 8
-    one = build_sparse(BIN, "0", [("1",)])
+    one = SparseSpec(BIN, "0", [("1",)])
     assert list(one.words(2)) == [w("00"), w("01"), w("10")]
 
 
 def test_contains_word_examples(systems):
-    gm = build_sft(BIN, [w("11")])
+    gm = SftSpec(BIN, [w("11")])
     assert not gm.contains(w("11"))
-    one = build_sparse(BIN, "0", [("1",)])
+    one = SparseSpec(BIN, "0", [("1",)])
     assert not one.contains(w("101"))
     hallway = systems["hallway"].spec
     assert hallway.contains(("p", "0", "1"))
@@ -264,7 +258,7 @@ def test_sft_oracle_equivalence_random_instances():
         alphabet = Alphabet(letters)
         forbidden = [tuple(rng.choice(letters) for _ in range(rng.randint(1, 3)))
                      for _ in range(rng.randint(1, 3))]
-        spec = build_sft(alphabet, forbidden)
+        spec = SftSpec(alphabet, forbidden)
         for n in range(1, 9):
             oracle = sft_language_oracle(letters, forbidden, n)
             if spec.is_empty:
@@ -284,9 +278,9 @@ def test_hallway_sparse_complexity_formula(systems):
 
 
 def test_product_complexity_multiplies(systems):
-    gm = build_sft(BIN, [w("11")])
-    one = build_sparse(BIN, "0", [("1",)])
-    spec = product(gm, one)
+    gm = SftSpec(BIN, [w("11")])
+    one = SparseSpec(BIN, "0", [("1",)])
+    spec = ProductSpec(gm, one)
     for n in range(1, 8):
         assert spec.count_words(n) == gm.count_words(n) * one.count_words(n)
 
@@ -338,7 +332,7 @@ def test_contains_config_rejects_letters_outside_the_alphabet(systems):
 def test_spec_json_round_trip(systems):
     for name in ("full2", "golden_mean", "at_most_one_1", "salo_schraudner", "hallway"):
         spec = systems[name].spec
-        again = parse_spec(spec_to_json(spec))
+        again = parse_spec(spec.descriptor())
         assert again == spec
 
 
