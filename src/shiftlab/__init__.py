@@ -33,7 +33,6 @@ from .autos import (
     apply_to_word,
     apply_to_config,
     compose,
-    pad,
     equal_on_shift,
     find_inverse,
     certify_automorphism,

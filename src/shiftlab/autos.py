@@ -3,8 +3,8 @@
 A block code of range R is an exhaustive rule table on the language
 windows of length 2R+1; applying a code to out-of-language data is an
 error, never silently defaulted, because the maps under study only live
-on the subshift.  Equality of codes is decided at the word level on
-L_{2R*+1}(X), which is exact for maps on X.
+on the subshift.  Two codes are the same map on X exactly when their
+reduced codes (`reduce_range`) share the range and the table.
 
 Certification is not complete: a certificate carries an explicit
 two-sided inverse verified on the language, while a failed inverse
@@ -228,15 +228,6 @@ def compose(outer, inner):
     return BlockCode._of(spec, radius, [outer.outputs[k] for k in ranks])
 
 
-def pad(code, radius):
-    """The same map re-expressed at a larger range."""
-    if radius < code.radius:
-        raise ValueError("cannot pad to a smaller range")
-    if radius == code.radius:
-        return code
-    return compose(code, BlockCode.identity(code.spec, radius - code.radius))
-
-
 def _centres(spec):
     """Yield the centre letter of each word of L_1, L_3, ... by rank, the
     centres of L_{2c+1} read off the trie's L_{c+1} and no longer level.
@@ -284,10 +275,11 @@ def reduce_range(code):
 
 
 def equal_on_shift(spec, a, b):
-    """Equality as maps on X, decided on the common-range window table."""
+    """Equality as maps on X: the reduced codes (`reduce_range`) share the
+    range and the outputs, as a map's table at its minimal range is unique."""
     _check_inputs(spec, (a, b))
-    radius = max(a.radius, b.radius)
-    return pad(a, radius).outputs == pad(b, radius).outputs
+    a, b = reduce_range(a), reduce_range(b)
+    return a.radius == b.radius and a.outputs == b.outputs
 
 
 class AutomorphismCert(NamedTuple):
@@ -535,16 +527,18 @@ def preserves_occurrences(spec, code, target, anchors=None):
 
 
 def coset_count(spec, radius_n, chain):
-    """f(n): distinct tuples of anchor images over Aut_n(X), padded to the chain range."""
+    """f(n): distinct tuples of anchor images over Aut_n(X) at the chain range R:
+    each code's slide at its own range, cut by R - n letters at each end."""
     anchors = chain.anchors()
     if not anchors:
         raise InvalidChainError("chain has no levels")
     if radius_n > chain.range_r:
         raise ValueError("n must embed into the chain's range")
+    cut = chain.range_r - radius_n
     signatures = set()
     for cert in enumerate_automorphisms(spec, radius_n):
-        padded = pad(cert.code, chain.range_r)
-        signatures.add(tuple(apply_to_word(padded, a) for a in anchors))
+        images = (apply_to_word(cert.code, a) for a in anchors)
+        signatures.add(tuple(image[cut:len(image) - cut] for image in images))
     return len(signatures)
 
 

@@ -86,8 +86,6 @@ def cmd_complexity(args):
     inputs = {}
     spec, _ = _resolve_spec(args.spec, inputs)
     table = complexity_table(spec, args.max_n)
-    if args.format == "csv":
-        return inputs, {"table_csv": _exactly(table.to_csv)}, []
     return inputs, {"subshift_id": table.subshift_id,
                     "table": {str(n): table.values[n] for n in sorted(table.values)}}, []
 
@@ -203,7 +201,6 @@ def _parser():
                        help="complexity table of a subshift")
     p.add_argument("--spec", required=True)
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(handler=cmd_complexity)
 
     p = sub.add_parser("chain", parents=[common],
@@ -302,20 +299,6 @@ def _json_text(report):
         return json.dumps(report, indent=2)
 
 
-def _exactly(write, *args):
-    """write(*args) with no limit on the digits of an int's str(), so big
-    counts are exact.  The limit is restored after: inputs are parsed under
-    it, as it guards json.load from quadratic parsing of huge literals."""
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        return write(*args)
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
-
-
 def _emit(report, out_path):
     text = _json_text(report) + "\n"
     if out_path is None:
@@ -355,11 +338,20 @@ def main(argv=None):
             "violations": violations,
             "elapsed_ms": int((time.monotonic() - started) * 1000),
         }
+        # no limit on the digits of an int's str() while writing, so big counts
+        # are exact; inputs are parsed under it, as it guards json.load from
+        # quadratic parsing of huge literals
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        if limit:
+            sys.set_int_max_str_digits(0)
         try:
-            _exactly(_emit, report, args.out)
+            _emit(report, args.out)
         except OSError as exc:
             sys.stderr.write(f"error: cannot write report: {args.out}: {exc.strerror}\n")
             return 2
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
     except Exception as exc:
         # in a command or in writing its report: exit 1 would claim a
         # verified violation, so the bug is reported instead

@@ -32,9 +32,6 @@ class ComplexityTable(NamedTuple):
     subshift_id: str
     values: dict  # n -> P_X(n), for 1 <= n <= N
 
-    def to_csv(self):
-        return "n,P\n" + "".join(f"{n},{self.values[n]}\n" for n in sorted(self.values))
-
 
 def complexity_table(spec, max_n):
     if max_n < 1:

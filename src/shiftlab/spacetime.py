@@ -13,18 +13,16 @@ from .autos import _check_inputs, apply_to_config
 
 
 class SpaceTimeWindow(NamedTuple):
-    base: object          # Configuration, row 0
-    code: object          # the BlockCode generating the rows
-    rows: tuple           # Configurations, row j = code^j of base
+    """Rows 0..height-1 of the array: row 0 is the base point."""
+    rows: tuple           # Configurations, row j = code^j of the base point
     width: int
     height: int
     col0: int             # leftmost column coordinate
-    row0: int             # smallest iterate index, always 0
-    grid: tuple           # grid[j][i] = letter at (col0+i, row0+j)
+    grid: tuple           # grid[j][i] = letter at (col0+i, j)
 
     def entry(self, i, j):
         """Letter at array coordinate (i, j), absolute."""
-        return self.grid[j - self.row0][i - self.col0]
+        return self.grid[j][i - self.col0]
 
 
 def spacetime_window(spec, cert, config, width, height):
@@ -40,8 +38,7 @@ def spacetime_window(spec, cert, config, width, height):
     for _ in range(height - 1):
         rows.append(apply_to_config(cert.code, rows[-1]))
     grid = tuple(tuple(row.get(col0 + i) for i in range(width)) for row in rows)
-    return SpaceTimeWindow(config, cert.code, tuple(rows), width, height,
-                           col0, 0, grid)
+    return SpaceTimeWindow(tuple(rows), width, height, col0, grid)
 
 
 def rect_complexity(window, n, k):
@@ -115,7 +112,7 @@ def power_is_shift(spec, cert, probes, m_max, shift_bound):
 
 def window_to_json(window):
     return {"col0": window.col0,
-            "row0": window.row0,
+            "row0": 0,
             "width": window.width,
             "height": window.height,
             "grid": [list(row) for row in window.grid]}

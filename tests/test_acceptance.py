@@ -14,6 +14,7 @@ import pytest
 
 from oracles import range0_automorphism_oracle, sparse_language_oracle
 from shiftlab import (
+    BlockCode,
     apply_to_config,
     apply_to_word,
     build_chain,
@@ -28,7 +29,6 @@ from shiftlab import (
     equal_on_shift,
     find_extension_window,
     min_nonextendable_radius,
-    pad,
     power_is_shift,
     preserves_occurrences,
     rect_complexity,
@@ -233,7 +233,10 @@ def test_criterion_11_property_suites(systems):
             pool = _lemma_replay_pool(system)
             if pool:
                 top = max(cert.r_certified for cert in pool)
-                padded = [(pad(c.code, top), pad(c.inverse, top)) for c in pool]
+                def padded_to_top(code):
+                    return compose(code, BlockCode.identity(spec, top - code.radius))
+
+                padded = [(padded_to_top(c.code), padded_to_top(c.inverse)) for c in pool]
                 targets = []
                 for n in (1, 2):
                     for word in spec.words(n):

@@ -25,7 +25,6 @@ from shiftlab import (
     equal_on_shift,
     find_inverse,
     make_example,
-    pad,
     parse_code,
     preserves_occurrences,
     subgroup_closure,
@@ -102,7 +101,7 @@ def test_apply_to_word_needs_window(systems):
 
 def test_apply_rule_incomplete_off_language(systems):
     ident = systems["golden_mean"].codes["identity"]
-    padded = pad(ident, 1)
+    padded = compose(ident, BlockCode.identity(ident.spec, 1))
     with pytest.raises(RuleIncompleteError):
         apply_to_word(padded, w("0110"))
 
@@ -190,7 +189,7 @@ def test_equal_on_shift_examples(systems):
     sigma, flip = full2.codes["shift"], full2.codes["flip"]
     assert equal_on_shift(full2.spec, compose(sigma, flip), compose(flip, sigma))
     ident = full2.codes["identity"]
-    assert equal_on_shift(full2.spec, ident, pad(ident, 2))
+    assert equal_on_shift(full2.spec, ident, compose(ident, BlockCode.identity(full2.spec, 2)))
     hallway = systems["hallway"]
     assert not equal_on_shift(hallway.spec, hallway.codes["phi_a"],
                               hallway.codes["phi_b"])
@@ -198,11 +197,9 @@ def test_equal_on_shift_examples(systems):
 
 def test_reduce_range_inverts_padding(systems):
     ident = systems["full2"].codes["identity"]
-    assert reduce_range(pad(ident, 3)).radius == 0
+    assert reduce_range(compose(ident, BlockCode.identity(ident.spec, 3))).radius == 0
     sigma = systems["full2"].codes["shift"]
     assert reduce_range(sigma).radius == 1
-    with pytest.raises(ValueError, match="^cannot pad to a smaller range$"):
-        pad(sigma, 0)
 
 
 # -- inverses and certification ------------------------------------------------
@@ -647,12 +644,15 @@ def test_lemma_replay_all_equal_image_pairs(systems):
     one = systems["at_most_one_1"].spec
     certs = enumerate_automorphisms(one, 1)
     wt = ("0", "0", "1", "0", "0")  # unique 2-step extension of "1"
+    def padded(code):
+        return compose(code, BlockCode.identity(one, 1 - code.radius))
+
     for phi in certs:
-        phi_pad = pad(phi.code, 1)
+        phi_pad = padded(phi.code)
         for psi in certs:
-            psi_pad = pad(psi.code, 1)
+            psi_pad = padded(psi.code)
             if apply_to_word(phi_pad, wt) == apply_to_word(psi_pad, wt):
-                mixed = compose(pad(phi.inverse, 1), psi_pad)
+                mixed = compose(padded(phi.inverse), psi_pad)
                 assert preserves_occurrences(one, mixed, wt)
 
 
@@ -852,7 +852,7 @@ def test_composed_and_reduced_codes_serialize_to_fixed_bytes(systems):
         '"0,0,0,1,0": "0", "0,0,1,0,0": "0", "0,0,1,0,1": "1", "0,1,0,0,0": "0", '
         '"0,1,0,0,1": "1", "0,1,0,1,0": "0", "1,0,0,0,0": "0", "1,0,0,0,1": "1", '
         '"1,0,0,1,0": "0", "1,0,1,0,0": "0", "1,0,1,0,1": "1"}}')
-    assert json.dumps(code_to_json(reduce_range(pad(sigma, 2)))) == (
+    assert json.dumps(code_to_json(reduce_range(compose(sigma, BlockCode.identity(golden, 1))))) == (
         '{"range": 1, "alphabet": ["0", "1"], "rule": {"0,0,0": "0", "0,0,1": "1", '
         '"0,1,0": "0", "1,0,0": "0", "1,0,1": "1"}}')
     back = reduce_range(compose(full2.codes["shift_inv"], full2.codes["shift"]))

