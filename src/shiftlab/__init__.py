@@ -10,7 +10,6 @@ from .subshifts import (
     spec_digest,
 )
 from .complexity import (
-    complexity,
     complexity_table,
     extension_radius,
     min_nonextendable_radius,

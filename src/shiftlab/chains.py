@@ -283,6 +283,8 @@ def shadowing_distance(spec, forbidden_words, u, t_steps, cap):
     """
     if t_steps < 0:
         raise ValueError("t_steps must be >= 0")
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
     u = tuple(u)
     forbidden_words = tuple(tuple(f) for f in forbidden_words)
     shrunk = functools.reduce(forbid, forbidden_words, spec)

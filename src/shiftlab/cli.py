@@ -263,7 +263,7 @@ def _layout(obj, pad):
     """The text of json.dumps(obj, indent=2) at nesting `pad` (a newline and
     the indent), with every string through the json module's C encoder.
     Lists of strings are joined in one call.  Any other value, or a key
-    that is no string, raises TypeError."""
+    that is no string, raises TypeError: no command writes one."""
     if isinstance(obj, str):
         return _string(obj)
     inner = pad + "  "
@@ -287,16 +287,13 @@ def _layout(obj, pad):
     if isinstance(obj, float):
         text = float.__repr__(obj)
         return _FLOATS.get(text, text)
-    raise TypeError(f"{type(obj).__name__} is left to the json module")
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _json_text(report):
     """The bytes of json.dumps(report, indent=2), without the pure-Python
     encoder that its indent selects."""
-    try:
-        return _layout(report, "\n")
-    except TypeError:  # the json module writes it, or refuses it, itself
-        return json.dumps(report, indent=2)
+    return _layout(report, "\n")
 
 
 def _emit(report, out_path):

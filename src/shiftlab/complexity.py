@@ -19,24 +19,18 @@ EXCEEDS_CAP = "exceeds-cap"
 AT_LEAST_CAP = "at-least-cap"
 
 
-def complexity(spec, n):
-    """P_X(n) = |L_n(X)|; errors on the empty subshift."""
-    if spec.is_empty:
-        raise EmptySubshiftError("complexity undefined on the empty subshift")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return spec.count_words(n)
-
-
 class ComplexityTable(NamedTuple):
     subshift_id: str
     values: dict  # n -> P_X(n), for 1 <= n <= N
 
 
 def complexity_table(spec, max_n):
+    """P_X(n) = |L_n(X)| for 1 <= n <= max_n; errors on the empty subshift."""
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    values = {n: complexity(spec, n) for n in range(1, max_n + 1)}
+    if spec.is_empty:
+        raise EmptySubshiftError("complexity undefined on the empty subshift")
+    values = {n: spec.count_words(n) for n in range(1, max_n + 1)}
     return ComplexityTable(subshift_id=spec_digest(spec), values=values)
 
 
@@ -126,15 +120,18 @@ def find_extension_window(spec, n, d, cap):
     an exhausted search) raises, signalling that the growth hypothesis
     fails for this subshift or that the cap is too small.  An EXCEEDS_CAP
     radius only proves k_m >= cap+1, so it counts as a hit only when
-    cap+1 >= C*n; otherwise the search raises, naming the cap.
+    cap+1 >= C*n; otherwise the search raises, naming the cap.  The empty
+    subshift is refused, as `complexity_table` refuses it.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     if d < 1:
         raise ValueError("d must be >= 1")
+    if spec.is_empty:
+        raise EmptySubshiftError("complexity undefined on the empty subshift")
     horizon = math.floor(n * math.log(n))
     for j in range(n, horizon + 1):
-        if (count := complexity(spec, j)) > (bound := j ** d):
+        if (count := spec.count_words(j)) > (bound := j ** d):
             # str() refuses 4,300+ digits: past them P(j) is named by a bound, j^d as a power
             raise LemmaWindowNotFoundError(
                 f"hypothesis P(n) <= n^{d} fails at n={j}: "

@@ -70,8 +70,8 @@ class SubshiftSpec:
         self._word_cache = {}
         self._trie = [([dict.fromkeys(alphabet.letters, 0)], [0], [0])]  # L_0, see `_levels`
         self._walks = {}  # span -> `_sources` levels
-        self._count_cache = {}
-        self._count_front = None  # (length, path counts per state) of the longest count
+        self._counts = [1]  # |L_m| for every m counted so far; L_0 holds the empty word
+        self._front = None  # path counts per state at the longest length counted
 
     # -- language queries ------------------------------------------------
 
@@ -200,46 +200,39 @@ class SubshiftSpec:
         return walk
 
     def count_words(self, n):
-        """|L_n|; 1 for n <= 0 (the empty word); 0 for the empty subshift."""
+        """|L_n|; 1 for n <= 0 (the empty word); 0 for the empty subshift.
+        Read off the one DP of `_count_below`, uncapped, which keeps every
+        length it counts."""
+        return self._count_below(n, None)
+
+    def _count_below(self, n, cap):
+        """|L_n| if it is below cap (or cap is None), else some |L_m| >= cap
+        with m <= n, as |L_n| never decreases in n.
+
+        One dynamic program over the states: `_front[s]` is the number of
+        paths of length m from the start state to s, m the longest length
+        counted, and the automaton is deterministic, so paths and words
+        correspond.  Each step keeps its total in `_counts`; a capped read
+        stops at the first count that reaches the cap."""
+        counts = self._counts
+        if 0 < n < len(counts):  # the empty subshift counts nothing, so never here
+            return counts[n]
         if self.is_empty:
             return 0
         if n <= 0:
             return 1
-        if n not in self._count_cache:
-            # every length up to the front is cached, so n lies beyond it
-            for length, counts in self._path_counts():
-                self._count_cache[length] = sum(counts)
-                if length == n:
-                    break
-            self._count_front = (length, counts)
-        return self._count_cache[n]
-
-    def _count_below(self, n, cap):
-        """|L_n| if it is below cap, else some |L_m| >= cap with m <= n, as
-        |L_n| never decreases in n.  Past the cached lengths it keeps only
-        the DP front, so a huge n costs no memory once the count is large."""
-        if n <= 0 or self.is_empty or n in self._count_cache:
-            return self.count_words(n)
-        for length, counts in self._path_counts():
-            total = sum(counts)
-            if length == n or total >= cap:
-                return total
-
-    def _path_counts(self):
-        """Yield (m, counts) for each m past the cached front: counts[s] is
-        the number of paths of length m from the start state to state s.
-        The automaton is deterministic, so paths and words correspond."""
         rows = self._transitions()
-        length, counts = self._count_front or (0, [1] + [0] * (len(rows) - 1))
-        while True:
+        front = self._front or [1] + [0] * (len(rows) - 1)
+        while len(counts) <= n and (cap is None or counts[-1] < cap):
             nxt = [0] * len(rows)
-            for s, c in enumerate(counts):
+            for s, c in enumerate(front):
                 if c:
                     for t in rows[s].values():
                         nxt[t] += c
-            counts = nxt
-            length += 1
-            yield length, counts
+            front = nxt
+            counts.append(sum(front))
+        self._front = front
+        return counts[min(n, len(counts) - 1)]
 
     def contains(self, word):
         """Whether the word occurs in some bi-infinite point."""

@@ -21,7 +21,6 @@ from shiftlab import (
     certify_automorphism,
     certify_free_semigroup,
     commutator,
-    complexity,
     compose,
     decode_hallway_product,
     detect_period_vectors,
@@ -56,7 +55,7 @@ def test_criterion_01_salo_schraudner_complexity(systems):
     with budget(1.0, "criterion 1: Salo-Schraudner complexity (n+1)^2, n<=12"):
         spec = systems["salo_schraudner"].spec
         for n in range(1, 13):
-            assert complexity(spec, n) == (n + 1) ** 2
+            assert spec.count_words(n) == (n + 1) ** 2
 
 
 def test_criterion_02_hallway_complexity_vs_oracle(systems):
@@ -66,7 +65,7 @@ def test_criterion_02_hallway_complexity_vs_oracle(systems):
         for n in range(1, 13):
             oracle = sparse_language_oracle("0", families, n)
             assert len(oracle) == 3 * n * n + 4 * n + 1
-            assert complexity(spec, n) == len(oracle)
+            assert spec.count_words(n) == len(oracle)
             assert set(spec.words(n)) == set(oracle)
 
 

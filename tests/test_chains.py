@@ -276,6 +276,13 @@ def test_shadowing_rejects_negative_steps_before_any_work(systems):
     # checked before forbidding, which would empty this spec
     with pytest.raises(ValueError, match="t_steps must be >= 0"):
         shadowing_distance(full, [w("0"), w("1")], w("0"), -1, 5)
+    # a negative cap echoed a cap-exceeded report (-1) or failed inside islice (-5)
+    one = systems["at_most_one_1"].spec
+    for cap in (-1, -5):
+        with pytest.raises(ValueError, match="^cap must be >= 0$"):
+            shadowing_distance(one, [], w("1"), 1, cap)
+        with pytest.raises(ValueError, match="^cap must be >= 0$"):
+            shadowing_distance(full, [w("0"), w("1")], w("0"), 0, cap)
 
 
 def test_shadowing_sparse_chain_distance(systems):

@@ -987,8 +987,7 @@ REPORT_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text()
     | st.lists(st.text(), max_size=4),
     lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
-                   | st.dictionaries(st.text(), inner, max_size=4)
-                   | st.dictionaries(st.integers() | st.none(), inner, max_size=2)),
+                   | st.dictionaries(st.text(), inner, max_size=4)),
     max_leaves=24)
 
 
@@ -999,10 +998,22 @@ def test_report_writer_matches_json_dumps(obj):
     assert cli._json_text(obj) == json.dumps(obj, indent=2)
 
 
-@pytest.mark.parametrize("system, size", [("full2", "over 10^99"), ("cycle2", "2")])
+def test_report_key_that_is_no_string_is_an_internal_error(capsys, monkeypatch):
+    # json.dumps would write the key 1 as "1"; every command writes string keys
+    monkeypatch.setattr(suites, "run_suite", lambda suite, trials, seed: ({1: 2}, []))
+    assert main(["verify-lemmas", "--suite", "removal"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "error: internal: TypeError: first argument must be a string, not int\n")
+
+
+@pytest.mark.parametrize("system, size", [("full2", "over 10^99"), ("cycle2", "2"),
+                                          ("at_most_one_1", "32002")])
 def test_one_window_code_at_range_16000_counts_in_little_memory(tmp_path, capsys, system,
                                                                  size):
-    # the size check keeps only the counting front, not |L_n| for every n <= 2R+1
+    # the size check keeps |L_n| for every n it counts, and stops at the first count
+    # past 10^99: small counts on every n <= 2R+1, or a few lengths of big ones
     path = tmp_path / "code.json"
     path.write_text(json.dumps({"range": 16000, "alphabet": ["0", "1"],
                                 "rule": {",".join("0" * 32001): "0"}}))

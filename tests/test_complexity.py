@@ -1,12 +1,9 @@
-import importlib
-
 import pytest
 
 from oracles import sparse_language_oracle, unique_extension_oracle
 from shiftlab import (
     SftSpec,
     SparseSpec,
-    complexity,
     complexity_table,
     extension_radius,
     find_extension_window,
@@ -27,18 +24,22 @@ def w(text):
 
 
 def test_complexity_examples(systems):
-    assert complexity(systems["full2"].spec, 10) == 1024
-    assert complexity(systems["salo_schraudner"].spec, 5) == 36
+    assert systems["full2"].spec.count_words(10) == 1024
+    assert systems["salo_schraudner"].spec.count_words(5) == 36
     hallway = systems["hallway"].spec
     fams = [list(f) for f in hallway.families]
-    assert complexity(hallway, 2) == len(sparse_language_oracle("0", fams, 2)) == 21
+    assert hallway.count_words(2) == len(sparse_language_oracle("0", fams, 2)) == 21
 
 
 def test_complexity_errors_on_empty():
-    with pytest.raises(EmptySubshiftError):
-        complexity(empty_sft(BIN), 1)
-    with pytest.raises(ValueError, match="^n must be >= 1$"):
-        complexity(SftSpec(BIN, []), 0)
+    empty = empty_sft(BIN)
+    for n in (2, 3):
+        with pytest.raises(EmptySubshiftError, match="^complexity undefined on the empty subshift$"):
+            find_extension_window(empty, n, 2, 5)
+    with pytest.raises(EmptySubshiftError, match="^complexity undefined on the empty subshift$"):
+        complexity_table(empty, 1)
+    with pytest.raises(ValueError, match="^max_n must be >= 1$"):  # checked first
+        complexity_table(empty, 0)
 
 
 def test_complexity_table_formats(systems):
@@ -162,9 +163,7 @@ def test_find_extension_window_examples(systems):
 
 def test_find_extension_window_names_an_exhausted_search(systems, monkeypatch):
     # k_m = 1 everywhere stays short of C*n = 16*ln2/8 for every m <= floor(16 ln 16) = 44
-    # the package's `complexity` is the function, so the module is named by its import path
-    module = importlib.import_module("shiftlab.complexity")
-    monkeypatch.setattr(module, "min_nonextendable_radius", lambda spec, m, cap: 1)
+    monkeypatch.setattr("shiftlab.complexity.min_nonextendable_radius", lambda spec, m, cap: 1)
     message = "^no m <= 44 with k_m >= 1.386 at cap 50$"
     with pytest.raises(LemmaWindowNotFoundError, match=message):
         find_extension_window(systems["at_most_one_1"].spec, 16, 2, 50)

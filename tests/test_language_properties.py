@@ -5,7 +5,8 @@ independent oracles in `oracles.py` (zipped factor oracles for products),
 with canonical order taken from `Alphabet.sort_words`.  The engine is
 also checked against its former self: `words` (joined half-length runs)
 against the level-by-level walk, `count_words` (one DP advanced across
-calls) against the DP rerun from length 0, in any call order, and the
+calls, with capped `_count_below` reads of the same cache interleaved)
+against the DP rerun from length 0, in any call order, and the
 extension step (the end state's row) against per-extension `contains`.
 The centred-extension generator (`complexity._centred`) is checked
 against the words of L_{|w|+2k} that carry w at their centre, filtered
@@ -282,6 +283,16 @@ def test_count_words_in_any_call_order(spec, data):
         lengths = lengths + lengths[::-1]
     for n in lengths:
         expected = count_words_oracle(spec, n)
+        if data.draw(st.booleans()):
+            # a capped read shares the one cache: exact below the cap, else
+            # some |L_m| >= cap with m <= n
+            cap = data.draw(st.integers(1, 64))
+            got = spec._count_below(n, cap)
+            if expected < cap:
+                assert got == expected
+            else:
+                assert cap <= got <= expected
+                assert got in [count_words_oracle(spec, m) for m in range(min(n, 0), n + 1)]
         assert spec.count_words(n) == expected
         if n >= 1 and not spec.is_empty and expected <= BUDGET and data.draw(st.booleans()):
             assert len(spec.words(n)) == expected

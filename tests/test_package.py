@@ -1,3 +1,4 @@
+import sys
 import types
 
 import shiftlab
@@ -7,7 +8,7 @@ import shiftlab
 EXPORTS = {
     "Alphabet", "Configuration",
     "SubshiftSpec", "SftSpec", "SparseSpec", "ProductSpec", "parse_spec", "spec_digest",
-    "complexity", "complexity_table", "extension_radius", "min_nonextendable_radius",
+    "complexity_table", "extension_radius", "min_nonextendable_radius",
     "find_extension_window", "slow_growth_window",
     "forbid", "cylinder_has_aperiodic", "verify_removal_bound", "build_chain",
     "shadowing_distance", "syndetic_gap", "Chain", "ChainLevel",
@@ -24,4 +25,14 @@ def test_package_exports_one_name_per_operation():
     exported = {name for name, value in vars(shiftlab).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert exported == EXPORTS
-    assert len(EXPORTS) == 46
+    assert len(EXPORTS) == 45
+
+
+def test_package_names_of_submodules_are_the_submodules():
+    # an export named like its submodule would hide it from dotted paths
+    # such as monkeypatch.setattr("shiftlab.complexity.<name>", ...)
+    loaded = {name.removeprefix("shiftlab."): module for name, module in sys.modules.items()
+              if name.startswith("shiftlab.") and name.count(".") == 1}
+    assert "complexity" in loaded
+    for name, module in loaded.items():
+        assert getattr(shiftlab, name) is module

@@ -8,7 +8,7 @@ from oracles import sft_language_oracle, sparse_language_oracle
 from shiftlab import parse_spec
 from shiftlab.autos import enumerate_automorphisms
 from shiftlab.chains import Chain, ChainLevel, build_chain, forbid, syndetic_gap, verify_removal_bound
-from shiftlab.complexity import complexity
+from shiftlab.complexity import complexity_table
 from shiftlab.errors import EmptySubshiftError, SpecFormatError
 from shiftlab.subshifts import (
     ProductSpec,
@@ -186,7 +186,7 @@ def test_the_answers_defined_on_the_empty_subshift(spec):
     with pytest.raises(ValueError, match="not in alphabet"):
         spec.contains_config(Configuration(("x",), (), (letter,)))
     with pytest.raises(EmptySubshiftError, match="^complexity undefined on the empty subshift$"):
-        complexity(spec, 1)
+        complexity_table(spec, 1)
     assert forbid(spec, ()).is_empty
 
 
