@@ -689,16 +689,14 @@ _CODE_KEYS = {"range", "alphabet", "rule"}
 
 def _string_letters(spec):
     """Whether rule keys join the letters with commas; else each key is the
-    compact JSON array of its window (pair letters, nested in products)."""
-    return all(isinstance(a, str) for a in spec.alphabet.letters)
+    compact JSON array of its window (pair letters, nested in products, or
+    a letter that holds a comma)."""
+    return all(isinstance(a, str) and "," not in a for a in spec.alphabet.letters)
 
 
 def code_to_json(code):
     key = functools.partial(json.dumps, separators=(",", ":"))
     if _string_letters(code.spec):
-        for a in code.spec.alphabet.letters:
-            if "," in a:
-                raise SpecFormatError(f"letter {a!r} not serializable in rule keys")
         key = ",".join
     return {"range": code.radius,
             "alphabet": list(code.spec.alphabet.letters),

@@ -2,43 +2,42 @@
 
 Row j of the array is the j-th iterate of the code applied to the base
 point, and entry (i, j) is that iterate's letter at coordinate i, which
-equals coordinate 0 of (code^j shift^i)(x).  All verdicts drawn from a
-finite window are window-level evidence, not claims about the infinite
-array.
+equals coordinate 0 of (code^j shift^i)(x).  A letter of row j+1 reads
+only the letters of row j within the code's range R of it, so a window
+of t rows is read off one word of row 0, R(t-1) letters longer on each
+side (its light cone).  All verdicts drawn from a finite window are
+window-level evidence, not claims about the infinite array.
 """
 
 from typing import NamedTuple
 
-from .autos import _check_inputs, apply_to_config
+from .autos import _check_inputs, apply_to_config, apply_to_word
 
 
 class SpaceTimeWindow(NamedTuple):
-    """Rows 0..height-1 of the array: row 0 is the base point."""
-    rows: tuple           # Configurations, row j = code^j of the base point
+    """Rows 0..height-1 of the array, read off the light cone of row 0."""
     width: int
     height: int
     col0: int             # leftmost column coordinate
     grid: tuple           # grid[j][i] = letter at (col0+i, j)
 
-    def entry(self, i, j):
-        """Letter at array coordinate (i, j), absolute."""
-        return self.grid[j][i - self.col0]
-
 
 def spacetime_window(spec, cert, config, width, height):
     """Materialize a width x height window of the space-time array, centred
-    on column 0, rows 0..height-1."""
+    on column 0: slide the code height-1 times over row 0's light cone."""
     if width < 1 or height < 1:
         raise ValueError("width and height must be >= 1")
     _check_inputs(spec, (cert.code, cert.inverse))
     if not spec.contains_config(config):
         raise ValueError("base configuration not in the subshift")
-    col0 = -(width // 2)
-    rows = [config]
+    col0, radius = -(width // 2), cert.code.radius
+    reach = radius * (height - 1)   # row j's columns start `reach` letters into its word
+    word = config.window(col0 - reach, width + 2 * reach)
+    grid = [word[reach:reach + width]]
     for _ in range(height - 1):
-        rows.append(apply_to_config(cert.code, rows[-1]))
-    grid = tuple(tuple(row.get(col0 + i) for i in range(width)) for row in rows)
-    return SpaceTimeWindow(tuple(rows), width, height, col0, grid)
+        word, reach = apply_to_word(cert.code, word), reach - radius
+        grid.append(word[reach:reach + width])
+    return SpaceTimeWindow(width, height, col0, tuple(grid))
 
 
 def rect_complexity(window, n, k):

@@ -422,7 +422,7 @@ class SparseSpec(SubshiftSpec):
             fam = alphabet.check_word(fam)
             if background in fam:
                 raise ValueError("marker equal to background rejected")
-            canon.add(tuple(sorted(fam, key=alphabet.index)))
+            canon.add(tuple(sorted(fam, key=alphabet._index.__getitem__)))
         canon.discard(())
         self.families = tuple(sorted(canon, key=lambda f: (len(f), alphabet.word_key(f))))
         # the downset: dropping one marker from a sorted multiset keeps it sorted

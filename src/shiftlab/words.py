@@ -45,12 +45,6 @@ class Alphabet:
     def __repr__(self):
         return f"Alphabet({list(self.letters)!r})"
 
-    def index(self, letter):
-        try:
-            return self._index[letter]
-        except KeyError:
-            raise ValueError(f"letter {letter!r} not in alphabet") from None
-
     def word_key(self, word):
         """Canonical sort key of a word: its tuple of letter indices."""
         return tuple(self._index[a] for a in word)

@@ -53,6 +53,9 @@ library pumps each tail through the compiled automaton on every backend.
 The Morse-Hedlund oracle scans P_X(n) <= n for n up to a cap, where
 the library decides periodicity on the live automaton
 (`chains.cylinder_has_aperiodic` of the empty word).
+The space-time oracle builds each row of the array as a whole point with
+`apply_to_config` and reads each cell with `get`, where the library
+slides one word of row 0's light cone.
 The period-vector oracle tests each vector cell by cell, where the
 library compares row slices.  The enumeration oracle certifies every
 rule table, where the library certifies only those that permute the
@@ -843,6 +846,20 @@ def contains_config_oracle(spec, config):
     lo = -config.offset - len(config.left) - q
     hi = len(config.center) - config.offset + len(config.right) + q
     return spec.contains(config.window(lo, hi - lo))
+
+
+def spacetime_window_oracle(code, config, width, height):
+    """`spacetime.spacetime_window` point by point: row j is code^j of the
+    base point, built whole, and each cell is read off its row."""
+    from shiftlab.autos import apply_to_config
+    from shiftlab.spacetime import SpaceTimeWindow
+
+    col0 = -(width // 2)
+    rows = [config]
+    for _ in range(height - 1):
+        rows.append(apply_to_config(code, rows[-1]))
+    grid = tuple(tuple(row.get(col0 + i) for i in range(width)) for row in rows)
+    return SpaceTimeWindow(width, height, col0, grid)
 
 
 def period_vectors_oracle(window, bound):

@@ -31,6 +31,7 @@ from shiftlab import (
 )
 from shiftlab.autos import BlockCode, _endomorphism_witness, reduce_range
 from shiftlab.chains import Chain, ChainLevel
+from shiftlab.cli import main
 from shiftlab.errors import (
     InvalidChainError,
     RuleIncompleteError,
@@ -884,7 +885,16 @@ def test_parse_code_strictness(systems):
         parse_code(full2.spec, foreign)
 
 
-def test_code_to_json_refuses_a_letter_holding_a_comma():
+def test_a_letter_holding_a_comma_keys_rules_by_json_arrays(tmp_path, capsys):
+    # a comma-joined key could not be split back into its letters
     spec = SftSpec(Alphabet(("a,b", "c")), [])
-    with pytest.raises(SpecFormatError, match=r"^letter 'a,b' not serializable in rule keys$"):
-        code_to_json(BlockCode.identity(spec, 0))
+    swap = BlockCode.letter_map(spec, {"a,b": "c", "c": "a,b"})
+    blob = json.loads(json.dumps(code_to_json(swap)))
+    assert blob["rule"] == {'["a,b"]': "c", '["c"]': "a,b"}
+    assert parse_code(spec, blob).outputs == swap.outputs
+    with pytest.raises(SpecFormatError, match=r"\['a,b'\]: expected a JSON array of letters$"):
+        parse_code(spec, {**blob, "rule": {"a,b": "c", "c": "a,b"}})
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec.descriptor()))
+    assert main(["autos", "enumerate", "--spec", str(path), "--range", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["count"] == 2

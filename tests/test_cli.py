@@ -998,14 +998,17 @@ def test_report_writer_matches_json_dumps(obj):
     assert cli._json_text(obj) == json.dumps(obj, indent=2)
 
 
-def test_report_key_that_is_no_string_is_an_internal_error(capsys, monkeypatch):
+@pytest.mark.parametrize("results, message", [
     # json.dumps would write the key 1 as "1"; every command writes string keys
-    monkeypatch.setattr(suites, "run_suite", lambda suite, trials, seed: ({1: 2}, []))
+    ({1: 2}, "first argument must be a string, not int"),
+    ({"x": {2}}, "Object of type set is not JSON serializable"),
+], ids=["int-key", "set-value"])
+def test_report_that_is_no_json_is_an_internal_error(capsys, monkeypatch, results, message):
+    monkeypatch.setattr(suites, "run_suite", lambda suite, trials, seed: (results, []))
     assert main(["verify-lemmas", "--suite", "removal"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.endswith(
-        "error: internal: TypeError: first argument must be a string, not int\n")
+    assert captured.err.endswith(f"error: internal: TypeError: {message}\n")
 
 
 @pytest.mark.parametrize("system, size", [("full2", "over 10^99"), ("cycle2", "2"),

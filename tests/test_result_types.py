@@ -36,8 +36,7 @@ RESULT_TYPES = [
     (ComplexityTable, {"subshift_id": "ab", "values": {1: 2}}, {}),
     (ExtensionReport, {"word": ("1",), "radius": 2, "cap": 3, "extension": ("0", "1", "0")},
      {}),
-    (SpaceTimeWindow, {"rows": ("x",), "width": 1, "height": 1, "col0": 0,
-                       "grid": (("0",),)}, {}),
+    (SpaceTimeWindow, {"width": 1, "height": 1, "col0": 0, "grid": (("0",),)}, {}),
     (PowerShiftReport, {"exponent": 2, "shifts": (1,)}, {}),
     (NamedSystem, {"name": "n", "spec": "X", "codes": {}, "probes": {}}, {}),
 ]

@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftlab import (
+    AutomorphismCert,
     apply_to_config,
     certify_automorphism,
+    compose,
     detect_period_vectors,
     enumerate_automorphisms,
     power_is_shift,
@@ -16,7 +18,7 @@ from shiftlab import (
 from shiftlab.spacetime import SpaceTimeWindow, window_to_json
 from shiftlab.words import Configuration
 
-from oracles import period_vectors_oracle
+from oracles import period_vectors_oracle, spacetime_window_oracle
 
 
 @pytest.fixture(scope="module")
@@ -57,8 +59,7 @@ def test_shift_moves_marker_left(systems, full2_certs):
     window = spacetime_window(systems["full2"].spec, full2_certs["shift"],
                               probe, 5, 3)
     for j in range(3):
-        assert window.rows[j].get(-j) == "1"
-        assert window.entry(-j, j) == "1"
+        assert window.grid[j][-j - window.col0] == "1"
 
 
 def test_hallway_walker_advances_to_nail(systems, hallway_cert_a):
@@ -66,9 +67,9 @@ def test_hallway_walker_advances_to_nail(systems, hallway_cert_a):
     window = spacetime_window(hallway.spec, hallway_cert_a,
                               hallway.probes["x3"], 9, 4)
     for j in range(3):
-        assert window.entry(-3 + j, j) == "p"
-        assert window.entry(0, j) == "1"
-    assert window.entry(0, 3) == "ap"
+        assert window.grid[j][-3 + j - window.col0] == "p"
+        assert window.grid[j][-window.col0] == "1"
+    assert window.grid[3][-window.col0] == "ap"
 
 
 def test_window_rejects_foreign_point(systems, full2_certs):
@@ -97,7 +98,33 @@ def test_eta_identity_cross_check(systems, full2_certs):
         point = probe.shift(i)
         for _ in range(j):
             point = apply_to_config(cert.code, point)
-        assert window.entry(i, j) == point.get(0)
+        assert window.grid[j][i - window.col0] == point.get(0)
+
+
+_INVERSE = {"phi_a": "phi_a_inv", "phi_b": "phi_b_inv",
+            "phi_a_inv": "phi_a", "phi_b_inv": "phi_b"}
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_window_matches_the_point_per_row_oracle(systems, data):
+    # walk products of range 0-3 on marker points of the hallway: sliding
+    # one word of row 0's light cone gives the grid of building each row
+    # as a whole point
+    hallway = systems["hallway"]
+    walk = data.draw(st.lists(st.sampled_from(sorted(_INVERSE)), max_size=3))
+    code, inverse = hallway.codes["identity"], hallway.codes["identity"]
+    for name in walk:
+        code = compose(code, hallway.codes[name])
+        inverse = compose(hallway.codes[_INVERSE[name]], inverse)
+    family = data.draw(st.sampled_from(((),) + hallway.spec.families))
+    cells = data.draw(st.lists(st.integers(-12, 12), min_size=len(family),
+                               max_size=len(family), unique=True))
+    probe = Configuration.from_markers("0", dict(zip(cells, family)))
+    width, height = data.draw(st.integers(1, 16)), data.draw(st.integers(1, 9))
+    cert = AutomorphismCert(code, inverse, code.radius)
+    window = spacetime_window(hallway.spec, cert, probe, width, height)
+    assert window == spacetime_window_oracle(code, probe, width, height)
 
 
 def test_rect_complexity_examples(systems, full2_certs):
@@ -168,7 +195,7 @@ def test_period_vectors_match_the_cell_oracle(data):
     if data.draw(st.booleans()):
         i, j = data.draw(st.integers(0, width - 1)), data.draw(st.integers(0, height - 1))
         grid[j][i] = "c"
-    window = SpaceTimeWindow((), width, height, 0, tuple(map(tuple, grid)))
+    window = SpaceTimeWindow(width, height, 0, tuple(map(tuple, grid)))
     bound = data.draw(st.integers(1, min(width, height) - 1))
     assert detect_period_vectors(window, bound) == period_vectors_oracle(window, bound)
 

@@ -12,10 +12,10 @@ def test_alphabet_rejects_duplicates_and_empty():
 
 def test_alphabet_canonical_order():
     alphabet = Alphabet(("b", "a"))
-    assert alphabet.index("b") == 0
+    assert alphabet.word_key(("b", "a")) == (0, 1)
     assert alphabet.sort_words([("a",), ("b",)]) == [("b",), ("a",)]
-    with pytest.raises(ValueError):
-        alphabet.index("c")
+    with pytest.raises(ValueError, match="^letter 'c' not in alphabet$"):
+        alphabet.check_word(("b", "c"))
 
 
 def test_subwords_and_occurrences():
