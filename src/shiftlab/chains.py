@@ -22,7 +22,7 @@ from .errors import (
     NoAperiodicPointError,
     NoUniqueExtenderError,
 )
-from .complexity import _centred, _extend_while_unique
+from .complexity import AT_LEAST_CAP, _centred, extension_radius
 from .subshifts import SftSpec, SparseSpec, empty_sft
 
 
@@ -181,22 +181,13 @@ class Chain(NamedTuple):
         return tuple(out)
 
 
-def unique_extension(spec, word, steps):
-    """The unique `steps`-fold centered extension of word, or None (always
-    for a word outside the language, which not even itself extends)."""
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    unique_steps, u = _extend_while_unique(spec, tuple(word), steps)
-    return u if unique_steps == steps else None
-
-
 def _smallest_unique_extender(spec, radius, max_len):
     """Canonically smallest word of length <= L extending uniquely 2R times."""
     for n in range(1, max_len + 1):
         for w in spec.words(n):
-            ext = unique_extension(spec, w, 2 * radius)
-            if ext is not None:
-                return w, ext
+            report = extension_radius(spec, w, 2 * radius)
+            if report.radius == AT_LEAST_CAP:
+                return w, report.extension
     return None
 
 
@@ -290,10 +281,11 @@ def shadowing_distance(spec, forbidden_words, u, t_steps, cap):
     shrunk = functools.reduce(forbid, forbidden_words, spec)
     if not shrunk.contains(u):
         raise HypothesisError(f"word {u!r} not in the language after forbidding")
-    v = unique_extension(shrunk, u, t_steps)
-    if v is None:
+    report = extension_radius(shrunk, u, t_steps)
+    if report.radius != AT_LEAST_CAP:
         raise HypothesisError(
             f"word {u!r} does not extend uniquely {t_steps} times after forbidding")
+    v = report.extension
     prev_cex = None
     levels = itertools.islice(_centred(spec, u), t_steps, t_steps + cap + 1)
     for dist, extensions in enumerate(levels):

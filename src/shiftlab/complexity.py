@@ -5,7 +5,8 @@ extension radii (how far a word determines its surroundings) and the
 window search behind the slow-complexity growth argument:  whenever
 P_X(n) <= n^d from some point on, some m <= n*ln(n) has every word of
 length m pinned down Cn deep on both sides, with C = ln(2)/(4d).  All
-two-sided extensions come from `_centred`, in canonical order as made.
+two-sided extensions come from `_centred`, in canonical order as made,
+and every unique-extension question is asked of `extension_radius`.
 """
 
 import itertools
@@ -68,31 +69,27 @@ def _centred(spec, word):
         level = nxt
 
 
-def _extend_while_unique(spec, word, steps):
-    """(k, u) for the largest k <= `steps` with E_k = [u] (uniqueness is
-    monotone in k); (-1, None) for a word outside the language."""
-    u = None
-    for k, level in enumerate(_centred(spec, word)):
-        if len(level) != 1:
-            return k - 1, u
-        (u,) = level
-        if k >= steps:
-            return k, u
-
-
 def extension_radius(spec, word, cap):
     """Largest k <= cap such that exactly one u in L_{|w|+2k} has w centered.
 
     Uniqueness is monotone in k, so the radius is found by extending one
     step at a time until a second extension appears or the cap is hit.
+    Every word of L is its own 0-fold extension, so at cap 0 the answer
+    is `at-least-cap` with w itself: cap 0 asks only whether w is in L.
+    At cap 0 `min_nonextendable_radius` is then `exceeds-cap`, proving
+    only k_m >= 1, which `find_extension_window` takes only when 1 >= C*n.
     """
     word = tuple(word)
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    radius, unique_ext = _extend_while_unique(spec, word, cap)
-    if radius < 0:
-        raise ValueError(f"word {word!r} not in the language")
-    return ExtensionReport(word, AT_LEAST_CAP if radius == cap else radius, cap, unique_ext)
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
+    for k, level in enumerate(_centred(spec, word)):
+        if len(level) != 1:
+            if not k:
+                raise ValueError(f"word {word!r} not in the language")
+            return ExtensionReport(word, k - 1, cap, unique_ext)
+        (unique_ext,) = level
+        if k == cap:
+            return ExtensionReport(word, AT_LEAST_CAP, cap, unique_ext)
 
 
 def min_nonextendable_radius(spec, n, cap):

@@ -30,17 +30,8 @@ class Alphabet:
     def __len__(self):
         return len(self.letters)
 
-    def __iter__(self):
-        return iter(self.letters)
-
     def __contains__(self, letter):
         return letter in self._index
-
-    def __eq__(self, other):
-        return isinstance(other, Alphabet) and self.letters == other.letters
-
-    def __hash__(self):
-        return hash(self.letters)
 
     def __repr__(self):
         return f"Alphabet({list(self.letters)!r})"

@@ -26,6 +26,7 @@ from shiftlab import (
     detect_period_vectors,
     enumerate_automorphisms,
     equal_on_shift,
+    extension_radius,
     find_extension_window,
     min_nonextendable_radius,
     power_is_shift,
@@ -35,8 +36,7 @@ from shiftlab import (
     spacetime_window,
 )
 from shiftlab.autos import semigroup_words
-from shiftlab.chains import unique_extension
-from shiftlab.complexity import EXCEEDS_CAP
+from shiftlab.complexity import AT_LEAST_CAP, EXCEEDS_CAP
 from shiftlab.errors import LemmaWindowNotFoundError
 from shiftlab.suites import suite_removal
 from shiftlab.words import Configuration, occurrences
@@ -239,9 +239,9 @@ def test_criterion_11_property_suites(systems):
                 targets = []
                 for n in (1, 2):
                     for word in spec.words(n):
-                        ext = unique_extension(spec, word, 2 * top)
-                        if ext is not None:
-                            targets.append(ext)
+                        report = extension_radius(spec, word, 2 * top)
+                        if report.radius == AT_LEAST_CAP:
+                            targets.append(report.extension)
                 for phi, phi_inv in padded:
                     for psi, _ in padded:
                         for ext in targets:

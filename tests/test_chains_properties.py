@@ -32,9 +32,10 @@ N the number of compiled states.
 distance; `oracles.shadowing_distance_oracle` rebuilds them from u for
 every distance with the `contains`-based extension step.  Both must give
 the same report, or raise the same error with the same message, for up
-to two forbidden words, T in 0-2 and caps 0-4.  `unique_extension` and
-`extension_radius` must agree with the iterated `contains`-based step
-on language words and on arbitrary words over the alphabet.
+to two forbidden words, T in 0-2 and caps 0-4.  `extension_radius`, the
+one unique-extension query, must agree with the iterated
+`contains`-based step at every k up to caps 0-6, on language words and
+on arbitrary words over the alphabet.
 """
 
 import itertools
@@ -59,7 +60,6 @@ from shiftlab.chains import (
     forbid,
     shadowing_distance,
     syndetic_gap,
-    unique_extension,
 )
 from shiftlab.complexity import AT_LEAST_CAP, extension_radius
 from shiftlab.errors import EmptySubshiftError, HypothesisError
@@ -268,14 +268,15 @@ def test_shadowing_distance_matches_oracle(data):
 def test_unique_extension_and_radius_match_oracle(data):
     spec = data.draw(specs)
     word = data.draw(words_over(spec, max_len=4))
-    cap = data.draw(st.integers(1, 6))
+    cap = data.draw(st.integers(0, 6))
     expected = [unique_extension_oracle(spec, word, k) for k in range(cap + 1)]
-    assert [unique_extension(spec, word, k) for k in range(cap + 1)] == expected
     if not spec.contains(word):
-        with pytest.raises(ValueError):
-            extension_radius(spec, word, cap)
+        for k in range(cap + 1):
+            with pytest.raises(ValueError):
+                extension_radius(spec, word, k)
         return
-    radius = expected.index(None) - 1 if None in expected else cap
-    report = extension_radius(spec, word, cap)
-    assert report.radius == (AT_LEAST_CAP if radius == cap else radius)
-    assert report.extension == expected[radius]
+    for k in range(cap + 1):
+        radius = expected.index(None) - 1 if None in expected[:k + 1] else k
+        report = extension_radius(spec, word, k)
+        assert report.radius == (AT_LEAST_CAP if radius == k else radius)
+        assert report.extension == expected[radius]
