@@ -205,7 +205,7 @@ def _middles(spec, n):
     once for each letter of the row of u's state.  The trie is read to
     L_{n-1}."""
     _, tail, states = spec._levels(n - 1)[n - 1]
-    rows = spec._transitions()
+    rows = spec._rows
     return [q for q, s in zip(tail, states) for _ in rows[s]]
 
 
@@ -242,7 +242,7 @@ def _centres(spec):
     path counts of length c+1 from each state s are the sums of those of
     length c over the targets of row s.
     """
-    rows = spec._transitions()
+    rows = spec._rows
     paths = [1] * len(rows)  # paths of length c from each state
     for c in itertools.count():
         ext, _, states = spec._levels(c + 1)[c + 1]
@@ -373,7 +373,7 @@ def _endomorphism_witness(spec, code):
     or a canonically earlier one, would exist.  So every prefix is
     expanded, and extensions come in canonical order (parent, then letter).
     """
-    rows = spec._transitions()
+    rows = spec._rows
     span = 2 * code.radius + 1
     levels = code.spec._levels(span)
     ext, tail, _ = levels[span]

@@ -12,7 +12,6 @@ free of chain words grown one letter at a time.
 
 import functools
 import itertools
-from collections import Counter
 from typing import NamedTuple
 
 from .errors import (
@@ -23,7 +22,7 @@ from .errors import (
     NoUniqueExtenderError,
 )
 from .complexity import AT_LEAST_CAP, _centred, extension_radius
-from .subshifts import SftSpec, SparseSpec, empty_sft
+from .subshifts import empty_sft
 
 
 # -- forbidding a word -----------------------------------------------------
@@ -31,30 +30,22 @@ from .subshifts import SftSpec, SparseSpec, empty_sft
 def forbid(spec, word):
     """The subshift spec with `word` forbidden.
 
-    SFT: append to the forbidden list and re-prune (exact).  Sparse: drop
-    every family that admits the word's marker multiset; forbidding an
+    A nonempty word goes to the backend's `_forbid`.  `SftSpec` appends it
+    to the forbidden list and re-prunes (exact).  `SparseSpec` drops every
+    family that admits the word's marker multiset; forbidding an
     all-background word empties the shift, since every sparse point has
     arbitrarily long background runs.  The sparse result lies inside X(w):
     it is X(w) for an all-background word, for markers no family admits,
     and for a word (a,) exactly when each family holding a, less its a's,
     lies within a kept family; in general it is smaller: (1,) under the
-    family (1, 2) loses the point with one 2 (ROADMAP item 4).  Every point
-    carries the empty word, so forbidding it empties every backend; a
-    product forbids no other word.
+    family (1, 2) loses the point with one 2 (ROADMAP item 4).  Any other
+    backend, `ProductSpec` among them, raises ValueError.  Every point
+    carries the empty word, so forbidding it empties every backend.
     """
     word = spec.alphabet.check_word(word)
     if not word:
         return empty_sft(spec.alphabet)
-    if isinstance(spec, SftSpec):
-        return SftSpec(spec.alphabet, spec.forbidden + (word,))
-    if isinstance(spec, SparseSpec):
-        markers = Counter(a for a in word if a != spec.background)
-        if not markers:
-            return empty_sft(spec.alphabet)
-        keep = [f for f in spec.families
-                if not all(Counter(f)[a] >= k for a, k in markers.items())]
-        return SparseSpec(spec.alphabet, spec.background, keep)
-    raise ValueError(f"forbid is not supported for {type(spec).__name__} specs")
+    return spec._forbid(word)
 
 
 # -- aperiodic points in cylinders ------------------------------------------
@@ -97,7 +88,7 @@ def cylinder_has_aperiodic(spec, word):
     word = tuple(word)
     if not spec.contains(word):
         raise ValueError(f"word {word!r} not in the language")
-    rows, in_degree = spec._live()
+    rows, in_degree = spec._live
     for s in rows:
         t = s
         for a in word:
@@ -344,7 +335,7 @@ def syndetic_gap(spec, chain, dist, cap):
         raise ValueError("anchor distance must be >= 0")
     if cap < 1:
         return SyndeticReport("cap-exceeded", None, dist, cap, None)
-    rows, anchor_set = spec._transitions(), set(anchors)
+    rows, anchor_set = spec._rows, set(anchors)
     cuts = [slice(-k, None) for k in {len(a) for a in anchor_set}]  # the suffixes to test
     # the anchor-free words of length 0; an empty anchor occurs in every word
     frontier = [] if () in anchor_set else [((), 0)]

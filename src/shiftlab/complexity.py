@@ -51,7 +51,7 @@ def _centred(spec, word):
     no word, as the middle of each lies in E_k (factoriality)."""
     if not spec.contains(word):
         yield from itertools.repeat([])
-    level, rows = [word], spec._transitions()
+    level, rows = [word], spec._rows
     while True:
         yield level
         nxt = []

@@ -18,31 +18,32 @@ Each backend presents its language by one deterministic automaton
 (Lind-Marcus, Symbolic Dynamics and Coding, 3.3-3.4): a word is in the
 language exactly when its run from the start state never falls off.  The
 states are the sets of live AC states a word can end in (SFT); the sorted
-marker multisets in the downset of the families (sparse); pairs of factor
-states (product).  Compiled once into integer rows in alphabet order, the
-automaton answers `words` by joining runs of half the length, which emits
-canonical order (alphabet index, then lexicographic) without sorting;
-`count_words` by one dynamic program over the states, advanced from the
-longest length counted so far; `contains` by a run; and `contains_config`,
-for every backend's eventually periodic points ...l l c r r..., by the run
-of l^N c r^N, N the number of states (N copies of a tail pass some state
-twice).  `_levels` grows the language trie from the rows, each word of L_j
-ranked canonically by its parent in L_{j-1} and its letter, with the rank
-of its tail and its state; block codes slide, compose and reduce on these
-ranks.  A word's state row lists its extensions in the order that ranks
-them, so a slide extends its source words by their states and grows the
-trie only to its window and image lengths.  `_sources` keeps that source
-side once per window length, grown one level per read: each word's
-parent and the rank of its last window, which every code of that range
-reads.  `_live` prunes the rows to the states on bi-infinite paths,
-whose labels are the points, by the `_prune` loop that also trims the
-SFT's AC automaton.  An SFT whose AC automaton prunes away, and a
-product with an empty factor, is the empty subshift: it has no
-automaton, so `_transitions` refuses every read of its language, while
+marker multisets in the downset of the families (sparse); pairs of the
+factors' compiled states (product).  Compiled once into integer rows in
+alphabet order, the automaton answers `words` by joining runs of half the
+length, which emits canonical order (alphabet index, then lexicographic)
+without sorting; `count_words` by one dynamic program over the states,
+advanced from the longest length counted so far; `contains` by a run; and
+`contains_config`, for every backend's eventually periodic points
+...l l c r r..., by the run of l^N c r^N, N the number of states (N copies
+of a tail pass some state twice).  `_levels` grows the language trie from
+the rows, each word of L_j ranked canonically by its parent in L_{j-1} and
+its letter, with the rank of its tail and its state; block codes slide,
+compose and reduce on these ranks.  A word's state row lists its
+extensions in the order that ranks them, so a slide extends its source
+words by their states and grows the trie only to its window and image
+lengths.  `_sources` keeps that source side once per window length, grown
+one level per read: each word's parent and the rank of its last window,
+which every code of that range reads.  `_live` prunes the rows to the
+states on bi-infinite paths, whose labels are the points, by the `_prune`
+loop that also trims the SFT's AC automaton.  An SFT whose AC automaton
+prunes away, and a product with an empty factor, is the empty subshift: it
+has no automaton, so `_rows` refuses every read of its language, while
 `contains`, `count_words` and `contains_config` answer without one.
 """
 
 import collections
+import functools
 import hashlib
 import io
 import itertools
@@ -56,17 +57,14 @@ class SubshiftSpec:
     """Common surface of all backends.  Instances are immutable.
 
     A backend supplies `_next(state, letter)`, None when the letter cannot
-    follow, `_start()` if its start state is not the empty tuple, and
-    `descriptor()`, its canonical plain-data description (the JSON form).
+    follow, `_start()` if its start state is not the empty tuple,
+    `descriptor()`, its canonical plain-data description (the JSON form),
+    and `_forbid(word)` if it can forbid a word.
     """
-
-    kind = None
 
     def __init__(self, alphabet):
         self.alphabet = alphabet
         self.is_empty = False
-        self._rows = None
-        self._live_rows = None
         self._word_cache = {}
         self._trie = [([dict.fromkeys(alphabet.letters, 0)], [0], [0])]  # L_0, see `_levels`
         self._walks = {}  # span -> `_sources` levels
@@ -78,34 +76,37 @@ class SubshiftSpec:
     def _start(self):
         return ()
 
-    def _transitions(self):
+    @functools.cached_property
+    def _rows(self):
         """Rows of the compiled automaton: state 0 is the start, and row s
         maps each allowed letter, in alphabet order, to its target state.
         The empty subshift has none: every read of its language fails here."""
         if self.is_empty:
             raise EmptySubshiftError("empty subshift has no language")
-        if self._rows is None:
-            states = [self._start()]
-            index = {states[0]: 0}
-            rows = []
-            for state in states:
-                row = {}
-                for a in self.alphabet.letters:
-                    nxt = self._next(state, a)
-                    if nxt is not None:
-                        if nxt not in index:
-                            index[nxt] = len(states)
-                            states.append(nxt)
-                        row[a] = index[nxt]
-                rows.append(row)
-            self._rows = rows
-        return self._rows
+        states = [self._start()]
+        index = {states[0]: 0}
+        rows = []
+        for state in states:
+            row = {}
+            for a in self.alphabet.letters:
+                nxt = self._next(state, a)
+                if nxt is not None:
+                    if nxt not in index:
+                        index[nxt] = len(states)
+                        states.append(nxt)
+                    row[a] = index[nxt]
+            rows.append(row)
+        return rows
 
+    @functools.cached_property
     def _live(self):
         """`_prune` of the compiled rows: (rows, in_degree) of the live states."""
-        if self._live_rows is None:
-            self._live_rows = _prune(dict(enumerate(self._transitions())))
-        return self._live_rows
+        return _prune(dict(enumerate(self._rows)))
+
+    def _forbid(self, word):
+        """The spec with the nonempty `word` forbidden, built in the backend's
+        own class (see `chains.forbid`); a backend without a rule refuses."""
+        raise ValueError(f"forbid is not supported for {type(self).__name__} specs")
 
     def words(self, n):
         """All words of length n in the language, canonically sorted.
@@ -116,7 +117,7 @@ class SubshiftSpec:
         and no sort is needed.
         """
         if n not in self._word_cache:
-            rows = self._transitions()
+            rows = self._rows
             if n < 1:
                 raise ValueError("word length must be >= 1")
             if n == 1:
@@ -143,7 +144,7 @@ class SubshiftSpec:
         the rank of (); so L_1 is built by the same step.
         """
         levels = self._trie
-        rows = self._transitions()
+        rows = self._rows
         while len(levels) <= n:
             up_ext, up_tail, up_states = levels[-1]
             ext, tail, states = [], [], []
@@ -182,7 +183,7 @@ class SubshiftSpec:
             _, tail, states = self._levels(span)[span]
             walk = self._walks[span] = [(None, range(len(tail)), states)]
         if len(walk) + span <= n:
-            rows = self._transitions()
+            rows = self._rows
             ext, tail, _ = self._trie[span]
             letters_of = [tuple(row) for row in rows]
             targets_of = [tuple(row.values()) for row in rows]
@@ -221,7 +222,7 @@ class SubshiftSpec:
             return 0
         if n <= 0:
             return 1
-        rows = self._transitions()
+        rows = self._rows
         front = self._front or [1] + [0] * (len(rows) - 1)
         while len(counts) <= n and (cap is None or counts[-1] < cap):
             nxt = [0] * len(rows)
@@ -239,7 +240,7 @@ class SubshiftSpec:
         word = self.alphabet.check_word(word)
         if self.is_empty:
             return False
-        rows = self._transitions()
+        rows = self._rows
         state = 0
         for a in word:
             state = rows[state].get(a)
@@ -261,7 +262,7 @@ class SubshiftSpec:
         l^(N+k*p) c r^M is in L for every k, and by factoriality so is
         l^A c r^M for every A.  A letter outside the alphabet is a ValueError.
         """
-        n = 1 if self.is_empty else len(self._transitions())  # empty: only check letters
+        n = 1 if self.is_empty else len(self._rows)  # empty: only check letters
         return self.contains(config.left * n + config.center + config.right * n)
 
     def __eq__(self, other):
@@ -361,8 +362,6 @@ class SftSpec(SubshiftSpec):
     one of the nonempty factors.
     """
 
-    kind = "sft"
-
     def __init__(self, alphabet, forbidden):
         super().__init__(alphabet)
         canon = [alphabet.check_word(f) for f in forbidden]
@@ -392,8 +391,11 @@ class SftSpec(SubshiftSpec):
         rows = self._live_ac
         return frozenset(t for p in state if (t := rows[p].get(a)) is not None) or None
 
+    def _forbid(self, word):
+        return SftSpec(self.alphabet, self.forbidden + (word,))
+
     # bench/tracing.py traces contains_config per backend class; the bindings
-    # go once it traces SubshiftSpec.contains_config by name (ROADMAP item 16)
+    # go once it traces SubshiftSpec.contains_config by name (ROADMAP item 22)
     contains_config = SubshiftSpec.contains_config
 
     def descriptor(self):
@@ -409,8 +411,6 @@ class SparseSpec(SubshiftSpec):
     multiplicity, form a sub-multiset of one of the families.  The empty
     family is always implicitly present, so a sparse spec is never empty.
     """
-
-    kind = "sparse"
 
     def __init__(self, alphabet, background, families):
         super().__init__(alphabet)
@@ -437,6 +437,13 @@ class SparseSpec(SubshiftSpec):
         grown = tuple(sorted(state + (a,), key=self.alphabet._index.__getitem__))
         return grown if grown in self._downset else None
 
+    def _forbid(self, word):
+        markers = collections.Counter(a for a in word if a != self.background)
+        if not markers:
+            return empty_sft(self.alphabet)
+        keep = [f for f in self.families if not markers <= collections.Counter(f)]
+        return SparseSpec(self.alphabet, self.background, keep)
+
     contains_config = SubshiftSpec.contains_config  # traced per class, see SftSpec
 
     def descriptor(self):
@@ -448,9 +455,8 @@ class SparseSpec(SubshiftSpec):
 
 class ProductSpec(SubshiftSpec):
     """Letterwise Cartesian product over the pair alphabet; empty exactly
-    when a factor is, as a pair of points needs a point of each factor."""
-
-    kind = "product"
+    when a factor is, as a pair of points needs a point of each factor.
+    Its states are pairs of the factors' compiled states."""
 
     def __init__(self, left, right):
         pairs = tuple((a, b) for a in left.alphabet.letters for b in right.alphabet.letters)
@@ -460,11 +466,11 @@ class ProductSpec(SubshiftSpec):
         self.is_empty = left.is_empty or right.is_empty
 
     def _start(self):
-        return (self.factor_left._start(), self.factor_right._start())
+        return (0, 0)
 
     def _next(self, state, a):
-        left = self.factor_left._next(state[0], a[0])
-        right = self.factor_right._next(state[1], a[1])
+        left = self.factor_left._rows[state[0]].get(a[0])
+        right = self.factor_right._rows[state[1]].get(a[1])
         return None if left is None or right is None else (left, right)
 
     contains_config = SubshiftSpec.contains_config  # traced per class, see SftSpec

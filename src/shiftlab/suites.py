@@ -61,7 +61,7 @@ def suite_removal(trials, seed):
     return results, violations
 
 
-def _chain_summary(spec, chain):
+def _chain_summary(chain):
     terminal_count = chain.terminal.subshift.count_words(2 * chain.effective_len - 1)
     sharpened = terminal_count <= chain.bound_value - chain.k * chain.effective_len
     return {
@@ -83,7 +83,7 @@ def suite_chain(trials, seed):
     for name, radius, max_len in (("at_most_one_1", 1, 1), ("hallway", 1, 2)):
         spec = make_example(name).spec
         chain = chains.build_chain(spec, radius, max_len, cap=40)
-        summary = _chain_summary(spec, chain)
+        summary = _chain_summary(chain)
         results[name] = summary
         if not summary["bound_holds"]:
             violations.append({"lemma": "chain-bound", "system": name,

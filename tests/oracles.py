@@ -280,7 +280,7 @@ def image_length_bound(spec, code):
     point outside X shows a forbidden word inside one window of length
     `order`.
     """
-    rows = spec._transitions()
+    rows = spec._rows
     keys = set()
     frontier = [((), 0)]
     for _ in range(2 * code.radius):
@@ -294,7 +294,7 @@ def image_length_bound(spec, code):
             if t2 is not None and key not in keys:
                 keys.add(key)
                 todo.append(key)
-    if spec.kind == "sft":
+    if spec.descriptor()["kind"] == "sft":
         return min(len(keys), max(map(len, spec.forbidden), default=1))
     return len(keys)
 
@@ -509,7 +509,7 @@ def subgroup_closure_oracle(spec, gens, cap):
 
 def words_oracle(spec, n):
     """L_n by a level-by-level walk of the rows, every prefix materialized."""
-    rows = spec._transitions()
+    rows = spec._rows
     frontier = [((), 0)]
     for _ in range(n):
         frontier = [(w + (a,), t) for w, s in frontier for a, t in rows[s].items()]
@@ -520,7 +520,7 @@ def count_words_oracle(spec, n):
     """|L_n| by the state DP rerun from length 0; 1 for n <= 0, 0 when empty."""
     if spec.is_empty:
         return 0
-    rows = spec._transitions()
+    rows = spec._rows
     counts = [1] + [0] * (len(rows) - 1)
     for _ in range(n):
         nxt = [0] * len(rows)
@@ -832,14 +832,15 @@ def contains_config_oracle(spec, config):
     from shiftlab.words import Configuration
 
     spec.alphabet.check_word(config.left + config.center + config.right)
-    if spec.kind == "product":
+    kind = spec.descriptor()["kind"]
+    if kind == "product":
         return all(
             contains_config_oracle(factor, Configuration(
                 *(tuple(a[side] for a in part)
                   for part in (config.left, config.center, config.right)),
                 config.offset))
             for side, factor in enumerate((spec.factor_left, spec.factor_right)))
-    if spec.kind == "sparse":
+    if kind == "sparse":
         return (set(config.left + config.right) == {spec.background}
                 and spec.contains(config.center))
     q = max(map(len, spec.forbidden), default=1) - 1

@@ -406,7 +406,7 @@ def test_certified_inverse_composes_to_identity(data):
 
 def _long_words(spec, rng, length, count):
     """Random language words: walks of the compiled rows, every state extends."""
-    rows = spec._transitions()
+    rows = spec._rows
     out = []
     for _ in range(count):
         word, state = [], 0

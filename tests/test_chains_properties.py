@@ -191,7 +191,7 @@ def test_cylinder_has_aperiodic_matches_oracle(spec):
 def test_every_point_periodic_exactly_when_morse_hedlund_scan_finds_a_witness(spec):
     # with no aperiodic point P_X(n) never exceeds the number of compiled states,
     # so the scan up to that number finds its n* whenever one exists
-    states = len(spec._transitions())
+    states = len(spec._rows)
     witness = morse_hedlund_oracle(spec, states)
     assert (not cylinder_has_aperiodic(spec, ())) == (witness is not None)
 

@@ -157,7 +157,7 @@ def test_live_paths_spell_the_language(spec):
     # the points are the labels of the bi-infinite live paths, so every
     # word of L_n is read along a live path from some live state
     letters, forbidden = spec.alphabet.letters, spec.forbidden
-    live, _ = spec._live()
+    live, _ = spec._live
     paths = {((), s) for s in live}
     for n in range(1, 6):
         paths = {(w + (a,), t) for w, s in paths for a, t in live[s].items()}
@@ -180,7 +180,7 @@ def test_sft_compiled_states_are_bounded_by_the_forbidden_factors(spec):
     prefixes = {f[:i] for f in spec.forbidden for i in range(len(f))}
     factors = {f[i:j] for f in spec.forbidden
                for i in range(len(f)) for j in range(i + 1, len(f) + 1)}
-    assert len(spec._transitions()) <= 1 + len(prefixes) + len(factors)
+    assert len(spec._rows) <= 1 + len(prefixes) + len(factors)
 
 
 @st.composite
@@ -229,9 +229,10 @@ def _rebuilt(draw, spec):
     """The spec built again from its own data in a drawn order: the forbidden
     words or the families permuted, one repeated, each family's markers
     shuffled; an SFT may come back as `sft_graph_oracle`'s subclass."""
-    if spec.kind == "product":
+    kind = spec.descriptor()["kind"]
+    if kind == "product":
         return ProductSpec(_rebuilt(draw, spec.factor_left), _rebuilt(draw, spec.factor_right))
-    if spec.kind == "sparse":
+    if kind == "sparse":
         families = [draw(st.permutations(f)) for f in spec.families + spec.families[:1]]
         return SparseSpec(spec.alphabet, spec.background, draw(st.permutations(families)))
     rebuilt = SftSpec(spec.alphabet, draw(st.permutations(spec.forbidden + spec.forbidden[:1])))
@@ -349,7 +350,7 @@ def _point(data, spec):
         def part(least):
             return tuple(data.draw(st.lists(st.sampled_from(letters), min_size=least, max_size=4)))
         return part(1), part(0), part(1)
-    rows, states, walk = spec._transitions(), [0], ()
+    rows, states, walk = spec._rows, [0], ()
     for _ in range(data.draw(st.integers(1, 14))):
         a = data.draw(st.sampled_from(list(rows[states[-1]])))
         walk += (a,)
@@ -396,7 +397,7 @@ def test_contains_config_matches_backend_oracle(spec, data):
 
 
 def _check_levels(spec, n):
-    rows = spec._transitions()
+    rows = spec._rows
     levels = spec._levels(n)
     for j in range(1, n + 1):
         ext, tail, states = levels[j]

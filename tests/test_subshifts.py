@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -79,7 +80,7 @@ def test_one_forbidden_word_compiles_2q_minus_1_states(q):
     # singletons {1^j} after 0 1^j for 0 <= j < q, where the de Bruijn
     # presentation of `sft_graph_oracle` compiles 2^q - 1
     spec = SftSpec(Alphabet("01"), [w("1" * q)])
-    assert len(spec._transitions()) == 2 * q - 1
+    assert len(spec._rows) == 2 * q - 1
     assert spec.count_words(q) == 2 ** q - 1
 
 
@@ -148,6 +149,43 @@ def test_product_of_empty_factor_is_empty():
         assert spec.alphabet.letters == tuple((a, b) for a in "01" for b in "01")
 
 
+def _sealed(spec):
+    """`spec` again, its rows compiled, whose `_next` refuses every call from then on."""
+    sealed = parse_spec(spec.descriptor())
+    backend = type(sealed)
+
+    def refuse(self, state, a):
+        assert vars(self).get("_rows") is None, "a factor's automaton stepped after compiling"
+        return backend._next(self, state, a)
+
+    sealed.__class__ = type("Sealed" + backend.__name__, (backend,), {"_next": refuse})
+    sealed.count_words(1)  # reads, so compiles, the rows
+    return sealed
+
+
+def _factor_pairs():
+    gm, one = SftSpec(BIN, [w("11")]), SparseSpec(BIN, "0", [("1",)])
+    return [pytest.param(gm, one, id="sft-sparse"),
+            pytest.param(one, None, id="one-factor-on-both-sides"),
+            pytest.param(ProductSpec(gm, one), SftSpec(BIN, []), id="product-of-products")]
+
+
+@pytest.mark.parametrize("left, right", _factor_pairs())
+def test_a_product_steps_its_factors_by_their_compiled_rows(left, right):
+    # each factor compiles once; the product then reads only the factors' rows
+    plain = ProductSpec(left, right or left)
+    sealed_left = _sealed(left)
+    sealed = ProductSpec(sealed_left, _sealed(right) if right else sealed_left)
+    for n in range(1, 6):
+        assert sealed.words(n) == plain.words(n)
+    assert [sealed.count_words(n) for n in range(9)] == [plain.count_words(n) for n in range(9)]
+    letters = plain.alphabet.letters
+    for a, b in itertools.product(letters, repeat=2):
+        for c in itertools.chain([()], itertools.product(letters, repeat=2)):
+            config = Configuration((a,), c, (b,))
+            assert sealed.contains_config(config) == plain.contains_config(config)
+
+
 def _empty_specs():
     full2 = SftSpec(BIN, [])
     order2 = SftSpec(BIN, [w("00"), w("01"), w("10"), w("11")])
@@ -163,13 +201,14 @@ NO_LANGUAGE = "^empty subshift has no language$"
 
 @pytest.mark.parametrize("spec", _empty_specs())
 def test_the_empty_subshift_refuses_every_language_read(spec):
-    # the one refusal is in _transitions; enumerate_automorphisms sizes its search by
+    # the one refusal is in _rows; enumerate_automorphisms sizes its search by
     # count_words, 0 here, and reaches it through the one table it tries
     letter = spec.alphabet.letters[0]
     chain = Chain(levels=(ChainLevel(spec, (letter,), (letter,), False),), terminal=None,
                   range_r=0, max_len=1, effective_len=1)
-    reads = [spec._transitions, spec._live, lambda: spec.words(0), lambda: spec.words(1),
-             lambda: spec._levels(1), lambda: syndetic_gap(spec, chain, 0, 1),
+    reads = [lambda: spec._rows, lambda: spec._live, lambda: spec.words(0),
+             lambda: spec.words(1), lambda: spec._levels(1),
+             lambda: syndetic_gap(spec, chain, 0, 1),
              lambda: enumerate_automorphisms(spec, 0), lambda: build_chain(spec, 1, 1, 5)]
     for read in reads:
         with pytest.raises(EmptySubshiftError, match=NO_LANGUAGE):
@@ -303,7 +342,7 @@ def test_contains_config_pumps_each_tail_once_per_state(systems):
     # one copy of the left period, 1 0, is in L, but the point ...111 000...
     # is not in X: the rule must read as many copies as there are states
     one = systems["at_most_one_1"].spec
-    assert len(one._transitions()) == 2
+    assert len(one._rows) == 2
     assert one.contains(w("10"))
     assert not one.contains_config(Configuration(w("1"), (), w("0")))
     assert one.contains_config(Configuration(w("0"), w("1"), w("0")))
