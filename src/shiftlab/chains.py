@@ -2,7 +2,9 @@
 
 Forbidding a word whose cylinder holds an aperiodic point costs at least
 n-|w|+1 words of every length n >= |w| (the removal bound), which caps
-the length of any chain built from words of bounded length.  On top of
+the length of any chain built from words of bounded length.  A spec
+keeps each shift it forbids, so the chain, removal and shadowing
+analyses of one spec build every X(w) once and read it warm.  On top of
 the chain sit the shadowing and syndeticity searches: how far from the
 forbidden words a surviving word behaves as if the forbidding never
 happened, read off the canonical lists of `complexity._centred`, and
@@ -41,11 +43,19 @@ def forbid(spec, word):
     family (1, 2) loses the point with one 2 (ROADMAP item 4).  Any other
     backend, `ProductSpec` among them, raises ValueError.  Every point
     carries the empty word, so forbidding it empties every backend.
+
+    The result is built once per word and kept in `spec._forbids`, so a
+    second call returns the same object, its language reads already warm.
+    The child lives exactly as long as its parent, like the parent's word
+    lists, counts and trie; nothing is kept when `_forbid` raises.
     """
     word = spec.alphabet.check_word(word)
     if not word:
         return empty_sft(spec.alphabet)
-    return spec._forbid(word)
+    child = spec._forbids.get(word)
+    if child is None:
+        child = spec._forbids[word] = spec._forbid(word)
+    return child
 
 
 # -- aperiodic points in cylinders ------------------------------------------
@@ -115,8 +125,14 @@ class RemovalBoundReport(NamedTuple):
 
 
 def verify_removal_bound(spec, word, n_max):
-    """Check P_{X(w)}(n) <= P_X(n) - (n-|w|+1) on |w| <= n <= n_max."""
+    """Check P_{X(w)}(n) <= P_X(n) - (n-|w|+1) on |w| <= n <= n_max.
+
+    An n_max below |w| leaves no row to check, so it is refused rather
+    than reported as a bound that holds.
+    """
     word = tuple(word)
+    if n_max < len(word):
+        raise ValueError(f"n_max must be >= |w| = {len(word)}")
     if not cylinder_has_aperiodic(spec, word):
         raise NoAperiodicPointError(
             f"cylinder of {word!r} has no aperiodic point")

@@ -4,9 +4,12 @@ The counting side is straightforward; the interesting parts are the
 extension radii (how far a word determines its surroundings) and the
 window search behind the slow-complexity growth argument:  whenever
 P_X(n) <= n^d from some point on, some m <= n*ln(n) has every word of
-length m pinned down Cn deep on both sides, with C = ln(2)/(4d).  All
-two-sided extensions come from `_centred`, in canonical order as made,
-and every unique-extension question is asked of `extension_radius`.
+length m pinned down Cn deep on both sides, with C = ln(2)/(4d).  Every
+unique-extension question is asked of `extension_radius`, which reads
+the two sides of a word apart: right along the compiled rows, left back
+along their reversal.  The lists of all two-sided extensions, which the
+shadowing and occurrence searches scan, come from `_centred`, in
+canonical order as made.
 """
 
 import itertools
@@ -72,8 +75,26 @@ def _centred(spec, word):
 def extension_radius(spec, word, cap):
     """Largest k <= cap such that exactly one u in L_{|w|+2k} has w centered.
 
-    Uniqueness is monotone in k, so the radius is found by extending one
-    step at a time until a second extension appears or the cap is hit.
+    For w in L, |E_k(w)| = 1 exactly when w has one left k-extension (x of
+    length k with xw in L) and one right one (y with wy in L).  Every word
+    of L extends on both sides, so each such x extends to some xwy in E_k,
+    and each such y to some xwy; and every word of E_k restricts to a left
+    and a right extension.  So the radius is the lesser of two one-sided
+    radii, and the unique extension joins the two unique sides.
+
+    The compiled states are the d(0, u), u in L.  Right: wy is in L
+    exactly when y is read from d(0, w), and every state has a letter out
+    (u extends), so y is unique exactly while the walk from d(0, w) meets
+    rows of one letter.  Left: xw is in L exactly when x leads some
+    compiled state into P_w, the states that read w (uxw in L gives xw by
+    factoriality; u empty gives the converse).  So the left letters one
+    step out are those of the edges into the current set, read off `_into`,
+    the reversed rows; x is unique while they carry a single letter, and
+    the set steps back along it.  P_w is found by the same steps back along
+    w from all states.  Uniqueness is monotone in k, and the left walk
+    stops at the right radius.  Each step back reads at most the E compiled
+    edges, so a radius k costs O((|w| + k)*E) and no two-sided list.
+
     Every word of L is its own 0-fold extension, so at cap 0 the answer
     is `at-least-cap` with w itself: cap 0 asks only whether w is in L.
     At cap 0 `min_nonextendable_radius` is then `exceeds-cap`, proving
@@ -82,14 +103,30 @@ def extension_radius(spec, word, cap):
     word = tuple(word)
     if cap < 0:
         raise ValueError("cap must be >= 0")
-    for k, level in enumerate(_centred(spec, word)):
-        if len(level) != 1:
-            if not k:
-                raise ValueError(f"word {word!r} not in the language")
-            return ExtensionReport(word, k - 1, cap, unique_ext)
-        (unique_ext,) = level
-        if k == cap:
-            return ExtensionReport(word, AT_LEAST_CAP, cap, unique_ext)
+    if not spec.contains(word):
+        raise ValueError(f"word {word!r} not in the language")
+    rows, state = spec._rows, 0
+    for a in word:
+        state = rows[state][a]
+    right = []
+    while len(right) < cap and len(rows[state]) == 1:
+        ((a, state),) = rows[state].items()
+        right.append(a)
+    left = []
+    if right:
+        into, states = spec._into, range(len(rows))
+        for a in reversed(word):  # P_w, the states that read w
+            states = {s for t in states for s in into[t].get(a, ())}
+        while len(left) < len(right):
+            letters = {a for t in states for a in into[t]}
+            if len(letters) != 1:
+                break
+            (a,) = letters
+            left.append(a)
+            states = {s for t in states for s in into[t].get(a, ())}
+    k = len(left)
+    extension = tuple(reversed(left)) + word + tuple(right[:k])
+    return ExtensionReport(word, AT_LEAST_CAP if k == cap else k, cap, extension)
 
 
 def min_nonextendable_radius(spec, n, cap):
@@ -124,6 +161,8 @@ def find_extension_window(spec, n, d, cap):
         raise ValueError("n must be >= 2")
     if d < 1:
         raise ValueError("d must be >= 1")
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
     if spec.is_empty:
         raise EmptySubshiftError("complexity undefined on the empty subshift")
     horizon = math.floor(n * math.log(n))

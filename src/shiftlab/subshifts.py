@@ -36,10 +36,12 @@ lengths.  `_sources` keeps that source side once per window length, grown
 one level per read: each word's parent and the rank of its last window,
 which every code of that range reads.  `_live` prunes the rows to the
 states on bi-infinite paths, whose labels are the points, by the `_prune`
-loop that also trims the SFT's AC automaton.  An SFT whose AC automaton
-prunes away, and a product with an empty factor, is the empty subshift: it
-has no automaton, so `_rows` refuses every read of its language, while
-`contains`, `count_words` and `contains_config` answer without one.
+loop that also trims the SFT's AC automaton; `_into` reverses the rows,
+for the left side of `complexity.extension_radius`.  An SFT whose AC
+automaton prunes away, and a product with an empty factor, is the empty
+subshift: it has no automaton, so `_rows` refuses every read of its
+language, while `contains`, `count_words` and `contains_config` answer
+without one.
 """
 
 import collections
@@ -70,6 +72,7 @@ class SubshiftSpec:
         self._walks = {}  # span -> `_sources` levels
         self._counts = [1]  # |L_m| for every m counted so far; L_0 holds the empty word
         self._front = None  # path counts per state at the longest length counted
+        self._forbids = {}  # word -> this spec with it forbidden, see `chains.forbid`
 
     # -- language queries ------------------------------------------------
 
@@ -97,6 +100,16 @@ class SubshiftSpec:
                     row[a] = index[nxt]
             rows.append(row)
         return rows
+
+    @functools.cached_property
+    def _into(self):
+        """The compiled rows reversed: `_into[t]` maps each letter a to the
+        states s whose row has s -a-> t, in state order."""
+        into = [{} for _ in self._rows]
+        for s, row in enumerate(self._rows):
+            for a, t in row.items():
+                into[t].setdefault(a, []).append(s)
+        return into
 
     @functools.cached_property
     def _live(self):

@@ -45,6 +45,9 @@ library reads the canonical lists of `complexity._centred`, one
 extension step per distance, and takes the first failing word; the
 unique-extension oracle iterates the `contains`-based extension step on
 a set, where the library reads the automaton's rows; the
+extension-radius oracle counts the two-sided lists of `_centred`, where
+the library walks each side of the word apart, right along the rows and
+left back along their reversal; the
 occurrence-preservation oracle scans all of L_n for the words with the
 target at the centre, where the library reads them off `_centred`.  The
 point-membership oracle keeps the per-backend rules (an SFT window, a
@@ -561,6 +564,25 @@ def unique_extension_oracle(spec, word, steps):
             return None
         current = centered_extensions_oracle(spec, current)
     return current.pop() if len(current) == 1 else None
+
+
+def extension_radius_oracle(spec, word, cap):
+    """The extension radius by the two-sided lists of `complexity._centred`:
+    the first level k that does not hold exactly one word ends the search at
+    k-1, and a single word at the cap answers `at-least-cap`."""
+    from shiftlab.complexity import AT_LEAST_CAP, ExtensionReport, _centred
+
+    word = tuple(word)
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
+    for k, level in enumerate(_centred(spec, word)):
+        if len(level) != 1:
+            if not k:
+                raise ValueError(f"word {word!r} not in the language")
+            return ExtensionReport(word, k - 1, cap, unique_ext)
+        (unique_ext,) = level
+        if k == cap:
+            return ExtensionReport(word, AT_LEAST_CAP, cap, unique_ext)
 
 
 def preserves_occurrences_oracle(spec, code, target, anchors=None):

@@ -1,5 +1,7 @@
 import functools
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -23,6 +25,7 @@ from shiftlab.errors import (
     NoAperiodicPointError,
     NoUniqueExtenderError,
 )
+from shiftlab.subshifts import parse_spec
 from shiftlab.suites import random_sft
 from shiftlab.words import Alphabet, occurrences
 
@@ -69,6 +72,64 @@ def test_forbid_sparse_keeps_unrelated_families(systems):
 def test_forbid_rejects_product_specs(systems):
     with pytest.raises(ValueError, match="^forbid is not supported for ProductSpec specs$"):
         forbid(systems["salo_schraudner"].spec, (("0", "0"),))
+
+
+def test_forbid_builds_each_child_once():
+    spec = SftSpec(BIN, [w("11")])
+    child = forbid(spec, w("000"))
+    assert forbid(spec, w("000")) is child
+    assert forbid(spec, ["0", "0", "0"]) is child  # any sequence of the letters names it
+    fresh = SftSpec(BIN, [w("11"), w("000")])
+    assert child.descriptor() == fresh.descriptor()
+    for n in range(1, 9):
+        assert child.words(n) == fresh.words(n)
+        assert child.count_words(n) == fresh.count_words(n)
+
+
+def test_forbid_child_lives_as_long_as_its_parent():
+    spec = SftSpec(BIN, [w("11")])
+    parent, child = weakref.ref(spec), weakref.ref(forbid(spec, w("000")))
+    assert child() is not None  # the parent holds it
+    del spec
+    gc.collect()
+    assert parent() is None and child() is None
+
+
+def test_forbid_refusals_keep_nothing():
+    spec = SftSpec(BIN, [w("11")])
+    with pytest.raises(ValueError, match="^letter '2' not in alphabet$"):
+        forbid(spec, w("02"))
+    product = ProductSpec(spec, spec)
+    with pytest.raises(ValueError, match="^forbid is not supported for ProductSpec specs$"):
+        forbid(product, (("0", "0"),))
+    assert spec._forbids == {} and product._forbids == {}
+
+
+def _analyses(spec):
+    """Chains, removal reports and shadowing reports on `spec`, each call's
+    value or its error."""
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except (HypothesisError, NoUniqueExtenderError, CapExceededError, ValueError) as exc:
+            return type(exc), str(exc)
+
+    chains = [outcome(build_chain, spec, 1, max_len, 40) for max_len in (1, 2)]
+    anchors = [lvl.extended for c in chains if isinstance(c, Chain) for lvl in c.levels]
+    words = [u for n in (1, 2) for u in spec.words(n)]
+    removal = [outcome(verify_removal_bound, spec, u, 6) for u in words
+               if cylinder_has_aperiodic(spec, u)]
+    shadows = [outcome(shadowing_distance, spec, anchors[:k], u, 1, 3)
+               for k in range(min(len(anchors), 2) + 1) for u in words]
+    return chains, removal, shadows
+
+
+@pytest.mark.parametrize("name", ["full2", "golden_mean", "at_most_one_1", "hallway"])
+def test_warm_analyses_equal_fresh_ones(systems, name):
+    spec = systems[name].spec
+    warm = _analyses(spec)
+    assert _analyses(spec) == warm  # every forbid now returns a kept child
+    assert _analyses(parse_spec(spec.descriptor())) == warm
 
 
 # The sparse rule drops whole families, so it forbids more than the word; each
@@ -168,6 +229,12 @@ def test_removal_bound_reports_each_violating_row(systems, monkeypatch):
     report = verify_removal_bound(systems["full2"].spec, w("11"), 3)
     assert report.rows == ((2, 4, 3, -1), (3, 8, 6, -2))
     assert report.violations == report.rows
+
+
+def test_removal_bound_refuses_an_n_max_below_the_word(systems):
+    # no row to check: refused, not reported as a bound that holds
+    with pytest.raises(ValueError, match=r"^n_max must be >= \|w\| = 2$"):
+        verify_removal_bound(systems["full2"].spec, w("11"), 1)
 
 
 def test_removal_bound_needs_aperiodic_point(systems):

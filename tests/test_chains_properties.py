@@ -35,7 +35,13 @@ the same report, or raise the same error with the same message, for up
 to two forbidden words, T in 0-2 and caps 0-4.  `extension_radius`, the
 one unique-extension query, must agree with the iterated
 `contains`-based step at every k up to caps 0-6, on language words and
-on arbitrary words over the alphabet.
+on arbitrary words over the alphabet.  It walks each side of the word
+apart; `oracles.extension_radius_oracle` counts the two-sided lists of
+`complexity._centred`.  Both must give the same report, or the same
+error, at caps 0-60 on words of up to 8 letters, read along the rows of
+generated SFT, dense SFT, sparse and product specs, and on every word of
+length up to 3 of the builtins and of two SFTs with finite radii past 0
+whose one-sided radii differ.
 """
 
 import itertools
@@ -46,6 +52,7 @@ from hypothesis import strategies as st
 import pytest
 from oracles import (
     backend_cylinder_aperiodic_oracle,
+    extension_radius_oracle,
     has_qualifying_occurrence,
     morse_hedlund_oracle,
     shadowing_distance_oracle,
@@ -68,6 +75,8 @@ from shiftlab.systems import make_example
 from shiftlab.words import Alphabet, occurrences
 from test_autos_properties import specs
 from test_language_properties import SETTINGS
+
+BIN = Alphabet(("0", "1"))
 
 # language words scanned per report, so that each example stays fast
 BUDGET = 20_000
@@ -217,7 +226,7 @@ def words_over(draw, spec, max_len=3):
     return draw(st.sampled_from(spec.words(draw(st.integers(1, max_len)))))
 
 
-def _shadowing_outcome(fn, *args):
+def _outcome(fn, *args):
     try:
         return "value", fn(*args)
     except (HypothesisError, ValueError) as exc:
@@ -258,8 +267,8 @@ def test_shadowing_distance_matches_oracle(data):
     # the oracle tests every extension of every extended word with `contains`
     while cap > 0 and spec.count_words(len(u) + 2 * (cap + t_steps)) > BUDGET // 4:
         cap -= 1
-    got = _shadowing_outcome(shadowing_distance, spec, forbidden, u, t_steps, cap)
-    expected = _shadowing_outcome(shadowing_distance_oracle, spec, forbidden, u, t_steps, cap)
+    got = _outcome(shadowing_distance, spec, forbidden, u, t_steps, cap)
+    expected = _outcome(shadowing_distance_oracle, spec, forbidden, u, t_steps, cap)
     assert got == expected
 
 
@@ -280,3 +289,46 @@ def test_unique_extension_and_radius_match_oracle(data):
         report = extension_radius(spec, word, k)
         assert report.radius == (AT_LEAST_CAP if radius == k else radius)
         assert report.extension == expected[radius]
+
+
+@st.composite
+def walked_words(draw, spec, max_len=8):
+    """A language word of up to `max_len` letters, read along the compiled
+    rows so that no L_n is listed, or now and then any word over the alphabet."""
+    if draw(st.integers(0, 3)) == 0:
+        letter = st.sampled_from(spec.alphabet.letters)
+        return tuple(draw(st.lists(letter, max_size=max_len)))
+    rows, state, word = spec._rows, 0, []
+    for _ in range(draw(st.integers(0, max_len))):
+        a = draw(st.sampled_from(list(rows[state])))
+        word.append(a)
+        state = rows[state][a]
+    return tuple(word)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(st.data())
+def test_extension_radius_matches_two_sided_oracle(data):
+    # dense SFTs give the finite radii past 0, where both walks run
+    spec = data.draw(st.one_of(dense_sfts(), specs).filter(lambda spec: not spec.is_empty))
+    word = data.draw(walked_words(spec))
+    cap = data.draw(st.integers(0, 60))
+    assert (_outcome(extension_radius, spec, word, cap)
+            == _outcome(extension_radius_oracle, spec, word, cap))
+
+
+@pytest.mark.parametrize("name", ["full2", "golden_mean", "cycle2", "at_most_one_1",
+                                  "salo_schraudner", "hallway", "no_11_101", "no_11_101_0001"])
+def test_extension_radius_matches_two_sided_oracle_on_named_specs(systems, name):
+    # at_most_one_1's and hallway's marker words extend uniquely past every cap.
+    # Without 11 and 101 a 1 has 00 on each side, then a branch: radius 2.
+    # Adding 0001 leaves (100)^inf and the points ...100100 0^inf: left of a 1
+    # is (100)^inf, right of it 00 then a branch, and 000 is followed by 0
+    # forever but preceded by either letter, so the one-sided radii differ.
+    spec = {"no_11_101": SftSpec(BIN, [("1", "1"), ("1", "0", "1")]),
+            "no_11_101_0001": SftSpec(BIN, [("1", "1"), ("1", "0", "1"), ("0", "0", "0", "1")]),
+            }.get(name) or systems[name].spec
+    for n in range(4):
+        for word in spec.words(n) if n else [()]:
+            for cap in (0, 1, 3, 60):
+                assert extension_radius(spec, word, cap) == extension_radius_oracle(spec, word, cap)

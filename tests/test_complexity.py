@@ -156,6 +156,15 @@ def test_find_extension_window_examples(systems):
         find_extension_window(systems["at_most_one_1"].spec, 1, 2, 50)
     with pytest.raises(ValueError, match="^d must be >= 1$"):
         find_extension_window(systems["at_most_one_1"].spec, 10, 0, 50)
+    with pytest.raises(ValueError, match="^cap must be >= 0$"):
+        find_extension_window(systems["at_most_one_1"].spec, 10, 2, -1)
+
+
+def test_find_extension_window_checks_the_cap_before_the_hypothesis():
+    # P(5) = 10^5 > 5 fails the hypothesis, but the argument is refused first
+    full10 = SftSpec(Alphabet(tuple("0123456789")), [])
+    with pytest.raises(ValueError, match="^cap must be >= 0$"):
+        find_extension_window(full10, 5, 1, -1)
 
 
 def test_find_extension_window_names_an_exhausted_search(systems, monkeypatch):
